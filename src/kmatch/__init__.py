@@ -19,7 +19,6 @@ from .constructions import (
 )
 from .corpus import connected_graphs, connected_graphs_upto, corpus_names, load_corpus_dir
 from .errors import (
-    BudgetExceeded,
     CorpusError,
     EdgeNotInFactor,
     EdgeNotInHost,
@@ -112,7 +111,6 @@ __all__ = [
     "project",
     "run_scenario",
     "validate_k_matching",
-    "BudgetExceeded",
     "CorpusError",
     "EdgeNotInFactor",
     "EdgeNotInHost",

@@ -37,7 +37,7 @@ from .errors import (
     InvariantViolation,
 )
 from .graphs import Edge, Graph
-from .matchings import canonical_matching, matching_degrees, unmatched_vertices
+from .matchings import DegreeProfile, canonical_matching, degree_profile
 from .products import ProductGraph
 
 BOXAST_KINDS = ("cartesian", "strong", "lex")
@@ -74,16 +74,21 @@ class ConstructionResult:
     classification: Classification
 
 
-def _raise_incompatible(kind: str, p: ProductGraph, allowed: tuple[str, ...]) -> None:
-    raise IncompatibleProduct(
-        f"{kind} is undefined on the {p.kind} product; supported kinds: {', '.join(allowed)}"
-    )
+_KINDS = {"boxast": BOXAST_KINDS, "ast": AST_KINDS, "circledast": CIRCLEDAST_KINDS}
 
 
-def _factor_matchings(p: ProductGraph, m_g, m_h) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+def _require_kind(kind: str, p: ProductGraph) -> None:
+    allowed = _KINDS[kind]
+    if p.kind not in allowed:
+        raise IncompatibleProduct(
+            f"{kind} is undefined on the {p.kind} product; supported kinds: {', '.join(allowed)}"
+        )
+
+
+def _factor_profiles(p: ProductGraph, m_g, m_h) -> tuple[DegreeProfile, DegreeProfile]:
     return (
-        canonical_matching(p.left, m_g, error=EdgeNotInFactor),
-        canonical_matching(p.right, m_h, error=EdgeNotInFactor),
+        degree_profile(p.left, m_g, error=EdgeNotInFactor),
+        degree_profile(p.right, m_h, error=EdgeNotInFactor),
     )
 
 
@@ -91,6 +96,16 @@ def _canonical_in_product(p: ProductGraph, pairs) -> tuple[Edge, ...]:
     # the parts are Cartesian or doubly-moving edges that exist in every
     # supported kind, so a miss here is a bug, not bad input.
     return canonical_matching(p.graph, pairs, error=InvariantViolation)
+
+
+def _split_by_shape(edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], ...]:
+    """(edges moving only the left coordinate, only the right one, both),
+    each in canonical order: every part has exactly one of these shapes."""
+    left, right, diagonal = [], [], []
+    for e in edges:
+        (x1, y1), (x2, y2) = e
+        (left if y1 == y2 else right if x1 == x2 else diagonal).append(e)
+    return tuple(left), tuple(right), tuple(diagonal)
 
 
 # the four primitive parts ---------------------------------------------------
@@ -104,12 +119,12 @@ def copies_in_right_layers(m_h, g: Graph):
     return [((x, c), (x, d)) for (c, d) in m_h for x in g.vertices]
 
 
-def fill_over_left_unmatched(g: Graph, m_g, m_h):
-    return [((u, c), (u, d)) for u in unmatched_vertices(g, m_g) for (c, d) in m_h]
+def fill_over_left_unmatched(unmatched_g, m_h):
+    return [((u, c), (u, d)) for u in unmatched_g for (c, d) in m_h]
 
 
-def fill_over_right_unmatched(h: Graph, m_h, m_g):
-    return [((a, w), (b, w)) for w in unmatched_vertices(h, m_h) for (a, b) in m_g]
+def fill_over_right_unmatched(unmatched_h, m_g):
+    return [((a, w), (b, w)) for w in unmatched_h for (a, b) in m_g]
 
 
 def diagonals(m_g, m_h):
@@ -121,83 +136,51 @@ def diagonals(m_g, m_h):
     return out
 
 
-# factor-side stats feeding the classifications ------------------------------
+# classification from the factor profiles -------------------------------------
 
 
-@dataclass(frozen=True)
-class _SideStats:
-    degree: int | None  # uniform matched degree; 0 empty, None invalid
-    unmatched: int
-
-    @property
-    def valid(self) -> bool:
-        return self.degree is not None
-
-    @property
-    def empty(self) -> bool:
-        return self.degree == 0
-
-    @property
-    def perfect(self) -> bool:
-        return self.degree is not None and self.degree >= 1 and self.unmatched == 0
-
-
-def _side_stats(g: Graph, m) -> _SideStats:
-    deg = matching_degrees(g, m)
-    positive = {d for d in deg.values() if d > 0}
-    if len(positive) > 1:
-        uniform = None
-    elif not positive:
-        uniform = 0
-    else:
-        (uniform,) = positive
-    return _SideStats(degree=uniform, unmatched=sum(1 for d in deg.values() if d == 0))
-
-
-def _classify_boxast(gs: _SideStats, hs: _SideStats, orientation: str) -> Classification:
-    primary, secondary = (gs, hs) if orientation == "gh" else (hs, gs)
-    if primary.perfect:
-        return Classification(True, primary.degree, None, "perfect-primary")
-    if gs.valid and hs.valid:
-        if gs.empty and hs.empty:
-            k = 1
-        elif gs.empty:
-            k = hs.degree
-        elif hs.empty:
-            k = gs.degree
-        elif gs.degree == hs.degree:
-            k = gs.degree
-        else:
-            return Classification(False, None, None, "none")
-        return Classification(True, k, None, "both-matchings")
-    return Classification(False, None, None, "none")
-
-
-def _classify_ast(gs: _SideStats, hs: _SideStats) -> Classification:
-    if gs.valid and hs.valid:
+def _classify(
+    kind: str, gs: DegreeProfile, hs: DegreeProfile, orientation: str = "gh"
+) -> Classification:
+    if kind == "boxast":
+        primary = gs if orientation == "gh" else hs
+        if primary.perfect:
+            return Classification(True, primary.uniform, None, "perfect-primary")
+        if gs.valid and hs.valid:
+            if gs.empty and hs.empty:
+                k = 1
+            elif gs.empty:
+                k = hs.uniform
+            elif hs.empty:
+                k = gs.uniform
+            elif gs.uniform == hs.uniform:
+                k = gs.uniform
+            else:
+                return Classification(False, None, None, "none")
+            return Classification(True, k, None, "both-matchings")
+        return Classification(False, None, None, "none")
+    if kind == "ast":
+        if gs.valid and hs.valid:
+            if gs.empty or hs.empty:
+                return Classification(True, 1, (1, 1), "factored")
+            return Classification(True, gs.uniform * hs.uniform, (gs.uniform, hs.uniform), "factored")
         if gs.empty or hs.empty:
-            return Classification(True, 1, (1, 1), "factored")
-        return Classification(True, gs.degree * hs.degree, (gs.degree, hs.degree), "factored")
-    if gs.empty or hs.empty:
-        # the produced set is empty, hence trivially a k-matching, but no
-        # factor regime explains it (the other side is not a matching).
-        return Classification(True, 1, (1, 1), "none")
-    return Classification(False, None, None, "none")
-
-
-def _classify_circledast(gs: _SideStats, hs: _SideStats) -> Classification:
-    if gs.perfect and hs.valid and hs.degree == 1:
-        return Classification(True, gs.degree, (gs.degree, 1), "M1.a")
-    if gs.valid and gs.degree >= 1 and hs.empty:
-        return Classification(True, gs.degree, (gs.degree, 1), "M1.b")
-    if gs.valid and gs.degree == 1 and hs.perfect:
-        return Classification(True, hs.degree, (1, hs.degree), "M2.a")
-    if gs.empty and hs.valid and hs.degree >= 1:
-        return Classification(True, hs.degree, (1, hs.degree), "M2.b")
-    if gs.valid and hs.valid and gs.degree <= 1 and hs.degree <= 1:
+            # the produced set is empty, hence trivially a k-matching, but no
+            # factor regime explains it (the other side is not a matching).
+            return Classification(True, 1, (1, 1), "none")
+        return Classification(False, None, None, "none")
+    if gs.perfect and hs.valid and hs.uniform == 1:
+        return Classification(True, gs.uniform, (gs.uniform, 1), "M1.a")
+    if gs.valid and gs.uniform >= 1 and hs.empty:
+        return Classification(True, gs.uniform, (gs.uniform, 1), "M1.b")
+    if gs.valid and gs.uniform == 1 and hs.perfect:
+        return Classification(True, hs.uniform, (1, hs.uniform), "M2.a")
+    if gs.empty and hs.valid and hs.uniform >= 1:
+        return Classification(True, hs.uniform, (1, hs.uniform), "M2.b")
+    if gs.valid and hs.valid and gs.uniform <= 1 and hs.uniform <= 1:
         return Classification(True, 1, (1, 1), "M3")
     if gs.perfect and hs.perfect:
-        return Classification(True, gs.degree * hs.degree, (gs.degree, hs.degree), "M4")
+        return Classification(True, gs.uniform * hs.uniform, (gs.uniform, hs.uniform), "M4")
     return Classification(False, None, None, "none")
 
 
@@ -208,25 +191,17 @@ def classify_construction(
     k-matching of the product, and under which condition."""
     if orientation not in ("gh", "hg"):
         raise InvalidParameter(f"orientation must be gh or hg, got {orientation!r}")
-    mg, mh = _factor_matchings(p, m_g, m_h)
-    gs = _side_stats(p.left, mg)
-    hs = _side_stats(p.right, mh)
-    if kind == "boxast":
-        if p.kind not in BOXAST_KINDS:
-            _raise_incompatible(kind, p, BOXAST_KINDS)
-        return _classify_boxast(gs, hs, orientation)
-    if kind == "ast":
-        if p.kind not in AST_KINDS:
-            _raise_incompatible(kind, p, AST_KINDS)
-        return _classify_ast(gs, hs)
-    if kind == "circledast":
-        if p.kind not in CIRCLEDAST_KINDS:
-            _raise_incompatible(kind, p, CIRCLEDAST_KINDS)
-        return _classify_circledast(gs, hs)
-    raise InvalidParameter(f"unknown construction kind {kind!r}")
+    gs, hs = _factor_profiles(p, m_g, m_h)
+    if kind not in _KINDS:
+        raise InvalidParameter(f"unknown construction kind {kind!r}")
+    _require_kind(kind, p)
+    return _classify(kind, gs, hs, orientation)
 
 
 # the constructions ----------------------------------------------------------
+#
+# Each one profiles its factor sets once and canonicalizes the union of
+# its raw parts once; the parts are then read back out by edge shape.
 
 
 def boxast(
@@ -240,26 +215,33 @@ def boxast(
     (a perfect primary leaves nothing to fill) but keeps the reported
     parts in the canonical form the characterizations assume.
     """
-    if p.kind not in BOXAST_KINDS:
-        _raise_incompatible("boxast", p, BOXAST_KINDS)
+    _require_kind("boxast", p)
     if orientation not in ("gh", "hg"):
         raise InvalidParameter(f"orientation must be gh or hg, got {orientation!r}")
-    mg, mh = _factor_matchings(p, m_g, m_h)
+    gs, hs = _factor_profiles(p, m_g, m_h)
+    mg, mh = gs.edges, hs.edges
+    # a perfect primary settles the classification alone, so the profiles
+    # of the inputs still classify the normalized pair.
     if normalize:
-        if orientation == "gh" and _side_stats(p.left, mg).perfect:
+        if orientation == "gh" and gs.perfect:
             mh = ()
-        elif orientation == "hg" and _side_stats(p.right, mh).perfect:
+        elif orientation == "hg" and hs.perfect:
             mg = ()
     if orientation == "gh":
-        copies = _canonical_in_product(p, copies_in_left_layers(mg, p.right))
-        fill = _canonical_in_product(p, fill_over_left_unmatched(p.left, mg, mh))
+        copies = copies_in_left_layers(mg, p.right)
+        fill = fill_over_left_unmatched(gs.unmatched, mh)
     else:
-        copies = _canonical_in_product(p, copies_in_right_layers(mh, p.left))
-        fill = _canonical_in_product(p, fill_over_right_unmatched(p.right, mh, mg))
-    edges = _canonical_in_product(p, list(copies) + list(fill))
+        copies = copies_in_right_layers(mh, p.left)
+        fill = fill_over_right_unmatched(hs.unmatched, mg)
+    edges = _canonical_in_product(p, copies + fill)
     # the copies saturate every matched column, the fill lives over the
     # unmatched ones: the parts can never share a vertex.
     assert len(edges) == len(copies) + len(fill)
+    moves_left, moves_right, _ = _split_by_shape(edges)
+    if orientation == "gh":
+        copies, fill = moves_left, moves_right
+    else:
+        copies, fill = moves_right, moves_left
     return ConstructionResult(
         kind="boxast",
         orientation=orientation,
@@ -268,50 +250,49 @@ def boxast(
         m_h=mh,
         edges=edges,
         parts={"layer_copies": copies, "unmatched_fill": fill},
-        classification=classify_construction("boxast", p, mg, mh, orientation),
+        classification=_classify("boxast", gs, hs, orientation),
     )
 
 
 def ast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     """The two diagonals of every matched pair of factor edges."""
-    if p.kind not in AST_KINDS:
-        _raise_incompatible("ast", p, AST_KINDS)
-    mg, mh = _factor_matchings(p, m_g, m_h)
-    edges = _canonical_in_product(p, diagonals(mg, mh))
-    assert len(edges) == 2 * len(mg) * len(mh)
+    _require_kind("ast", p)
+    gs, hs = _factor_profiles(p, m_g, m_h)
+    edges = _canonical_in_product(p, diagonals(gs.edges, hs.edges))
+    assert len(edges) == 2 * len(gs.edges) * len(hs.edges)
     return ConstructionResult(
         kind="ast",
         orientation="gh",
         product=p,
-        m_g=mg,
-        m_h=mh,
+        m_g=gs.edges,
+        m_h=hs.edges,
         edges=edges,
         parts={"diagonals": edges},
-        classification=classify_construction("ast", p, mg, mh),
+        classification=_classify("ast", gs, hs),
     )
 
 
 def circledast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     """Diagonals plus both unmatched fills."""
-    if p.kind not in CIRCLEDAST_KINDS:
-        _raise_incompatible("circledast", p, CIRCLEDAST_KINDS)
-    mg, mh = _factor_matchings(p, m_g, m_h)
-    core = _canonical_in_product(p, diagonals(mg, mh))
-    left_fill = _canonical_in_product(p, fill_over_left_unmatched(p.left, mg, mh))
-    right_fill = _canonical_in_product(p, fill_over_right_unmatched(p.right, mh, mg))
-    edges = _canonical_in_product(p, list(core) + list(left_fill) + list(right_fill))
+    _require_kind("circledast", p)
+    gs, hs = _factor_profiles(p, m_g, m_h)
+    core = diagonals(gs.edges, hs.edges)
+    left_fill = fill_over_left_unmatched(gs.unmatched, hs.edges)
+    right_fill = fill_over_right_unmatched(hs.unmatched, gs.edges)
+    edges = _canonical_in_product(p, core + left_fill + right_fill)
     # diagonals touch doubly-matched pairs, each fill touches pairs with
     # exactly one unmatched coordinate on its own side: pairwise disjoint.
     assert len(edges) == len(core) + len(left_fill) + len(right_fill)
+    right_fill, left_fill, core = _split_by_shape(edges)
     return ConstructionResult(
         kind="circledast",
         orientation="gh",
         product=p,
-        m_g=mg,
-        m_h=mh,
+        m_g=gs.edges,
+        m_h=hs.edges,
         edges=edges,
         parts={"diagonals": core, "left_fill": left_fill, "right_fill": right_fill},
-        classification=classify_construction("circledast", p, mg, mh),
+        classification=_classify("circledast", gs, hs),
     )
 
 
@@ -387,8 +368,8 @@ def predicted_size_for(result: ConstructionResult) -> int | None:
         # side looks like; the factor identity need not hold there.
         return 0
     p = result.product
-    u_g = len(unmatched_vertices(p.left, result.m_g))
-    u_h = len(unmatched_vertices(p.right, result.m_h))
+    u_g = len(degree_profile(p.left, result.m_g).unmatched)
+    u_h = len(degree_profile(p.right, result.m_h).unmatched)
     return predicted_size(
         result.kind,
         p.left.n,

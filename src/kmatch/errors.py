@@ -66,15 +66,6 @@ class InconsistentInputs(KmatchError):
     """Scalar summaries disagree with each other (k(n-u)/2 != |m|)."""
 
 
-class BudgetExceeded(KmatchError):
-    """A search budget ran out.
-
-    The oracle itself never raises this: it returns its best result with
-    ``exhaustive=False``. The exception exists for strict-mode callers that
-    must turn a non-exhaustive answer into a hard failure.
-    """
-
-
 class ScenarioError(KmatchError):
     """A bundled scenario failed to execute; wraps the underlying error."""
 

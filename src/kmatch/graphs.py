@@ -171,6 +171,24 @@ def _labels_from_json(obj: Any) -> Any:
     return obj
 
 
+def _hashable(labels: list) -> list:
+    try:
+        hash(tuple(labels))
+    except TypeError:
+        raise ParseError("vertex labels must be scalars or arrays") from None
+    return labels
+
+
+def _json_edges(items: Any) -> list[tuple[Vertex, Vertex]]:
+    """The [[a, b], ...] edge array of a JSON document, labels decoded."""
+    if not isinstance(items, list):
+        raise ParseError(f"JSON 'edges' must be an array of edges, got {items!r}")
+    for item in items:
+        if not isinstance(item, list) or len(item) != 2:
+            raise ParseError(f"edge entries must be two-element arrays, got {item!r}")
+    return _hashable([(_labels_from_json(a), _labels_from_json(b)) for a, b in items])
+
+
 def _labels_to_json(obj: Any) -> Any:
     if isinstance(obj, tuple):
         return [_labels_to_json(x) for x in obj]
@@ -187,12 +205,11 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"bad JSON: {exc}") from exc
         if not isinstance(doc, dict) or "edges" not in doc:
             raise ParseError("JSON graph needs an object with an 'edges' array")
-        edges = []
-        for item in doc["edges"]:
-            if not isinstance(item, list) or len(item) != 2:
-                raise ParseError(f"edge entries must be two-element arrays, got {item!r}")
-            edges.append((_labels_from_json(item[0]), _labels_from_json(item[1])))
-        vertices = [_labels_from_json(v) for v in doc.get("vertices", [])]
+        edges = _json_edges(doc["edges"])
+        vertices = doc.get("vertices", [])
+        if not isinstance(vertices, list):
+            raise ParseError("JSON graph 'vertices' must be an array")
+        vertices = _hashable([_labels_from_json(v) for v in vertices])
         seen = set(vertices)
         for u, v in edges:
             for x in (u, v):
@@ -239,15 +256,9 @@ def parse_edge_pairs(text: str) -> tuple[tuple[Vertex, Vertex], ...]:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
-        items = doc["edges"] if isinstance(doc, dict) else doc
-        if not isinstance(items, list):
-            raise ParseError("JSON matching needs an array of edges")
-        out = []
-        for item in items:
-            if not isinstance(item, list) or len(item) != 2:
-                raise ParseError(f"edge entries must be two-element arrays, got {item!r}")
-            out.append((_labels_from_json(item[0]), _labels_from_json(item[1])))
-        return tuple(out)
+        if isinstance(doc, dict) and "edges" not in doc:
+            raise ParseError("JSON matching object needs an 'edges' array")
+        return tuple(_json_edges(doc["edges"] if isinstance(doc, dict) else doc))
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

@@ -19,10 +19,18 @@ exhaustive=False instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import EdgeNotInHost, InvalidK, InvariantViolation, KmatchError, SizeLimitExceeded
+from .errors import (
+    EdgeNotInHost,
+    InvalidK,
+    InvalidParameter,
+    InvariantViolation,
+    KmatchError,
+    SizeLimitExceeded,
+)
 from .graphs import Edge, Graph, Vertex
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -56,13 +64,46 @@ def canonical_matching(
     return tuple(e for _, e in sorted(keyed.items()))
 
 
-def matching_degrees(g: Graph, m: Iterable[tuple[Vertex, Vertex]]) -> dict[Vertex, int]:
-    """Degree of every vertex in (V, M)."""
+@dataclass(frozen=True)
+class DegreeProfile:
+    """An edge set in canonical form with the degrees of (V, M).
+
+    `uniform` is the unique k for which the set is a k-matching: 0 for the
+    empty set (a k-matching for every k), None when the positive degrees
+    differ, so the set is no k-matching at all.
+    """
+
+    edges: tuple[Edge, ...]
+    degrees: dict[Vertex, int]
+    unmatched: tuple[Vertex, ...]
+    uniform: int | None
+
+    @property
+    def valid(self) -> bool:
+        return self.uniform is not None
+
+    @property
+    def empty(self) -> bool:
+        return self.uniform == 0
+
+    @property
+    def perfect(self) -> bool:
+        return self.uniform is not None and self.uniform >= 1 and not self.unmatched
+
+
+def degree_profile(
+    g: Graph, m: Iterable[tuple[Vertex, Vertex]], error: type[KmatchError] = EdgeNotInHost
+) -> DegreeProfile:
+    """Canonicalize an edge set once and derive its degree facts."""
+    edges = canonical_matching(g, m, error=error)
     deg = {v: 0 for v in g.vertices}
-    for u, v in canonical_matching(g, m):
+    for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    return deg
+    positive = {d for d in deg.values() if d > 0}
+    uniform = None if len(positive) > 1 else max(positive, default=0)
+    unmatched = tuple(v for v in g.vertices if deg[v] == 0)
+    return DegreeProfile(edges=edges, degrees=deg, unmatched=unmatched, uniform=uniform)
 
 
 def validate_k_matching(
@@ -70,28 +111,8 @@ def validate_k_matching(
 ) -> tuple[bool, dict[Vertex, int]]:
     """Check the degree-0-or-k condition; returns (ok, per-vertex degrees)."""
     check_k(k)
-    deg = matching_degrees(g, m)
-    ok = all(d == 0 or d == k for d in deg.values())
-    return ok, deg
-
-
-def unmatched_vertices(g: Graph, m: Iterable[tuple[Vertex, Vertex]]) -> tuple[Vertex, ...]:
-    deg = matching_degrees(g, m)
-    return tuple(v for v in g.vertices if deg[v] == 0)
-
-
-def uniform_degree(g: Graph, m: Iterable[tuple[Vertex, Vertex]]) -> int | None:
-    """The unique k for which m is a k-matching.
-
-    Returns 0 for the empty set (a k-matching for every k), None when the
-    set is not a k-matching for any k.
-    """
-    positive = {d for d in matching_degrees(g, m).values() if d > 0}
-    if not positive:
-        return 0
-    if len(positive) > 1:
-        return None
-    return positive.pop()
+    profile = degree_profile(g, m)
+    return profile.uniform in (0, k), profile.degrees
 
 
 @dataclass(frozen=True)
@@ -119,11 +140,10 @@ def classify_matching(
     grows inside that subgraph).
     """
     check_k(k)
-    edges = canonical_matching(g, m)
-    ok, deg = validate_k_matching(g, edges, k)
-    un = tuple(v for v in g.vertices if deg[v] == 0)
-    if not ok:
-        return MatchingClass(False, k, len(edges), un, None, None, None)
+    profile = degree_profile(g, m)
+    un, size = profile.unmatched, len(profile.edges)
+    if profile.uniform not in (0, k):
+        return MatchingClass(False, k, size, un, None, None, None)
     maximal: bool | None
     rest = max_k_matching(g.induced(un), k, budget=budget)
     if rest.size > 0:
@@ -135,7 +155,7 @@ def classify_matching(
     return MatchingClass(
         valid=True,
         k=k,
-        size=len(edges),
+        size=size,
         unmatched=un,
         perfect=not un,
         near_perfect=len(un) == 1,
@@ -299,21 +319,11 @@ class _SizeProgram:
         self.m, self.n = g.m, g.n
         self.ends = [(idx[u], idx[v]) for u, v in g.edges]
 
-    def solve(self, fixed: dict[int, int]) -> tuple[int, frozenset[int]] | None:
-        """Maximum size and one witness honoring `fixed`; None if infeasible."""
+    def _degree_matrix(self, free: list[int]):
+        """Sparse rows "chosen degree - k * matched flag", one per vertex,
+        over the columns of the `free` edges followed by the vertex flags."""
         from scipy import sparse
-        from scipy.optimize import Bounds, LinearConstraint, milp
 
-        free = [j for j in range(self.m) if j not in fixed]
-        forced = [0] * self.n
-        ones = []
-        for j, value in fixed.items():
-            if value:
-                ones.append(j)
-                a, b = self.ends[j]
-                forced[a] += 1
-                forced[b] += 1
-        width = len(free) + self.n
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
@@ -326,12 +336,26 @@ class _SizeProgram:
             rows.append(i)
             cols.append(len(free) + i)
             vals.append(-float(self.k))
-        mat = sparse.csc_matrix((vals, (rows, cols)), shape=(self.n, width))
+        return sparse.csc_matrix((vals, (rows, cols)), shape=(self.n, len(free) + self.n))
+
+    def solve(self, fixed: dict[int, int]) -> tuple[int, frozenset[int]] | None:
+        """Maximum size and one witness honoring `fixed`; None if infeasible."""
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        free = [j for j in range(self.m) if j not in fixed]
+        forced = [0] * self.n
+        ones = []
+        for j, value in fixed.items():
+            if value:
+                ones.append(j)
+                a, b = self.ends[j]
+                forced[a] += 1
+                forced[b] += 1
         rhs = [-float(f) for f in forced]
         res = milp(
             c=[-1.0] * len(free) + [0.0] * self.n,
-            constraints=LinearConstraint(mat, rhs, rhs),
-            integrality=[1] * width,
+            constraints=LinearConstraint(self._degree_matrix(free), rhs, rhs),
+            integrality=[1] * (len(free) + self.n),
             bounds=Bounds(0.0, 1.0),
             options={"presolve": False},
         )
@@ -340,37 +364,27 @@ class _SizeProgram:
         if res.status != 0:
             raise InvariantViolation(f"size solve failed: {res.message}")
         taken = [j for col, j in enumerate(free) if res.x[col] > 0.5]
-        assert len(taken) == round(-res.fun)
+        if len(taken) != round(-res.fun):
+            raise InvariantViolation(
+                f"size solve returned {len(taken)} edges for objective {-res.fun}"
+            )
         chosen = frozenset(ones) | frozenset(taken)
         degrees = [0] * self.n
         for j in chosen:
             a, b = self.ends[j]
             degrees[a] += 1
             degrees[b] += 1
-        assert all(d == 0 or d == self.k for d in degrees)
+        if any(d != 0 and d != self.k for d in degrees):
+            raise InvariantViolation(f"size solve returned a point off the 0-or-{self.k} condition")
         return len(chosen), chosen
 
     def relaxation_bound(self) -> int:
         """Floor of the continuous relaxation: an upper bound on the size."""
-        from scipy import sparse
         from scipy.optimize import linprog
 
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for col in range(self.m):
-            a, b = self.ends[col]
-            rows.extend((a, b))
-            cols.extend((col, col))
-            vals.extend((1.0, 1.0))
-        for i in range(self.n):
-            rows.append(i)
-            cols.append(self.m + i)
-            vals.append(-float(self.k))
-        mat = sparse.csc_matrix((vals, (rows, cols)), shape=(self.n, self.m + self.n))
         res = linprog(
             c=[-1.0] * self.m + [0.0] * self.n,
-            A_eq=mat,
+            A_eq=self._degree_matrix(list(range(self.m))),
             b_eq=[0.0] * self.n,
             bounds=(0.0, 1.0),
             method="highs",
@@ -378,8 +392,6 @@ class _SizeProgram:
         )
         if res.status != 0:
             raise InvariantViolation(f"relaxation solve failed: {res.message}")
-        import math
-
         # a floor nudged up by epsilon can only overshoot, and an overshot
         # bound can never be matched by a feasible matching, so this stays
         # a safe optimality certificate.
@@ -411,13 +423,16 @@ def max_k_matching(
     exhaustive=False carrying the best matching found so far.
     """
     check_k(k)
+    if budget < 1:
+        raise InvalidParameter(f"budget must be at least 1, got {budget}")
     max_deg = max((g.degree(v) for v in g.vertices), default=0)
     if k > max_deg:
         # no vertex can reach degree k, so the empty matching is the maximum.
         return OracleReport(k=k, size=0, unmatched=g.n, witness=(), exhaustive=True, nodes=0)
 
     def report(size: int, edges: tuple[Edge, ...], exhaustive: bool, spent: int) -> OracleReport:
-        assert (2 * size) % k == 0
+        if (2 * size) % k:
+            raise InvariantViolation(f"a {k}-matching cannot have {size} edges")
         return OracleReport(
             k=k,
             size=size,
@@ -480,7 +495,8 @@ def max_k_matching(
             sol = attempt[1]
         else:
             fixed[j] = 0
-    assert ones == optimum
+    if ones != optimum:
+        raise InvariantViolation(f"witness recovery kept {ones} of {optimum} edges")
     final = tuple(label_edges[j] for j, v in sorted(fixed.items()) if v == 1)
     return report(optimum, final, True, spent)
 

@@ -18,10 +18,9 @@ from kmatch.constructions import ast, boxast, circledast
 from kmatch.graphs import are_isomorphic_small, build_named, connected_components, is_bipartite
 from kmatch.matchings import (
     classify_matching,
+    degree_profile,
     enumerate_k_matchings,
-    matching_degrees,
     max_k_matching,
-    uniform_degree,
     validate_k_matching,
 )
 from kmatch.products import product
@@ -36,7 +35,7 @@ def announce(capsys, line):
 
 
 def unmatched_count(g, m):
-    deg = matching_degrees(g, m)
+    deg = degree_profile(g, m).degrees
     return sum(1 for d in deg.values() if d == 0)
 
 
@@ -46,7 +45,7 @@ def verdict_matches(p, result):
     if cls.is_k_matching:
         ok, _ = validate_k_matching(p.graph, result.edges, cls.k)
         return ok
-    return uniform_degree(p.graph, result.edges) is None
+    return degree_profile(p.graph, result.edges).uniform is None
 
 
 def matching_pool(g):

@@ -29,6 +29,9 @@ def files(tmp_path):
         "m12.txt": "1 2\n",
         "bad-graph.txt": "0 1 2\n",
         "bad-matching.txt": "5 7\n",
+        "edges-not-array.txt": '{"edges": 5}\n',
+        "dict-label.txt": '{"edges": [[{"a": 1}, 2]]}\n',
+        "no-edges-key.txt": '{"foo": 1}\n',
     }
     for name, text in docs.items():
         path = tmp_path / name
@@ -147,14 +150,15 @@ def test_construct_no_normalize_keeps_secondary(capsys, files):
 
 
 def test_construct_rejects_foreign_matching(capsys, files):
-    code, out, err = run_cli(
-        capsys,
-        ["construct", "--kind", "ast", "--product", "direct",
-         "--left", files["k2"], "--right", files["p3"],
-         "--mg", files["bad-matching"], "--mh", files["m01"]],
-    )
-    assert code == EXIT_INPUT
-    assert err.startswith("error:")
+    for name in ("bad-matching", "edges-not-array", "dict-label", "no-edges-key"):
+        code, out, err = run_cli(
+            capsys,
+            ["construct", "--kind", "ast", "--product", "direct",
+             "--left", files["k2"], "--right", files["p3"],
+             "--mg", files[name], "--mh", files["m01"]],
+        )
+        assert code == EXIT_INPUT, name
+        assert err.startswith("error:"), name
 
 
 # wellbehaved -------------------------------------------------------------------
@@ -282,9 +286,19 @@ def test_missing_graph_file(capsys):
 
 
 def test_malformed_graph_file(capsys, files):
-    code, _, err = run_cli(capsys, ["solve", "--graph", files["bad-graph"], "--k", "1"])
-    assert code == EXIT_INPUT
-    assert err.startswith("error:")
+    for name in ("bad-graph", "edges-not-array", "dict-label", "no-edges-key"):
+        code, _, err = run_cli(capsys, ["solve", "--graph", files[name], "--k", "1"])
+        assert code == EXIT_INPUT, name
+        assert err.startswith("error:"), name
+
+
+def test_budget_below_one(capsys, files):
+    for budget in ("0", "-5"):
+        code, _, err = run_cli(
+            capsys, ["solve", "--graph", files["p3"], "--k", "1", "--budget", budget]
+        )
+        assert code == EXIT_INPUT, budget
+        assert err.startswith("error: budget must be at least 1"), budget
 
 
 def test_invalid_k_value(capsys, files):

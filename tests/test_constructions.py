@@ -18,10 +18,8 @@ from kmatch.errors import (
 )
 from kmatch.graphs import build_named
 from kmatch.matchings import (
+    degree_profile,
     enumerate_k_matchings,
-    matching_degrees,
-    uniform_degree,
-    unmatched_vertices,
     validate_k_matching,
 )
 from kmatch.products import classify_edge, product
@@ -33,7 +31,7 @@ def verdict_matches(p, result):
     if cls.is_k_matching:
         ok, _ = validate_k_matching(p.graph, result.edges, cls.k)
         return ok
-    return uniform_degree(p.graph, result.edges) is None
+    return degree_profile(p.graph, result.edges).uniform is None
 
 
 def test_boxast_perfect_primary_worked_example():
@@ -65,8 +63,8 @@ def test_boxast_unmatched_pairs_need_both_coordinates_open():
     p3, k2 = build_named("path", 3), build_named("complete", 2)
     p = product(p3, k2, "cartesian")
     r = boxast(p, [(0, 1)], [])  # secondary empty: column over 2 stays open
-    open_pairs = set(unmatched_vertices(p.graph, r.edges))
-    want = {(g, h) for g in unmatched_vertices(p3, [(0, 1)]) for h in k2.vertices}
+    open_pairs = set(degree_profile(p.graph, r.edges).unmatched)
+    want = {(g, h) for g in degree_profile(p3, [(0, 1)]).unmatched for h in k2.vertices}
     assert open_pairs == want
 
 
@@ -134,7 +132,7 @@ def test_ast_degree_multiplies():
     r = ast(p, k3.edges, k4.edges)  # 2-matching times 3-matching
     assert r.classification.factor_ks == (2, 3)
     assert r.classification.k == 6
-    deg = matching_degrees(p.graph, r.edges)
+    deg = degree_profile(p.graph, r.edges).degrees
     assert set(deg.values()) == {6}
 
 
@@ -184,7 +182,7 @@ def test_circledast_m4_multiplies_degrees():
     p = product(k3, c4, "strong")
     r = circledast(p, k3.edges, c4.edges)
     assert r.classification.k == 4
-    deg = matching_degrees(p.graph, r.edges)
+    deg = degree_profile(p.graph, r.edges).degrees
     assert set(deg.values()) == {4}
     assert len(r.edges) == 4 * 12 // 2  # k(n_G n_H - u_G u_H)/2 with u = 0
 
@@ -194,11 +192,11 @@ def test_circledast_unmatched_pairs_need_both_coordinates_open():
     p = product(p3, p4, "strong")
     m_g, m_h = [(0, 1)], [(1, 2)]
     r = circledast(p, m_g, m_h)
-    open_pairs = set(unmatched_vertices(p.graph, r.edges))
+    open_pairs = set(degree_profile(p.graph, r.edges).unmatched)
     want = {
         (g, h)
-        for g in unmatched_vertices(p3, m_g)
-        for h in unmatched_vertices(p4, m_h)
+        for g in degree_profile(p3, m_g).unmatched
+        for h in degree_profile(p4, m_h).unmatched
     }
     assert open_pairs == want
 

@@ -1,19 +1,26 @@
 """Oracle, enumerator, and classifier checks against independent references."""
 
+import os
+import subprocess
+import sys
+import types
+
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from kmatch.errors import EdgeNotInHost, InvalidK, SizeLimitExceeded
+import kmatch
+from kmatch.errors import EdgeNotInHost, InvalidK, InvariantViolation, SizeLimitExceeded
 from kmatch.graphs import build_named, make_graph
 from kmatch.matchings import (
+    _SizeProgram,
     canonical_matching,
     classify_matching,
+    degree_profile,
     enumerate_k_matchings,
     max_k_matching,
     maximum_k_matchings,
-    uniform_degree,
-    unmatched_vertices,
     validate_k_matching,
 )
 from kmatch.products import product
@@ -145,12 +152,52 @@ def test_canonical_matching_checks_the_host():
         canonical_matching(g, [(0, 2)])
 
 
+def off_condition_point(*args, **kwargs):
+    """A solver answer for path(3), k = 1 that takes both edges and every
+    vertex flag: the middle vertex gets degree 2, which is neither 0 nor 1."""
+    return types.SimpleNamespace(status=0, x=[1.0] * 5, fun=-2.0, message="")
+
+
+def test_solver_point_off_the_degree_condition_is_refused(monkeypatch):
+    monkeypatch.setattr(scipy.optimize, "milp", off_condition_point)
+    with pytest.raises(InvariantViolation):
+        _SizeProgram(build_named("path", 3), 1).solve({})
+
+
+OPTIMIZED_PROBE = """
+import types
+import scipy.optimize
+from kmatch.errors import InvariantViolation
+from kmatch.graphs import build_named
+from kmatch.matchings import _SizeProgram
+
+scipy.optimize.milp = lambda *a, **kw: types.SimpleNamespace(
+    status=0, x=[1.0] * 5, fun=-2.0, message=""
+)
+try:
+    _SizeProgram(build_named("path", 3), 1).solve({})
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("an off-condition solver point was accepted under -O")
+"""
+
+
+def test_solver_check_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(kmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_uniform_degree_and_unmatched():
     g = build_named("complete", 3)
-    assert uniform_degree(g, ()) == 0
-    assert uniform_degree(g, g.edges) == 2
-    assert uniform_degree(g, g.edges[:2]) is None
-    assert unmatched_vertices(g, ((0, 1),)) == (2,)
+    assert degree_profile(g, ()).uniform == 0
+    assert degree_profile(g, g.edges).uniform == 2
+    assert degree_profile(g, g.edges[:2]).uniform is None
+    assert degree_profile(g, ((0, 1),)).unmatched == (2,)
 
 
 def test_classify_matching_flags():
@@ -201,7 +248,7 @@ def test_size_degree_identity_for_every_enumerated_matching(data, k):
     n, edges = data
     g = make_graph(range(n), edges)
     for m in enumerate_k_matchings(g, k):
-        u = len(unmatched_vertices(g, m))
+        u = len(degree_profile(g, m).unmatched)
         assert 2 * len(m) == k * (g.n - u)
         assert (len(m) == k * g.n / 2) == (u == 0)
 

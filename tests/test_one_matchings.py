@@ -17,9 +17,9 @@ from kmatch.corpus import connected_graphs_upto, corpus_names
 from kmatch.graphs import build_named
 from kmatch.matchings import (
     classify_matching,
+    degree_profile,
     enumerate_k_matchings,
     max_k_matching,
-    uniform_degree,
 )
 from kmatch.products import product
 from kmatch.wellbehaved import check_ast, check_circledast
@@ -44,7 +44,7 @@ def is_max_one(p, result, m1):
 
 def is_perfect_one(p, result):
     return (
-        uniform_degree(p.graph, result.edges) == 1
+        degree_profile(p.graph, result.edges).uniform == 1
         and 2 * len(result.edges) == p.graph.n
     )
 
