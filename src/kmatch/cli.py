@@ -19,7 +19,7 @@ from random import Random
 
 from .constructions import CONSTRUCTORS, predicted_size_for
 from .corpus import connected_graphs_upto, corpus_names, load_corpus_dir
-from .errors import InconsistentInputs, KmatchError
+from .errors import InconsistentInputs, InvalidParameter, KmatchError
 from .graphs import Graph, graph_to_json_obj, parse_edge_pairs, parse_graph, to_dot
 from .matchings import DEFAULT_NODE_BUDGET, enumerate_k_matchings, max_k_matching, validate_k_matching
 from .products import KINDS, product
@@ -291,6 +291,8 @@ def _suite_row(task) -> dict:
 
 
 def _cmd_suite(args) -> int:
+    if args.sample is not None and not 0.0 <= args.sample <= 1.0:
+        raise InvalidParameter(f"--sample must be a probability in [0, 1], got {args.sample}")
     if args.corpus:
         named = list(load_corpus_dir(args.corpus))
     else:

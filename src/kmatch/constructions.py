@@ -64,6 +64,13 @@ class Classification:
 
 @dataclass(frozen=True)
 class ConstructionResult:
+    """A constructed edge set with its recorded factor matchings.
+
+    `unmatched_g` and `unmatched_h` count the vertices that `m_g` and
+    `m_h` leave unmatched in their factors, as the construction's own
+    factor profiles found them.
+    """
+
     kind: str
     orientation: str
     product: ProductGraph
@@ -72,6 +79,8 @@ class ConstructionResult:
     edges: tuple[Edge, ...]
     parts: dict[str, tuple[Edge, ...]]
     classification: Classification
+    unmatched_g: int
+    unmatched_h: int
 
 
 _KINDS = {"boxast": BOXAST_KINDS, "ast": AST_KINDS, "circledast": CIRCLEDAST_KINDS}
@@ -251,6 +260,9 @@ def boxast(
         edges=edges,
         parts={"layer_copies": copies, "unmatched_fill": fill},
         classification=_classify("boxast", gs, hs, orientation),
+        # a side normalized away is recorded empty: it matches nothing.
+        unmatched_g=len(gs.unmatched) if mg else p.left.n,
+        unmatched_h=len(hs.unmatched) if mh else p.right.n,
     )
 
 
@@ -269,6 +281,8 @@ def ast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
         edges=edges,
         parts={"diagonals": edges},
         classification=_classify("ast", gs, hs),
+        unmatched_g=len(gs.unmatched),
+        unmatched_h=len(hs.unmatched),
     )
 
 
@@ -293,6 +307,8 @@ def circledast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
         edges=edges,
         parts={"diagonals": core, "left_fill": left_fill, "right_fill": right_fill},
         classification=_classify("circledast", gs, hs),
+        unmatched_g=len(gs.unmatched),
+        unmatched_h=len(hs.unmatched),
     )
 
 
@@ -368,16 +384,14 @@ def predicted_size_for(result: ConstructionResult) -> int | None:
         # side looks like; the factor identity need not hold there.
         return 0
     p = result.product
-    u_g = len(degree_profile(p.left, result.m_g).unmatched)
-    u_h = len(degree_profile(p.right, result.m_h).unmatched)
     return predicted_size(
         result.kind,
         p.left.n,
         p.right.n,
         len(result.m_g),
         len(result.m_h),
-        u_g,
-        u_h,
+        result.unmatched_g,
+        result.unmatched_h,
         k=cls.k,
         factor_ks=cls.factor_ks,
     )

@@ -270,6 +270,15 @@ def test_suite_sampling_is_seeded(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize("sample", ["-1", "5"])
+def test_suite_sample_outside_unit_interval(capsys, sample):
+    code, out, err = run_cli(capsys, ["suite", "--max-n", "3", "--k", "1", "--sample", sample])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: --sample must be a probability in [0, 1]")
+    assert err.count("\n") == 1
+
+
 def test_suite_bad_k_list(capsys):
     code, _, err = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1,x"])
     assert code == EXIT_INPUT

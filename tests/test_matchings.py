@@ -13,8 +13,11 @@ import bruteforce
 import kmatch
 from kmatch.errors import EdgeNotInHost, InvalidK, InvariantViolation, SizeLimitExceeded
 from kmatch.graphs import build_named, make_graph
+from kmatch.corpus import connected_graphs
 from kmatch.matchings import (
+    _SEARCH_CAP,
     _SizeProgram,
+    _search_maximum,
     canonical_matching,
     classify_matching,
     degree_profile,
@@ -77,18 +80,56 @@ def test_oracle_matches_blossom_for_ordinary_matchings(sweep_corpus):
 
 
 def test_oracle_escalation_path_on_a_hard_product():
-    # big enough that the plain search gives up and the optimizer finishes
+    # big enough that the plain search gives up in either edge order and
+    # the optimizer finishes
     g = build_named("star", 3)
     p = product(g, g, "lex").graph
     rep = max_k_matching(p, 3)
-    assert rep.exhaustive
+    assert rep.exhaustive and rep.nodes > _SEARCH_CAP
     assert rep.size == 18 and rep.unmatched == 4
     ok, _ = validate_k_matching(p, rep.witness, 3)
     assert ok
     slim = max_k_matching(p, 3, witness=False)
+    assert slim.exhaustive and slim.nodes > _SEARCH_CAP
     assert (slim.size, slim.unmatched) == (18, 4)
     ok, _ = validate_k_matching(p, slim.witness, 3)
     assert ok and len(slim.witness) == 18
+
+
+def test_size_search_settles_a_product_the_canonical_order_cannot():
+    # the path on four vertices as the corpus labels it (3-0-1-2). In the
+    # canonical edge order the size search of its lex square gives up at
+    # the cap; the degree order finds and proves the perfect 3-matching.
+    path = make_graph(range(4), [(0, 1), (0, 3), (1, 2)])
+    p = product(path, path, "lex").graph
+    assert not _search_maximum(p, 3, _SEARCH_CAP).settled
+    slim = max_k_matching(p, 3, witness=False)
+    assert slim.exhaustive and slim.nodes <= _SEARCH_CAP
+    assert (slim.size, slim.unmatched) == (24, 0)
+    ok, _ = validate_k_matching(p, slim.witness, 3)
+    assert ok and len(slim.witness) == 24
+
+
+def test_size_search_agrees_with_the_integer_program():
+    # every (left, right, kind, k) over the connected graphs on four
+    # vertices: the degree-ordered search (escalating when it must) and a
+    # direct solve of the integer program are independent routes to m_k.
+    graphs = connected_graphs(4)
+    cases = 0
+    for g in graphs:
+        for h in graphs:
+            for kind in ("cartesian", "strong", "direct", "lex"):
+                p = product(g, h, kind).graph
+                for k in (1, 2, 3):
+                    slim = max_k_matching(p, k, witness=False)
+                    optimum, _ = _SizeProgram(p, k).solve({})
+                    where = (g.edges, h.edges, kind, k)
+                    assert slim.exhaustive, where
+                    assert slim.size == optimum, where
+                    ok, _ = validate_k_matching(p, slim.witness, k)
+                    assert ok and len(slim.witness) == slim.size, where
+                    cases += 1
+    assert cases == 432
 
 
 def test_budget_exhaustion_degrades_not_raises():
@@ -262,3 +303,8 @@ def test_oracle_agrees_with_bruteforce_everywhere(data, k):
     assert rep.exhaustive
     assert rep.size == bruteforce.maximum_size(g.vertices, g.edges, k)
     assert rep.unmatched == bruteforce.unmatched_at_maximum(g.vertices, g.edges, k)
+    slim = max_k_matching(g, k, witness=False)
+    assert (slim.size, slim.unmatched) == (
+        bruteforce.maximum_size(g.vertices, g.edges, k),
+        bruteforce.unmatched_at_maximum(g.vertices, g.edges, k),
+    )
