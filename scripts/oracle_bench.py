@@ -2,7 +2,10 @@
 """Exercise the exact oracle on progressively harder product instances.
 
 Each row is one maximum k-matching query on a product of two named
-graphs: wall time, search nodes, and whether the run was exhaustive.
+graphs: the time to build the product, the query's wall time, search
+nodes, and whether the run was exhaustive. The last two rows (1,800
+edges) lie past the depth at which a recursive search would exceed
+Python's recursion limit.
 The node counter is the budget currency (tree nodes plus a flat charge
 per solver escalation), so the column also shows how far beyond the
 plain search an instance had to go. --budget makes the degradation
@@ -27,6 +30,8 @@ INSTANCES = (
     ("star(3)", "star(3)", "lex", 3),
     ("cycle(6)", "complete(3)", "lex", 2),
     ("complete(4)", "complete(4)", "strong", 3),
+    ("cycle(30)", "cycle(30)", "cartesian", 1),
+    ("cycle(30)", "cycle(30)", "cartesian", 2),
 )
 
 
@@ -43,13 +48,15 @@ def parse_named(spec: str):
 
 
 def bench(cfg: BenchConfig) -> int:
-    print(f"{'instance':<36} {'k':>2} {'n':>4} {'m':>5} {'size':>5} "
+    print(f"{'instance':<36} {'k':>2} {'n':>4} {'m':>5} {'build':>8} {'size':>5} "
           f"{'nodes':>9} {'time':>8} {'exhaustive':>10}")
     worst = 0.0
     for left, right, star, k in INSTANCES:
         g = parse_named(left)
         h = parse_named(right)
+        started = time.perf_counter()
         p = product(g, h, star)
+        build = time.perf_counter() - started
         best = None
         for _ in range(cfg.repeat):
             started = time.perf_counter()
@@ -60,7 +67,7 @@ def bench(cfg: BenchConfig) -> int:
         report, elapsed = best
         worst = max(worst, elapsed)
         name = f"{left} {star} {right}"
-        print(f"{name:<36} {k:>2} {p.graph.n:>4} {p.graph.m:>5} {report.size:>5} "
+        print(f"{name:<36} {k:>2} {p.graph.n:>4} {p.graph.m:>5} {build:>7.3f}s {report.size:>5} "
               f"{report.nodes:>9} {elapsed:>7.3f}s {str(report.exhaustive):>10}")
     print(f"slowest query: {worst:.3f}s "
           f"(budget {cfg.budget}, witness {cfg.witness})")

@@ -44,7 +44,7 @@ def _print(text: str) -> None:
 def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KmatchError(f"cannot read graph file {path}: {exc}") from exc
     return parse_graph(text)
 
@@ -52,7 +52,7 @@ def _load_graph(path: str) -> Graph:
 def _load_matching(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KmatchError(f"cannot read matching file {path}: {exc}") from exc
     return parse_edge_pairs(text)
 

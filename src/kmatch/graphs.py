@@ -14,7 +14,9 @@ Conventions used throughout the package:
 * Text files are edge lists: one ``a b`` pair per line, ``#`` starts a
   comment, and ``v a`` declares an isolated vertex. Labels stay strings.
   JSON documents are ``{"vertices": [...], "edges": [[a, b], ...]}`` and
-  keep native label types; arrays inside labels become tuples.
+  keep native label types; arrays inside labels become tuples. Labels
+  that Python holds equal but JSON types apart (``true`` and ``1``) are
+  refused rather than merged.
 """
 
 from __future__ import annotations
@@ -171,12 +173,59 @@ def _labels_from_json(obj: Any) -> Any:
     return obj
 
 
-def _hashable(labels: list) -> list:
+def _decode_labels(raw: list) -> list:
     try:
-        hash(tuple(labels))
+        return [_labels_from_json(x) for x in raw]
+    except RecursionError:
+        raise ParseError("labels nested too deeply") from None
+
+
+def _refuse_constant(name: str) -> Any:
+    raise ParseError(f"bad JSON: {name} is not a JSON value")
+
+
+def _load_json(text: str) -> Any:
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply") from None
+
+
+def _label_type(label: Any) -> Any:
+    """The JSON type of a decoded label, element by element for arrays."""
+    if isinstance(label, tuple):
+        return tuple(_label_type(x) for x in label)
+    if isinstance(label, str):
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"label {label!r} is not valid Unicode") from None
+    return type(label)
+
+
+def _check_labels(labels: Iterable[Vertex]) -> None:
+    """Refuse labels that cannot be vertices.
+
+    Labels must be hashable (scalars or arrays), their strings must be
+    valid Unicode so they can be printed, and two labels that Python
+    holds equal must have the same JSON type: true and 1, or 1.0 and 1,
+    would otherwise merge silently into one vertex.
+    """
+    first: dict[Vertex, Vertex] = {}
+    try:
+        for label in labels:
+            seen = first.setdefault(label, label)
+            if _label_type(seen) != _label_type(label):
+                raise ParseError(
+                    f"labels {label_text(seen)} and {label_text(label)} are equal "
+                    "but differ in JSON type"
+                )
     except TypeError:
         raise ParseError("vertex labels must be scalars or arrays") from None
-    return labels
+    except RecursionError:
+        raise ParseError("labels nested too deeply") from None
 
 
 def _json_edges(items: Any) -> list[tuple[Vertex, Vertex]]:
@@ -186,7 +235,8 @@ def _json_edges(items: Any) -> list[tuple[Vertex, Vertex]]:
     for item in items:
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"edge entries must be two-element arrays, got {item!r}")
-    return _hashable([(_labels_from_json(a), _labels_from_json(b)) for a, b in items])
+    labels = _decode_labels([x for item in items for x in item])
+    return list(zip(labels[::2], labels[1::2]))
 
 
 def _labels_to_json(obj: Any) -> Any:
@@ -199,17 +249,15 @@ def parse_graph(text: str) -> Graph:
     """Parse an edge-list or JSON graph document (see module docstring)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}") from exc
+        doc = _load_json(text)
         if not isinstance(doc, dict) or "edges" not in doc:
             raise ParseError("JSON graph needs an object with an 'edges' array")
         edges = _json_edges(doc["edges"])
         vertices = doc.get("vertices", [])
         if not isinstance(vertices, list):
             raise ParseError("JSON graph 'vertices' must be an array")
-        vertices = _hashable([_labels_from_json(v) for v in vertices])
+        vertices = _decode_labels(vertices)
+        _check_labels([*vertices, *(x for e in edges for x in e)])
         seen = set(vertices)
         for u, v in edges:
             for x in (u, v):
@@ -252,13 +300,12 @@ def parse_edge_pairs(text: str) -> tuple[tuple[Vertex, Vertex], ...]:
     """
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}") from exc
+        doc = _load_json(text)
         if isinstance(doc, dict) and "edges" not in doc:
             raise ParseError("JSON matching object needs an 'edges' array")
-        return tuple(_json_edges(doc["edges"] if isinstance(doc, dict) else doc))
+        edges = _json_edges(doc["edges"] if isinstance(doc, dict) else doc)
+        _check_labels(x for e in edges for x in e)
+        return tuple(edges)
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

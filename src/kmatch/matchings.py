@@ -240,8 +240,15 @@ def _search_maximum(
     Equal-size solutions are visited in include-first order and only
     strict improvements replace the incumbent. Over the canonical order
     `best` is therefore the lexicographically smallest maximum whenever
-    `settled` is True; over any other order it is some maximum. The hot
-    loop is deliberately flat: everything lives in closure locals.
+    `settled` is True; over any other order it is some maximum.
+
+    The walk runs on an explicit stack of (edge position, phase) frames,
+    so its depth is not bounded by the interpreter's recursion limit. A
+    frame enters a node, returns from its include branch, or returns from
+    its exclude branch. Nodes are visited in exactly the order of the
+    include-first recursion, so `best`, `best_size` and `nodes` are the
+    ones that recursion would give. At the cap the loop stops where it
+    is: the outcome is then unsettled and the bookkeeping is dropped.
     """
     idx = g.index
     canonical = [(idx[u], idx[v]) for u, v in g.edges]
@@ -253,86 +260,97 @@ def _search_maximum(
         rem[b] += 1
     deg = [0] * g.n
     cap = [r if r < k else k for r in rem]
-    state = _SearchOutcome(best_size=-1, best=None, nodes=0, settled=True)
     slack = sum(cap)
     cand = sum(1 for r in rem if r >= k)
     chosen: list[int] = []
+    best: list[int] | None = None
+    best_size = -1
+    nodes = 0
+    settled = True
     odd_k = k % 2 == 1
     short = k - 1  # deg + rem of a vertex that just stopped being a candidate
 
-    def refresh(x: int) -> None:
-        nonlocal slack
-        new = k - deg[x]
+    def refresh(x: int) -> int:
+        """Recompute cap[x]; returns the change in slack."""
+        new = k - deg[x]  # never negative: an edge is only taken below k
         r = rem[x]
         if r < new:
             new = r
-        if new < 0:
-            new = 0
-        slack += new - cap[x]
+        old = cap[x]
         cap[x] = new
+        return new - old
 
-    def bound_beats_best() -> bool:
-        ub = len(chosen) + slack // 2
+    def bound(size: int, slack: int, cand: int) -> int:
+        ub = size + slack // 2
         t = cand - 1 if odd_k and cand % 2 == 1 else cand
         vb = k * t // 2
-        return (ub if ub < vb else vb) > state.best_size
+        return ub if ub < vb else vb
 
-    def walk(t: int) -> bool:
-        nonlocal slack, cand
-        state.nodes += 1
-        if state.nodes > node_cap:
-            return False
-        if t == m:
-            if len(chosen) > state.best_size:
-                state.best_size = len(chosen)
-                state.best = chosen.copy()
-            return True
-        a, b = ends[t]
-        for x in (a, b):
-            rem[x] -= 1
-            if deg[x] + rem[x] == short:
-                cand -= 1
-            refresh(x)
-        ok = True
-        if deg[a] < k and deg[b] < k:
+    enter, included, excluded = 0, 1, 2
+    stack = [(0, enter)]
+    while stack:
+        t, phase = stack.pop()
+        if phase == enter:
+            nodes += 1
+            if nodes > node_cap:
+                settled = False
+                break
+            if t == m:
+                if len(chosen) > best_size:
+                    best_size = len(chosen)
+                    best = chosen.copy()
+                continue
+            a, b = ends[t]
             for x in (a, b):
-                deg[x] += 1
-                if deg[x] + rem[x] == k:
-                    cand += 1
-                refresh(x)
-            chosen.append(t)
-            da, db = deg[a], deg[b]
-            if (
-                (da == k or da + rem[a] >= k)
-                and (db == k or db + rem[b] >= k)
-                and bound_beats_best()
-            ):
-                ok = walk(t + 1)
+                rem[x] -= 1
+                if deg[x] + rem[x] == short:
+                    cand -= 1
+                slack += refresh(x)
+            if deg[a] < k and deg[b] < k:
+                for x in (a, b):
+                    deg[x] += 1
+                    if deg[x] + rem[x] == k:
+                        cand += 1
+                    slack += refresh(x)
+                chosen.append(t)
+                stack.append((t, included))
+                da, db = deg[a], deg[b]
+                if (
+                    (da == k or da + rem[a] >= k)
+                    and (db == k or db + rem[b] >= k)
+                    and bound(len(chosen), slack, cand) > best_size
+                ):
+                    stack.append((t + 1, enter))
+                continue
+            # the edge cannot be included: go straight to the exclude branch.
+        elif phase == included:
+            a, b = ends[t]
             chosen.pop()
             for x in (b, a):
                 deg[x] -= 1
                 if deg[x] + rem[x] == short:
                     cand -= 1
-                refresh(x)
-        if ok:
-            da, db = deg[a], deg[b]
-            if (
-                (da == 0 or da == k or da + rem[a] >= k)
-                and (db == 0 or db == k or db + rem[b] >= k)
-                and bound_beats_best()
-            ):
-                ok = walk(t + 1)
-        for x in (b, a):
-            if deg[x] + rem[x] == short:
-                cand += 1
-            rem[x] += 1
-            refresh(x)
-        return ok
+                slack += refresh(x)
+        else:
+            a, b = ends[t]
+            for x in (b, a):
+                if deg[x] + rem[x] == short:
+                    cand += 1
+                rem[x] += 1
+                slack += refresh(x)
+            continue
+        stack.append((t, excluded))
+        da, db = deg[a], deg[b]
+        if (
+            (da == 0 or da == k or da + rem[a] >= k)
+            and (db == 0 or db == k or db + rem[b] >= k)
+            and bound(len(chosen), slack, cand) > best_size
+        ):
+            stack.append((t + 1, enter))
 
-    state.settled = walk(0)
-    if order is not None and state.best is not None:
-        state.best = sorted(order[t] for t in state.best)
-    return state
+    if order is not None and best is not None:
+        best = sorted(order[t] for t in best)
+    return _SearchOutcome(best_size=best_size, best=best, nodes=nodes, settled=settled)
 
 
 class _SizeProgram:

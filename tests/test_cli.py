@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kmatch.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
 
@@ -32,6 +33,9 @@ def files(tmp_path):
         "edges-not-array.txt": '{"edges": 5}\n',
         "dict-label.txt": '{"edges": [[{"a": 1}, 2]]}\n',
         "no-edges-key.txt": '{"foo": 1}\n',
+        "bool-int-labels.txt": '{"edges": [[true, 2], [1, 3]]}\n',
+        "float-int-labels.txt": '{"edges": [[1.0, 2], [1, 3]]}\n',
+        "bool-int-pairs.txt": '[[true, 2], [1, 3]]\n',
     }
     for name, text in docs.items():
         path = tmp_path / name
@@ -295,10 +299,77 @@ def test_missing_graph_file(capsys):
 
 
 def test_malformed_graph_file(capsys, files):
-    for name in ("bad-graph", "edges-not-array", "dict-label", "no-edges-key"):
+    # the last two hold labels Python calls equal (true == 1, 1.0 == 1);
+    # merging them would solve three vertices where the file has four.
+    for name in ("bad-graph", "edges-not-array", "dict-label", "no-edges-key",
+                 "bool-int-labels", "float-int-labels"):
         code, _, err = run_cli(capsys, ["solve", "--graph", files[name], "--k", "1"])
         assert code == EXIT_INPUT, name
         assert err.startswith("error:"), name
+
+
+def test_matching_labels_equal_across_json_types_are_refused(capsys, files):
+    code, _, err = run_cli(
+        capsys,
+        ["construct", "--kind", "ast", "--product", "direct", "--left", files["k2"],
+         "--right", files["k2"], "--mg", files["bool-int-pairs"], "--mh", files["m01"]],
+    )
+    assert code == EXIT_INPUT and err.startswith("error: labels ")
+
+
+def test_solve_past_the_old_depth_limit(capsys, tmp_path):
+    path = tmp_path / "path2001.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(2000)))
+    code, out, err = run_cli(capsys, ["solve", "--graph", str(path), "--k", "1"])
+    assert code == EXIT_OK and err == ""
+    oracle = json.loads(out)["oracle"]
+    assert oracle["exhaustive"] and oracle["size"] == 1000 and oracle["unmatched"] == 1
+
+
+# a small pool of scalars, so labels collide often: true and 1, 1.0 and 1,
+# NaN with itself, and a lone surrogate, which JSON can spell but UTF-8
+# cannot encode.
+scalars = st.sampled_from(
+    [None, True, False, 0, 1, 2, 0.0, 1.0, 1e400, float("nan"), "a", "b", "\ud800"]
+) | st.text(max_size=3)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+labels = scalars | st.lists(scalars, max_size=2)
+edges = st.tuples(labels, labels).map(list) | st.lists(labels, max_size=3)
+graph_docs = st.fixed_dictionaries(
+    {"edges": st.lists(edges, max_size=6)},
+    optional={"vertices": st.lists(labels, max_size=4) | json_values},
+).map(json.dumps)
+documents = st.one_of(
+    st.text(max_size=60),
+    st.binary(max_size=40),
+    json_values.map(json.dumps),
+    st.fixed_dictionaries({"edges": json_values}).map(json.dumps),
+    graph_docs,
+    graph_docs,
+    graph_docs.flatmap(lambda doc: st.integers(0, len(doc)).map(lambda cut: doc[:cut])),
+)
+
+
+@given(documents)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_solve_input_fuzz_exits_zero_or_two(capsys, tmp_path, doc):
+    # Every graph file either solves or is refused with a one-line error:
+    # never exit 1, never a traceback.
+    path = tmp_path / "fuzz.graph"
+    if isinstance(doc, str):
+        path.write_bytes(doc.encode("utf-8", "surrogatepass"))
+    else:
+        path.write_bytes(doc)
+    code, out, err = run_cli(capsys, ["solve", "--graph", str(path), "--k", "1"])
+    assert code in (EXIT_OK, EXIT_INPUT), (doc, err)
+    if code == EXIT_OK:
+        assert json.loads(out)["oracle"]["exhaustive"] and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (doc, err)
 
 
 def test_budget_below_one(capsys, files):

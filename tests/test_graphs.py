@@ -99,6 +99,37 @@ def test_parse_json_rejects_malformed():
         parse_graph('{"vertices": [0], "edges": [[0]]}')
 
 
+def test_parse_json_refuses_labels_equal_across_types():
+    # true == 1 and 1.0 == 1 in Python; as vertices they would merge.
+    for doc in (
+        '{"edges": [[true, 2], [1, 3]]}',
+        '{"edges": [[1.0, 2], [1, 3]]}',
+        '{"vertices": [1], "edges": [[1.0, 2]]}',
+        '{"edges": [[[1, true], 2], [[1, 1], 3]]}',
+    ):
+        with pytest.raises(ParseError, match="differ in JSON type"):
+            parse_graph(doc)
+    with pytest.raises(ParseError, match="differ in JSON type"):
+        parse_edge_pairs("[[true, 2], [1, 3]]")
+    with pytest.raises(ParseError, match="differ in JSON type"):
+        parse_edge_pairs('{"edges": [[0, 1], [false, 2]]}')
+    # equal labels of one type are one vertex, as before
+    g = parse_graph('{"vertices": [1, 2, 3, 4], "edges": [[1, 2], [3, 4], [1.5, 2]]}')
+    assert g.vertices == (1, 2, 3, 4, 1.5) and g.m == 3
+
+
+def test_parse_json_refuses_labels_json_cannot_carry():
+    for doc in (
+        '{"edges": [[NaN, NaN]]}',
+        '{"edges": [[Infinity, 1]]}',
+        '{"edges": [["\\ud800", "b"]]}',
+        '{"edges": [[' + "[" * 2000 + "1" + "]" * 2000 + ", 2]]}",
+        '{"edges": [[' + "[" * 600 + "1" + "]" * 600 + ", 2]]}",
+    ):
+        with pytest.raises(ParseError):
+            parse_graph(doc)
+
+
 def test_parse_text_rejects_wide_rows():
     with pytest.raises(ParseError):
         parse_graph("a b c\n")

@@ -143,6 +143,27 @@ def test_budget_exhaustion_degrades_not_raises():
     assert len(rep.witness) == rep.size <= 18
 
 
+def test_search_depth_is_not_bounded_by_the_interpreter():
+    # 2,000 edges: one frame per edge would pass Python's recursion limit.
+    g = build_named("path", 2001)
+    for witness in (True, False):
+        rep = max_k_matching(g, 1, witness=witness)
+        assert rep.exhaustive and rep.size == 1000 and rep.unmatched == 1, witness
+        ok, _ = validate_k_matching(g, rep.witness, 1)
+        assert ok and len(rep.witness) == 1000
+    assert max_k_matching(g, 1).witness == tuple(g.edges[0::2])
+
+
+def test_large_product_past_the_old_depth_limit():
+    c24 = build_named("cycle", 24)
+    p = product(c24, c24, "cartesian").graph
+    assert p.m == 1152
+    rep = max_k_matching(p, 1, witness=False)
+    assert rep.exhaustive and (rep.size, rep.unmatched) == (288, 0)
+    ok, _ = validate_k_matching(p, rep.witness, 1)
+    assert ok and len(rep.witness) == 288
+
+
 def test_quickpath_when_k_exceeds_max_degree():
     g = build_named("path", 3)
     rep = max_k_matching(g, 5)

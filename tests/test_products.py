@@ -1,8 +1,11 @@
 """The four products: edge counts, containments, layers, projections."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kmatch.corpus import connected_graphs_upto
 from kmatch.errors import ItemNotInProduct, UnknownAnchor, UnsupportedKind
 from kmatch.graphs import are_isomorphic_small, build_named, make_graph
 from kmatch.products import (
@@ -142,3 +145,52 @@ def test_direct_product_of_bipartite_disconnects():
     from kmatch.graphs import connected_components
 
     assert len(connected_components(p.graph)) == 2
+
+
+def pairwise_product(g, h, kind):
+    """Reference build: test every pair of product vertices against the
+    adjacency rule of the kind, in left-major order."""
+    vertices = tuple((x, y) for x in g.vertices for y in h.vertices)
+    edges = []
+    for i, (a, c) in enumerate(vertices):
+        for b, d in vertices[i + 1 :]:
+            eg = g.edge_between(a, b) is not None
+            eh = h.edge_between(c, d) is not None
+            adjacent = {
+                "cartesian": (eg and c == d) or (a == b and eh),
+                "strong": (eg and c == d) or (a == b and eh) or (eg and eh),
+                "direct": eg and eh,
+                "lex": eg or (a == b and eh),
+            }[kind]
+            if adjacent:
+                edges.append(((a, c), (b, d)))
+    return vertices, tuple(edges)
+
+
+def relabeled(g, rng):
+    """g with fresh labels and its vertex order shuffled."""
+    names = rng.sample(range(100), g.n)
+    rename = dict(zip(g.vertices, names))
+    order = [rename[v] for v in g.vertices]
+    rng.shuffle(order)
+    return make_graph(order, [(rename[u], rename[v]) for u, v in g.edges])
+
+
+def test_product_matches_the_pairwise_reference():
+    rng = random.Random(7)
+    corpus = list(connected_graphs_upto(5))
+    shuffled = [relabeled(g, rng) for g in corpus]
+    lettered = [
+        make_graph(["b", "a", "c"], [("a", "b"), ("c", "a")]),
+        make_graph(["z", "x", "y", "w"], [("y", "x"), ("w", "z"), ("x", "w")]),
+    ]
+    edge_cases = [make_graph([0], []), make_graph([], [])]
+    pairs = [(g, h) for g in corpus for h in corpus]
+    pairs += [(g, h) for g in shuffled for h in shuffled[::3]]
+    extra = lettered + edge_cases + corpus[3:6]
+    pairs += [(g, h) for g in extra for h in extra]
+    for g, h in pairs:
+        for kind in KINDS:
+            p = product(g, h, kind).graph
+            assert (p.vertices, p.edges) == pairwise_product(g, h, kind), (g, h, kind)
+    assert len(pairs) * len(KINDS) == 5404

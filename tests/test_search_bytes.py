@@ -1,0 +1,60 @@
+"""Byte pin for the branch-and-bound search and `kmatch solve` output.
+
+Every (left, right, kind, k) product over the connected graphs on four
+vertices is searched at the production cap, once in the canonical edge
+order and once in degree order, and the canonical JSON of the outcome
+(best edge indices, best size, nodes visited, settled flag) is hashed.
+The `kmatch solve` payload of every product whose canonical search
+settles is hashed as well; it carries the witness and the `nodes`
+effort counter, which moves with any change to the visiting order or
+the pruning. Both digests were taken before the search was moved from
+recursion onto an explicit stack.
+"""
+
+import hashlib
+from itertools import product as iproduct
+
+from kmatch.cli import canonical_json, main
+from kmatch.corpus import connected_graphs
+from kmatch.graphs import graph_to_json_obj
+from kmatch.matchings import _SEARCH_CAP, _degree_order, _search_maximum
+from kmatch.products import KINDS, product
+
+SEARCH_PIN = (864, "0daa01b6e05b661352a68489c453cca8b60310eae4891b49d9f602d6b8585203")
+SOLVE_PIN = (322, "dfd27c4a0f1f4db630d1074b370aa547de9d851a5365a743850561b793588f23")
+
+
+def products():
+    graphs = connected_graphs(4)
+    for (i, g), (j, h) in iproduct(enumerate(graphs), repeat=2):
+        for kind in KINDS:
+            p = product(g, h, kind).graph
+            for k in (1, 2, 3):
+                yield f"{i} {j} {kind} {k}", p, k
+
+
+def test_search_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for where, p, k in products():
+        for name, order in (("canonical", None), ("degree", _degree_order(p))):
+            out = _search_maximum(p, k, _SEARCH_CAP, order)
+            digest.update(f"{where} {name}\n".encode())
+            digest.update(canonical_json([out.best, out.best_size, out.nodes, out.settled]).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == SEARCH_PIN
+
+
+def test_solve_payloads_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    count = 0
+    for where, p, k in products():
+        if not _search_maximum(p, k, _SEARCH_CAP).settled:
+            continue
+        path = tmp_path / "product.json"
+        path.write_text(canonical_json(graph_to_json_obj(p)))
+        assert main(["solve", "--graph", str(path), "--k", str(k)]) == 0, where
+        digest.update(f"{where}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+        count += 1
+    assert (count, digest.hexdigest()) == SOLVE_PIN
