@@ -15,15 +15,10 @@ import sys
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+from kmatch.constructions import PRODUCT_KINDS
 from kmatch.corpus import connected_graphs_upto, corpus_names
 from kmatch.matchings import DEFAULT_NODE_BUDGET
-from kmatch.wellbehaved import AST_STARS, BOXAST_STARS, CHECKERS, CIRCLEDAST_STARS
-
-FLAVOR_STARS = {
-    "boxast": BOXAST_STARS,
-    "circledast": CIRCLEDAST_STARS,
-    "ast": AST_STARS,
-}
+from kmatch.wellbehaved import CHECKERS
 
 
 @dataclass
@@ -49,7 +44,7 @@ def run_census(cfg: CensusConfig) -> dict[tuple[str, str, int], Tally]:
     tallies: dict[tuple[str, str, int], Tally] = {}
     for flavor in cfg.flavors:
         check = CHECKERS[flavor]
-        for star in FLAVOR_STARS[flavor]:
+        for star in PRODUCT_KINDS[flavor]:
             for k in cfg.ks:
                 tally = tallies.setdefault((flavor, star, k), Tally())
                 for (gn, g), (hn, h) in iproduct(corpus, corpus):
@@ -68,7 +63,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=4, dest="max_n")
     parser.add_argument("--k", default="1,2,3", help="comma-separated k values")
-    parser.add_argument("--flavor", action="append", choices=sorted(FLAVOR_STARS),
+    parser.add_argument("--flavor", action="append", choices=sorted(PRODUCT_KINDS),
                         help="restrict to one flavor (repeatable)")
     parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     parser.add_argument("--list-false", action="store_true", dest="list_false")

@@ -21,7 +21,7 @@ from .constructions import CONSTRUCTORS, predicted_size_for
 from .corpus import connected_graphs_upto, corpus_names, load_corpus_dir
 from .errors import InconsistentInputs, InvalidParameter, KmatchError
 from .graphs import Graph, graph_to_json_obj, parse_edge_pairs, parse_graph, to_dot
-from .matchings import DEFAULT_NODE_BUDGET, enumerate_k_matchings, max_k_matching, validate_k_matching
+from .matchings import DEFAULT_NODE_BUDGET, enumerate_k_matchings, max_k_matching
 from .products import KINDS, product
 from .scenarios import SCENARIOS, RunReport, run_scenario
 from .weakhom import allowed_edges, enumerate_whp_k_matchings, max_whp_k_matching
@@ -49,12 +49,12 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(text)
 
 
-def _load_matching(path: str):
+def _load_matching(path: str, factor: Graph):
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise KmatchError(f"cannot read matching file {path}: {exc}") from exc
-    return parse_edge_pairs(text)
+    return parse_edge_pairs(text, factor)
 
 
 def _oracle_json(r) -> dict:
@@ -102,10 +102,10 @@ def _cmd_construct(args) -> int:
     p = product(g, h, args.product)
     build = CONSTRUCTORS[args.kind]
     if args.kind == "boxast":
-        result = build(p, _load_matching(args.mg), _load_matching(args.mh),
+        result = build(p, _load_matching(args.mg, g), _load_matching(args.mh, h),
                        orientation=args.orientation, normalize=not args.no_normalize)
     else:
-        result = build(p, _load_matching(args.mg), _load_matching(args.mh))
+        result = build(p, _load_matching(args.mg, g), _load_matching(args.mh, h))
     cls = result.classification
     try:
         predicted = predicted_size_for(result)
@@ -113,7 +113,7 @@ def _cmd_construct(args) -> int:
         predicted = None
     validated = None
     if cls.is_k_matching and cls.k is not None:
-        validated, _ = validate_k_matching(p.graph, result.edges, cls.k)
+        validated = result.profile.uniform in (0, cls.k)
     payload = {
         "kind": result.kind,
         "orientation": result.orientation,
@@ -187,8 +187,8 @@ def _cmd_whp(args) -> int:
     g = _load_graph(args.left)
     h = _load_graph(args.right)
     p = product(g, h, args.product)
-    m_g = _load_matching(args.mg)
-    m_h = _load_matching(args.mh)
+    m_g = _load_matching(args.mg, g)
+    m_h = _load_matching(args.mh, h)
     universe = allowed_edges(p, m_g, m_h)
     payload = {
         "product_kind": p.kind,

@@ -37,12 +37,15 @@ from .errors import (
     InvariantViolation,
 )
 from .graphs import Edge, Graph
-from .matchings import DegreeProfile, canonical_matching, degree_profile
+from .matchings import DegreeProfile, degree_profile
 from .products import ProductGraph
 
-BOXAST_KINDS = ("cartesian", "strong", "lex")
-AST_KINDS = ("strong", "direct", "lex")
-CIRCLEDAST_KINDS = ("strong", "lex")
+# the product kinds each construction is defined on
+PRODUCT_KINDS = {
+    "boxast": ("cartesian", "strong", "lex"),
+    "ast": ("strong", "direct", "lex"),
+    "circledast": ("strong", "lex"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ class Classification:
 class ConstructionResult:
     """A constructed edge set with its recorded factor matchings.
 
+    `profile` is the set's degree profile in the product (`edges` reads
+    it); `profile.uniform in (0, k)` validates it as a k-matching.
     `unmatched_g` and `unmatched_h` count the vertices that `m_g` and
     `m_h` leave unmatched in their factors, as the construction's own
     factor profiles found them.
@@ -76,18 +81,19 @@ class ConstructionResult:
     product: ProductGraph
     m_g: tuple[Edge, ...]
     m_h: tuple[Edge, ...]
-    edges: tuple[Edge, ...]
+    profile: DegreeProfile
     parts: dict[str, tuple[Edge, ...]]
     classification: Classification
     unmatched_g: int
     unmatched_h: int
 
-
-_KINDS = {"boxast": BOXAST_KINDS, "ast": AST_KINDS, "circledast": CIRCLEDAST_KINDS}
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return self.profile.edges
 
 
 def _require_kind(kind: str, p: ProductGraph) -> None:
-    allowed = _KINDS[kind]
+    allowed = PRODUCT_KINDS[kind]
     if p.kind not in allowed:
         raise IncompatibleProduct(
             f"{kind} is undefined on the {p.kind} product; supported kinds: {', '.join(allowed)}"
@@ -99,12 +105,6 @@ def _factor_profiles(p: ProductGraph, m_g, m_h) -> tuple[DegreeProfile, DegreePr
         degree_profile(p.left, m_g, error=EdgeNotInFactor),
         degree_profile(p.right, m_h, error=EdgeNotInFactor),
     )
-
-
-def _canonical_in_product(p: ProductGraph, pairs) -> tuple[Edge, ...]:
-    # the parts are Cartesian or doubly-moving edges that exist in every
-    # supported kind, so a miss here is a bug, not bad input.
-    return canonical_matching(p.graph, pairs, error=InvariantViolation)
 
 
 def _split_by_shape(edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], ...]:
@@ -201,7 +201,7 @@ def classify_construction(
     if orientation not in ("gh", "hg"):
         raise InvalidParameter(f"orientation must be gh or hg, got {orientation!r}")
     gs, hs = _factor_profiles(p, m_g, m_h)
-    if kind not in _KINDS:
+    if kind not in PRODUCT_KINDS:
         raise InvalidParameter(f"unknown construction kind {kind!r}")
     _require_kind(kind, p)
     return _classify(kind, gs, hs, orientation)
@@ -209,8 +209,10 @@ def classify_construction(
 
 # the constructions ----------------------------------------------------------
 #
-# Each one profiles its factor sets once and canonicalizes the union of
-# its raw parts once; the parts are then read back out by edge shape.
+# Each one profiles its factor sets once and profiles the union of its raw
+# parts in the product once; the parts are then read back out by edge shape.
+# The parts are Cartesian or doubly-moving edges that exist in every
+# supported kind, so a part missing from the product is a bug.
 
 
 def boxast(
@@ -242,7 +244,8 @@ def boxast(
     else:
         copies = copies_in_right_layers(mh, p.left)
         fill = fill_over_right_unmatched(hs.unmatched, mg)
-    edges = _canonical_in_product(p, copies + fill)
+    profile = degree_profile(p.graph, copies + fill, error=InvariantViolation)
+    edges = profile.edges
     # the copies saturate every matched column, the fill lives over the
     # unmatched ones: the parts can never share a vertex.
     assert len(edges) == len(copies) + len(fill)
@@ -257,7 +260,7 @@ def boxast(
         product=p,
         m_g=mg,
         m_h=mh,
-        edges=edges,
+        profile=profile,
         parts={"layer_copies": copies, "unmatched_fill": fill},
         classification=_classify("boxast", gs, hs, orientation),
         # a side normalized away is recorded empty: it matches nothing.
@@ -270,7 +273,8 @@ def ast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     """The two diagonals of every matched pair of factor edges."""
     _require_kind("ast", p)
     gs, hs = _factor_profiles(p, m_g, m_h)
-    edges = _canonical_in_product(p, diagonals(gs.edges, hs.edges))
+    profile = degree_profile(p.graph, diagonals(gs.edges, hs.edges), error=InvariantViolation)
+    edges = profile.edges
     assert len(edges) == 2 * len(gs.edges) * len(hs.edges)
     return ConstructionResult(
         kind="ast",
@@ -278,7 +282,7 @@ def ast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
         product=p,
         m_g=gs.edges,
         m_h=hs.edges,
-        edges=edges,
+        profile=profile,
         parts={"diagonals": edges},
         classification=_classify("ast", gs, hs),
         unmatched_g=len(gs.unmatched),
@@ -293,7 +297,8 @@ def circledast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     core = diagonals(gs.edges, hs.edges)
     left_fill = fill_over_left_unmatched(gs.unmatched, hs.edges)
     right_fill = fill_over_right_unmatched(hs.unmatched, gs.edges)
-    edges = _canonical_in_product(p, core + left_fill + right_fill)
+    profile = degree_profile(p.graph, core + left_fill + right_fill, error=InvariantViolation)
+    edges = profile.edges
     # diagonals touch doubly-matched pairs, each fill touches pairs with
     # exactly one unmatched coordinate on its own side: pairwise disjoint.
     assert len(edges) == len(core) + len(left_fill) + len(right_fill)
@@ -304,7 +309,7 @@ def circledast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
         product=p,
         m_g=gs.edges,
         m_h=hs.edges,
-        edges=edges,
+        profile=profile,
         parts={"diagonals": core, "left_fill": left_fill, "right_fill": right_fill},
         classification=_classify("circledast", gs, hs),
         unmatched_g=len(gs.unmatched),

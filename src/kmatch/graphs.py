@@ -292,11 +292,13 @@ def parse_graph(text: str) -> Graph:
     return make_graph(vertices, edges)
 
 
-def parse_edge_pairs(text: str) -> tuple[tuple[Vertex, Vertex], ...]:
+def parse_edge_pairs(text: str, host: Graph | None = None) -> tuple[tuple[Vertex, Vertex], ...]:
     """Parse a matching file: the edges of an edge-list or JSON document.
 
     Unlike parse_graph this performs no graph validation; the pairs are
-    checked against their host graph by the caller.
+    checked against their host graph by the caller. Given the host, JSON
+    labels are checked together with its vertices, so a label equal to a
+    host vertex in Python but not in JSON type (false and 0) is refused.
     """
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
@@ -304,7 +306,7 @@ def parse_edge_pairs(text: str) -> tuple[tuple[Vertex, Vertex], ...]:
         if isinstance(doc, dict) and "edges" not in doc:
             raise ParseError("JSON matching object needs an 'edges' array")
         edges = _json_edges(doc["edges"] if isinstance(doc, dict) else doc)
-        _check_labels(x for e in edges for x in e)
+        _check_labels([*(host.vertices if host else ()), *(x for e in edges for x in e)])
         return tuple(edges)
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):

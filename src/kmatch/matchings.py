@@ -362,6 +362,8 @@ class _SizeProgram:
     program (column dropped, forced degree moved to the right-hand side).
     Presolve stays off: the bundled solver's presolve mishandles these
     equality systems and can claim an infeasible instance is optimal.
+    The relative gap is 0: at HiGHS's default of 1e-4 a solve may stop
+    one edge short of the optimum once that exceeds 10,000 edges.
     Every returned point is re-validated against the degree condition.
     Solves are deterministic for a fixed input.
     """
@@ -410,7 +412,7 @@ class _SizeProgram:
             constraints=LinearConstraint(self._degree_matrix(free), rhs, rhs),
             integrality=[1] * (len(free) + self.n),
             bounds=Bounds(0.0, 1.0),
-            options={"presolve": False},
+            options={"presolve": False, "mip_rel_gap": 0},
         )
         if res.status == 2:
             return None

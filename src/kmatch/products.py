@@ -29,7 +29,6 @@ from .errors import ItemNotInProduct, UnknownAnchor, UnsupportedKind
 from .graphs import Edge, Graph, Vertex
 
 KINDS = ("cartesian", "strong", "direct", "lex")
-LAYERED_KINDS = ("cartesian", "strong", "lex")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ The equivalence suite evaluates the seven characterizations of the boxast
 flavor independently, each by its own route, and reports whether they
 agree; the acceptance suite demands agreement on the whole small-graph
 corpus.
+
+The sweeps repeat factor and product queries, so the immutable oracle
+reports and enumerations live in one bounded memo of 1,024 entries
+(`cached_query`). Products are built per call; an equal product graph
+finds the answers cached under it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .constructions import boxast
+from .constructions import PRODUCT_KINDS, boxast
 from .errors import UnsupportedKind
 from .graphs import Graph
 from .matchings import (
@@ -39,13 +44,8 @@ from .matchings import (
     check_k,
     enumerate_k_matchings,
     max_k_matching,
-    validate_k_matching,
 )
-from .products import ProductGraph, product
-
-BOXAST_STARS = ("cartesian", "strong", "lex")
-CIRCLEDAST_STARS = ("strong", "lex")
-AST_STARS = ("strong", "direct", "lex")
+from .products import product
 
 
 @dataclass(frozen=True)
@@ -68,48 +68,37 @@ class EquivalenceReport:
     exhaustive: bool
 
 
-# cached plumbing: the acceptance suite hits the same factors and products
-# thousands of times, and every cached value is immutable.
+# a key may hold a product Graph with its index, adjacency and edge set:
+# the bound is what caps the layer's memory on a long sweep.
+MEMO_SIZE = 1024
+WITNESS, SIZE, ALL = "witness", "size", "all"
 
 
-@lru_cache(maxsize=None)
-def cached_product(g: Graph, h: Graph, kind: str) -> ProductGraph:
-    return product(g, h, kind)
+@lru_cache(maxsize=MEMO_SIZE)
+def cached_query(g: Graph, k: int, mode: str, budget: int | None):
+    """The oracle report with the canonical witness (WITNESS), the report
+    with some maximum witness (SIZE: much cheaper where the search cannot
+    settle, and the sweeps never print product witnesses), or every
+    k-matching of g (ALL, budget None). Pass all four arguments
+    positionally, so that equal queries share one key."""
+    if mode == ALL:
+        return tuple(enumerate_k_matchings(g, k))
+    return max_k_matching(g, k, budget=budget, witness=mode == WITNESS)
 
 
-@lru_cache(maxsize=None)
-def cached_oracle(g: Graph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> OracleReport:
-    return max_k_matching(g, k, budget=budget)
+def _k_matchings(g: Graph, k: int) -> tuple[tuple, ...]:
+    return cached_query(g, k, ALL, None)
 
 
-@lru_cache(maxsize=None)
-def cached_size_oracle(g: Graph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> OracleReport:
-    """Size-only oracle: exact m_k and u_k, witness not canonicalized.
-
-    The corpus sweeps never serialize product witnesses, and skipping the
-    canonical recovery is much cheaper on instances the plain search
-    cannot settle.
-    """
-    return max_k_matching(g, k, budget=budget, witness=False)
-
-
-@lru_cache(maxsize=None)
-def cached_matchings(g: Graph, k: int) -> tuple[tuple, ...]:
-    return tuple(enumerate_k_matchings(g, k))
-
-
-@lru_cache(maxsize=None)
-def cached_maximum_matchings(g: Graph, k: int) -> tuple[tuple, ...]:
-    everything = cached_matchings(g, k)
+def _maximum_k_matchings(g: Graph, k: int) -> list[tuple]:
+    everything = _k_matchings(g, k)
     best = max(len(m) for m in everything)
-    return tuple(m for m in everything if len(m) == best)
+    return [m for m in everything if len(m) == best]
 
 
-@lru_cache(maxsize=None)
 def achievable_unmatched(g: Graph, k: int) -> tuple[int, ...]:
     """Distinct unmatched counts over all k-matchings of g, ascending."""
-    counts = {g.n - 2 * len(m) // k for m in cached_matchings(g, k)}
-    return tuple(sorted(counts))
+    return tuple(sorted({g.n - 2 * len(m) // k for m in _k_matchings(g, k)}))
 
 
 def _divisor_splits(k: int) -> list[tuple[int, int]]:
@@ -131,12 +120,12 @@ def check_boxast(
     orientations.
     """
     check_k(k)
-    if star not in BOXAST_STARS:
+    if star not in PRODUCT_KINDS["boxast"]:
         raise UnsupportedKind(f"boxast flavor is undefined on the {star} product")
-    rg = cached_oracle(g, k, budget)
-    rh = cached_oracle(h, k, budget)
-    p = cached_product(g, h, star)
-    rp = cached_oracle(p.graph, k, budget)
+    rg = cached_query(g, k, WITNESS, budget)
+    rh = cached_query(h, k, WITNESS, budget)
+    p = product(g, h, star)
+    rp = cached_query(p.graph, k, WITNESS, budget)
     exhaustive = rg.exhaustive and rh.exhaustive and rp.exhaustive
     verdict = (rp.unmatched == rg.unmatched * rh.unmatched) if exhaustive else None
     gh = boxast(p, rg.witness, rh.witness, orientation="gh")
@@ -163,17 +152,17 @@ def check_circledast(
     u_G u_H = u_k(G*H); the first hit becomes the evidence witness.
     """
     check_k(k)
-    if star not in CIRCLEDAST_STARS:
+    if star not in PRODUCT_KINDS["circledast"]:
         raise UnsupportedKind(f"circledast flavor is undefined on the {star} product")
-    p = cached_product(g, h, star)
-    rp = cached_oracle(p.graph, k, budget)
+    p = product(g, h, star)
+    rp = cached_query(p.graph, k, WITNESS, budget)
 
     # candidate streams per regime: (tag, m_g, m_h, u_g, u_h) tuples
     def stream():
-        ones_g = cached_matchings(g, 1)
-        ones_h = cached_matchings(h, 1)
-        ks_g = cached_matchings(g, k)
-        ks_h = cached_matchings(h, k)
+        ones_g = _k_matchings(g, 1)
+        ones_h = _k_matchings(h, 1)
+        ks_g = _k_matchings(g, k)
+        ks_h = _k_matchings(h, k)
         for m_g in ks_g:
             if len(m_g) * 2 == k * g.n:  # perfect k-matching on the left
                 for m_h in ones_h:
@@ -195,9 +184,9 @@ def check_circledast(
                 for m_h in ones_h:
                     yield "M3", m_g, m_h, g.n - 2 * len(m_g), h.n - 2 * len(m_h)
         for k_g, k_h in _divisor_splits(k):
-            for m_g in cached_matchings(g, k_g):
+            for m_g in _k_matchings(g, k_g):
                 if len(m_g) * 2 == k_g * g.n:
-                    for m_h in cached_matchings(h, k_h):
+                    for m_h in _k_matchings(h, k_h):
                         if len(m_h) * 2 == k_h * h.n:
                             yield "M4", m_g, m_h, 0, 0
 
@@ -226,16 +215,16 @@ def check_ast(
     m_k(G*H) with 2 m_{k_G}(G) m_{k_H}(H).
     """
     check_k(k)
-    if star not in AST_STARS:
+    if star not in PRODUCT_KINDS["ast"]:
         raise UnsupportedKind(f"ast flavor is undefined on the {star} product")
-    p = cached_product(g, h, star)
-    rp = cached_oracle(p.graph, k, budget)
+    p = product(g, h, star)
+    rp = cached_query(p.graph, k, WITNESS, budget)
     attempts = []
     winner = None
     all_settled = rp.exhaustive
     for k_g, k_h in _divisor_splits(k):
-        rg = cached_oracle(g, k_g, budget)
-        rh = cached_oracle(h, k_h, budget)
+        rg = cached_query(g, k_g, WITNESS, budget)
+        rh = cached_query(h, k_h, WITNESS, budget)
         settled = rp.exhaustive and rg.exhaustive and rh.exhaustive
         hit = rp.size == 2 * rg.size * rh.size
         attempts.append(
@@ -282,12 +271,12 @@ def equivalence_suite(
     7. the unmatched-count identity.
     """
     check_k(k)
-    if star not in BOXAST_STARS:
+    if star not in PRODUCT_KINDS["boxast"]:
         raise UnsupportedKind(f"the equivalence suite covers the boxast stars, not {star}")
-    rg = cached_oracle(g, k, budget)
-    rh = cached_oracle(h, k, budget)
-    p = cached_product(g, h, star)
-    rp = cached_size_oracle(p.graph, k, budget)
+    rg = cached_query(g, k, WITNESS, budget)
+    rh = cached_query(h, k, WITNESS, budget)
+    p = product(g, h, star)
+    rp = cached_query(p.graph, k, SIZE, budget)
     exhaustive = rg.exhaustive and rh.exhaustive and rp.exhaustive
     numbers = {
         "left": {"n": g.n, "size": rg.size, "unmatched": rg.unmatched},
@@ -309,18 +298,15 @@ def equivalence_suite(
         }
         return EquivalenceReport(star, k, conditions, None, numbers, False)
 
-    definition = any(
-        k * (g.n * h.n - u_g * u_h) == 2 * rp.size
-        for u_g in achievable_unmatched(g, k)
-        for u_h in achievable_unmatched(h, k)
-    )
+    us_g, us_h = achievable_unmatched(g, k), achievable_unmatched(h, k)
+    definition = any(k * (g.n * h.n - u_g * u_h) == 2 * rp.size for u_g in us_g for u_h in us_h)
+    max_g, max_h = _maximum_k_matchings(g, k), _maximum_k_matchings(h, k)
 
     def all_max_pairs(orientation: str) -> bool:
-        for m_g in cached_maximum_matchings(g, k):
-            for m_h in cached_maximum_matchings(h, k):
+        for m_g in max_g:
+            for m_h in max_h:
                 built = boxast(p, m_g, m_h, orientation=orientation)
-                ok, _ = validate_k_matching(p.graph, built.edges, k)
-                if not ok or len(built.edges) != rp.size:
+                if built.profile.uniform not in (0, k) or len(built.edges) != rp.size:
                     return False
         return True
 

@@ -317,6 +317,24 @@ def test_matching_labels_equal_across_json_types_are_refused(capsys, files):
     assert code == EXIT_INPUT and err.startswith("error: labels ")
 
 
+@pytest.mark.parametrize("command", [
+    ["construct", "--kind", "ast", "--product", "direct"],
+    ["whp", "--product", "direct", "--k", "1", "--max"],
+])
+def test_matching_labels_differing_from_the_factor_in_json_type_are_refused(capsys, tmp_path, command):
+    # false and true equal the factor's vertices 0 and 1 in Python only.
+    graph, matching = tmp_path / "k2.json", tmp_path / "m.json"
+    graph.write_text('{"edges": [[0, 1]]}\n')
+    matching.write_text("[[false, true]]\n")
+    code, out, err = run_cli(
+        capsys,
+        [*command, "--left", str(graph), "--right", str(graph),
+         "--mg", str(matching), "--mh", str(matching)],
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: labels ") and err.count("\n") == 1
+
+
 def test_solve_past_the_old_depth_limit(capsys, tmp_path):
     path = tmp_path / "path2001.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(2000)))

@@ -29,7 +29,9 @@ def verdict_matches(p, result):
     """Direct validation of a built set against its prediction."""
     cls = result.classification
     if cls.is_k_matching:
-        ok, _ = validate_k_matching(p.graph, result.edges, cls.k)
+        ok, degrees = validate_k_matching(p.graph, result.edges, cls.k)
+        assert (result.profile.uniform in (0, cls.k)) == ok
+        assert result.profile.degrees == degrees
         return ok
     return degree_profile(p.graph, result.edges).uniform is None
 

@@ -254,6 +254,20 @@ def test_solver_check_survives_optimized_mode():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_size_solve_asks_for_the_exact_optimum(monkeypatch):
+    seen = {}
+
+    def fake_milp(*args, **kwargs):
+        seen.update(kwargs["options"])
+        # path(3), k = 1: edge (0, 1), vertices 0 and 1 matched
+        return types.SimpleNamespace(status=0, x=[1.0, 0.0, 1.0, 1.0, 0.0], fun=-1.0, message="")
+
+    monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+    assert _SizeProgram(build_named("path", 3), 1).solve({}) == (1, frozenset({0}))
+    assert seen["presolve"] is False
+    assert seen["mip_rel_gap"] == 0
+
+
 def test_uniform_degree_and_unmatched():
     g = build_named("complete", 3)
     assert degree_profile(g, ()).uniform == 0

@@ -1,0 +1,18 @@
+"""Smoke tests of the helper scripts under scripts/."""
+
+import runpy
+from pathlib import Path
+
+from kmatch.constructions import PRODUCT_KINDS
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_wb_census_prints_one_row_per_flavor_star_and_k(capsys):
+    census = runpy.run_path(str(SCRIPTS / "wb_census.py"), run_name="wb_census")
+    assert census["main"](["--max-n", "3", "--k", "1,2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["flavor", "star", "k"]
+    cells = [tuple(row.split()[:3]) for row in rows]
+    flavors = ("boxast", "circledast", "ast")
+    assert cells == [(f, star, k) for f in flavors for star in PRODUCT_KINDS[f] for k in ("1", "2")]

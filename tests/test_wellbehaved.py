@@ -10,7 +10,9 @@ from kmatch.matchings import max_k_matching
 from kmatch.products import product
 from kmatch.wellbehaved import (
     CHECKERS,
+    MEMO_SIZE,
     achievable_unmatched,
+    cached_query,
     check_ast,
     check_boxast,
     check_circledast,
@@ -139,3 +141,24 @@ def test_reports_serialize_to_json(named):
         star = "strong"
         r = checker(named["k3"], named["p3"], star, 1)
         json.dumps(r.evidence)  # must not contain sets or tuple keys
+
+
+def test_memo_keeps_its_modes_apart(named):
+    # on K_2 x P_3 the size-only search reports another maximum than the
+    # canonical witness, so a shared entry would leak into the evidence.
+    g, h = named["k2"], named["p3"]
+    p = product(g, h, "cartesian")
+    canonical = list(max_k_matching(p.graph, 1).witness)
+    assert list(max_k_matching(p.graph, 1, witness=False).witness) != canonical
+    cached_query.cache_clear()
+    equivalence_suite(g, h, "cartesian", 1)
+    r = check_boxast(g, h, "cartesian", 1)
+    assert r.evidence["product"]["witness"] == canonical
+
+
+def test_memo_is_bounded_and_clears(named):
+    equivalence_suite(named["k2"], named["p3"], "cartesian", 1)
+    assert cached_query.cache_info().maxsize == MEMO_SIZE
+    assert cached_query.cache_info().currsize > 0
+    cached_query.cache_clear()
+    assert cached_query.cache_info().currsize == 0
