@@ -1,18 +1,22 @@
 """Command line front end.
 
 Subcommands: product, construct, solve, wellbehaved, whp, scenario,
-suite. Machine output is canonical JSON (sorted keys, two-space indent,
-a trailing newline) so repeated runs are byte-identical; wall-clock
-timings never enter JSON payloads. Exit codes: 0 all good, 1 an
-expectation failed, 2 bad input, 3 a search budget ran out under
---strict.
+suite. Each subcommand accepts only the options its handler reads, so
+an option it would ignore is refused with exit code 2. Machine output is
+canonical JSON (sorted keys, two-space indent, a trailing newline) so
+repeated runs are byte-identical; the library's report dataclasses are
+printed field for field, and wall-clock timings never enter JSON
+payloads. Exit codes: 0 all good, 1 an expectation failed, 2 bad input,
+3 a search budget ran out under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import asdict
 from multiprocessing import Pool
 from pathlib import Path
 from random import Random
@@ -23,7 +27,7 @@ from .errors import InconsistentInputs, InvalidParameter, KmatchError
 from .graphs import Graph, graph_to_json_obj, parse_edge_pairs, parse_graph, to_dot
 from .matchings import DEFAULT_NODE_BUDGET, enumerate_k_matchings, max_k_matching
 from .products import KINDS, product
-from .scenarios import SCENARIOS, RunReport, run_scenario
+from .scenarios import SCENARIOS, run_scenario
 from .weakhom import allowed_edges, enumerate_whp_k_matchings, max_whp_k_matching
 from .wellbehaved import CHECKERS, equivalence_suite
 
@@ -41,6 +45,11 @@ def _print(text: str) -> None:
     sys.stdout.write(text)
 
 
+def _print_report(payload: dict, exhaustive: bool, strict: bool) -> int:
+    _print(canonical_json(payload))
+    return EXIT_BUDGET if strict and not exhaustive else EXIT_OK
+
+
 def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text()
@@ -55,17 +64,6 @@ def _load_matching(path: str, factor: Graph):
     except (OSError, UnicodeDecodeError) as exc:
         raise KmatchError(f"cannot read matching file {path}: {exc}") from exc
     return parse_edge_pairs(text, factor)
-
-
-def _oracle_json(r) -> dict:
-    return {
-        "k": r.k,
-        "size": r.size,
-        "unmatched": r.unmatched,
-        "witness": list(r.witness),
-        "exhaustive": r.exhaustive,
-        "nodes": r.nodes,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +120,7 @@ def _cmd_construct(args) -> int:
         "m_h": list(result.m_h),
         "edges": list(result.edges),
         "parts": {name: list(part) for name, part in result.parts.items()},
-        "classification": {
-            "is_k_matching": cls.is_k_matching,
-            "k": cls.k,
-            "factor_ks": list(cls.factor_ks) if cls.factor_ks else None,
-            "condition": cls.condition,
-        },
+        "classification": asdict(cls),
         "size": {"actual": len(result.edges), "predicted": predicted},
         "validated_k_matching": validated,
     }
@@ -138,49 +131,22 @@ def _cmd_construct(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     report = max_k_matching(g, args.k, budget=args.budget)
-    payload = {"oracle": _oracle_json(report)}
+    payload = {"oracle": asdict(report)}
     if args.enumerate:
         all_matchings = list(enumerate_k_matchings(g, args.k))
         payload["enumeration"] = {
             "count": len(all_matchings),
             "matchings": [list(m) for m in all_matchings],
         }
-    _print(canonical_json(payload))
-    if args.strict and not report.exhaustive:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _print_report(payload, report.exhaustive, args.strict)
 
 
 def _cmd_wellbehaved(args) -> int:
     g = _load_graph(args.left)
     h = _load_graph(args.right)
-    if args.equivalence:
-        rep = equivalence_suite(g, h, args.star, args.k, budget=args.budget)
-        payload = {
-            "star": rep.star,
-            "k": rep.k,
-            "conditions": rep.conditions,
-            "agree": rep.agree,
-            "numbers": rep.numbers,
-            "exhaustive": rep.exhaustive,
-        }
-        _print(canonical_json(payload))
-        if args.strict and not rep.exhaustive:
-            return EXIT_BUDGET
-        return EXIT_OK
-    rep = CHECKERS[args.flavor](g, h, args.star, args.k, budget=args.budget)
-    payload = {
-        "flavor": rep.flavor,
-        "star": rep.star,
-        "k": rep.k,
-        "verdict": rep.verdict,
-        "evidence": rep.evidence,
-        "exhaustive": rep.exhaustive,
-    }
-    _print(canonical_json(payload))
-    if args.strict and not rep.exhaustive:
-        return EXIT_BUDGET
-    return EXIT_OK
+    decide = equivalence_suite if args.equivalence else CHECKERS[args.flavor]
+    rep = decide(g, h, args.star, args.k, budget=args.budget)
+    return _print_report(asdict(rep), rep.exhaustive, args.strict)
 
 
 def _cmd_whp(args) -> int:
@@ -192,30 +158,17 @@ def _cmd_whp(args) -> int:
     universe = allowed_edges(p, m_g, m_h)
     payload = {
         "product_kind": p.kind,
-        "universe": {"size": len(universe.edges), "edges": list(universe.edges)},
+        "universe": {"size": universe.m, "edges": list(universe.edges)},
     }
     exhausted = True
     if args.max:
         report = max_whp_k_matching(p, m_g, m_h, args.k, budget=args.budget)
-        payload["maximum"] = _oracle_json(report)
+        payload["maximum"] = asdict(report)
         exhausted = report.exhaustive
     if args.enumerate:
         members = list(enumerate_whp_k_matchings(p, m_g, m_h, args.k))
         payload["enumeration"] = {"count": len(members)}
-    _print(canonical_json(payload))
-    if args.strict and not exhausted:
-        return EXIT_BUDGET
-    return EXIT_OK
-
-
-def _scenario_report_json(rep: RunReport) -> dict:
-    # seconds stay out of the JSON payload: byte-identical reruns.
-    return {
-        "name": rep.name,
-        "measured": rep.measured,
-        "checks": list(rep.checks),
-        "passed": rep.passed,
-    }
+    return _print_report(payload, exhausted, args.strict)
 
 
 def _cmd_scenario(args) -> int:
@@ -245,7 +198,11 @@ def _cmd_scenario(args) -> int:
                     f"(expected {check['expected']!r}, {check['provenance']})\n"
                 )
     else:
-        payload = {"scenarios": [_scenario_report_json(r) for r in reports]}
+        # seconds stay out of the JSON payload: byte-identical reruns.
+        payload = {"scenarios": [
+            {key: value for key, value in asdict(r).items() if key != "seconds"}
+            for r in reports
+        ]}
         _print(canonical_json(payload))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILURE
 
@@ -293,6 +250,8 @@ def _suite_row(task) -> dict:
 def _cmd_suite(args) -> int:
     if args.sample is not None and not 0.0 <= args.sample <= 1.0:
         raise InvalidParameter(f"--sample must be a probability in [0, 1], got {args.sample}")
+    if args.workers < 1:
+        raise InvalidParameter(f"--workers must be at least 1, got {args.workers}")
     if args.corpus:
         named = list(load_corpus_dir(args.corpus))
     else:
@@ -311,8 +270,9 @@ def _cmd_suite(args) -> int:
     if args.sample is not None:
         rng = Random(args.seed)
         tasks = [t for t in tasks if rng.random() < args.sample]
-    if args.workers > 1 and tasks:
-        with Pool(args.workers) as pool:
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(_suite_row, tasks, chunksize=8)
     else:
         rows = [_suite_row(t) for t in tasks]
@@ -351,15 +311,13 @@ def _tri(v) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", choices=("json", "dot", "table"), default="json",
-                        help="output format (dot applies to graph payloads only)")
-    common.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                         help="search-node budget for the exact oracles")
-    common.add_argument("--strict", action="store_true",
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true",
                         help="exit 3 when any oracle result is non-exhaustive")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled suites (generation itself is deterministic)")
+    oracles = [budget, strict]
 
     parser = argparse.ArgumentParser(
         prog="kmatch",
@@ -368,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_prod = sub.add_parser("product", parents=[common], help="build one of the four products")
+    p_prod = sub.add_parser("product", help="build one of the four products")
+    p_prod.add_argument("--out", choices=("json", "dot", "table"), default="json")
     p_prod.add_argument("--kind", choices=KINDS, required=True)
     p_prod.add_argument("--left", required=True, help="left factor graph file")
     p_prod.add_argument("--right", required=True, help="right factor graph file")
     p_prod.set_defaults(handler=_cmd_product)
 
-    p_con = sub.add_parser("construct", parents=[common],
-                           help="build a matching construction on a product")
+    p_con = sub.add_parser("construct", help="build a matching construction on a product")
     p_con.add_argument("--kind", choices=("boxast", "ast", "circledast"), required=True)
     p_con.add_argument("--product", choices=KINDS, required=True, dest="product")
     p_con.add_argument("--left", required=True)
@@ -387,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep the secondary matching even when the primary is perfect")
     p_con.set_defaults(handler=_cmd_construct)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="exact maximum k-matching")
+    p_solve = sub.add_parser("solve", parents=oracles, help="exact maximum k-matching")
     p_solve.add_argument("--graph", required=True)
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--enumerate", action="store_true",
                          help="also list every k-matching (small graphs only)")
     p_solve.set_defaults(handler=_cmd_solve)
 
-    p_wb = sub.add_parser("wellbehaved", parents=[common],
+    p_wb = sub.add_parser("wellbehaved", parents=oracles,
                           help="decide whether m_k of a product is attained by a construction")
     p_wb.add_argument("--flavor", choices=("boxast", "ast", "circledast"), default="boxast")
     p_wb.add_argument("--left", required=True)
@@ -405,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the seven-condition equivalence suite instead")
     p_wb.set_defaults(handler=_cmd_wellbehaved)
 
-    p_whp = sub.add_parser("whp", parents=[common],
+    p_whp = sub.add_parser("whp", parents=oracles,
                            help="weak-homomorphism preserving matchings of a product")
     p_whp.add_argument("--product", choices=KINDS, required=True, dest="product")
     p_whp.add_argument("--left", required=True)
@@ -417,20 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_whp.add_argument("--enumerate", action="store_true", help="count all members (bounded)")
     p_whp.set_defaults(handler=_cmd_whp)
 
-    p_scen = sub.add_parser("scenario", parents=[common], help="run a bundled worked example")
+    p_scen = sub.add_parser("scenario", parents=[budget], help="run a bundled worked example")
+    p_scen.add_argument("--out", choices=("json", "table"), default="json")
     p_scen.add_argument("name", nargs="?", help="scenario name, or 'all'")
     p_scen.add_argument("--list", action="store_true", help="list available scenarios")
     p_scen.set_defaults(handler=_cmd_scenario)
 
-    p_suite = sub.add_parser("suite", parents=[common],
+    p_suite = sub.add_parser("suite", parents=oracles,
                              help="equivalence + implication ledger over a corpus")
+    p_suite.add_argument("--out", choices=("json", "table"), default="json")
     p_suite.add_argument("--corpus", help="directory of graph files (default: built-in corpus)")
     p_suite.add_argument("--max-n", type=int, default=4, dest="max_n",
                          help="built-in corpus bound (connected graphs up to this order)")
     p_suite.add_argument("--k", default="1,2,3", help="comma-separated k values")
-    p_suite.add_argument("--workers", type=int, default=1)
+    p_suite.add_argument("--workers", type=int, default=1,
+                         help="worker processes (at most one per task and per CPU)")
     p_suite.add_argument("--sample", type=float, default=None,
                          help="keep each task with this probability (uses --seed)")
+    p_suite.add_argument("--seed", type=int, default=0, help="seed for --sample")
     p_suite.set_defaults(handler=_cmd_suite)
 
     return parser

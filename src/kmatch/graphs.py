@@ -103,17 +103,6 @@ class Graph:
         return Graph(vs, es)
 
 
-def canonical_edges(vertices: tuple[Vertex, ...], edges: Iterable[tuple[Vertex, Vertex]]) -> tuple[Edge, ...]:
-    """Sort edge endpoints and the edge list by vertex position."""
-    pos = {v: i for i, v in enumerate(vertices)}
-    keyed = []
-    for u, v in edges:
-        iu, iv = pos[u], pos[v]
-        keyed.append(((iu, iv) if iu < iv else (iv, iu), (u, v) if iu < iv else (v, u)))
-    keyed.sort(key=lambda t: t[0])
-    return tuple(e for _, e in keyed)
-
-
 def make_graph(vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]) -> Graph:
     """Validate raw vertex/edge data and return the canonical Graph.
 
@@ -126,19 +115,19 @@ def make_graph(vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]
         if v in pos:
             raise InvariantViolation(f"repeated vertex label {v!r}")
         pos[v] = len(pos)
-    seen: set[tuple[int, int]] = set()
-    raw = []
+    # position key -> edge with its endpoints in vertex order
+    by_key: dict[tuple[int, int], Edge] = {}
     for u, v in edges:
         if u not in pos or v not in pos:
             raise InvariantViolation(f"edge ({u!r}, {v!r}) has a dangling endpoint")
         if u == v:
             raise InvariantViolation(f"loop at {u!r}")
-        key = (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-        if key in seen:
+        iu, iv = pos[u], pos[v]
+        key, e = ((iu, iv), (u, v)) if iu < iv else ((iv, iu), (v, u))
+        if key in by_key:
             raise InvariantViolation(f"duplicate edge ({u!r}, {v!r})")
-        seen.add(key)
-        raw.append((u, v))
-    return Graph(vs, canonical_edges(vs, raw))
+        by_key[key] = e
+    return Graph(vs, tuple(by_key[key] for key in sorted(by_key)))
 
 
 def build_named(family: str, n: int) -> Graph:

@@ -560,9 +560,7 @@ def max_k_matching(
     return report(optimum, final, True, spent)
 
 
-def enumerate_k_matchings(
-    g: Graph, k: int, max_edges: int = ENUM_MAX_EDGES
-) -> Iterator[tuple[Edge, ...]]:
+def enumerate_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
     """All valid k-matchings of g, the empty one included.
 
     Emitted in include-first order over the canonical edge list (supersets
@@ -571,9 +569,9 @@ def enumerate_k_matchings(
     exponential.
     """
     check_k(k)
-    if g.m > max_edges:
+    if g.m > ENUM_MAX_EDGES:
         raise SizeLimitExceeded(
-            f"enumeration supports at most {max_edges} edges, graph has {g.m}"
+            f"enumeration supports at most {ENUM_MAX_EDGES} edges, graph has {g.m}"
         )
     idx = g.index
     edges = [(idx[u], idx[v]) for u, v in g.edges]
@@ -613,8 +611,8 @@ def enumerate_k_matchings(
     yield from walk(0)
 
 
-def maximum_k_matchings(g: Graph, k: int, max_edges: int = ENUM_MAX_EDGES) -> tuple[tuple[Edge, ...], ...]:
+def maximum_k_matchings(g: Graph, k: int) -> tuple[tuple[Edge, ...], ...]:
     """Every maximum k-matching, by exhaustive enumeration (small graphs)."""
-    all_of_them = list(enumerate_k_matchings(g, k, max_edges=max_edges))
+    all_of_them = list(enumerate_k_matchings(g, k))
     best = max(len(m) for m in all_of_them)
     return tuple(m for m in all_of_them if len(m) == best)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ItemNotInProduct, UnknownAnchor, UnsupportedKind
-from .graphs import Edge, Graph, Vertex
+from .graphs import Graph, Vertex
 
 KINDS = ("cartesian", "strong", "direct", "lex")
 
@@ -90,8 +90,11 @@ def project(p: ProductGraph, side: str, item) -> tuple[str, object]:
     """Project a product vertex or edge onto one factor.
 
     Returns a tagged pair: ("vertex", v) for a vertex, and for an edge
-    either ("edge", e) when the endpoints separate on that side or
-    ("collapsed", v) when the edge shrinks to the single vertex v.
+    ("edge", e) when the endpoints separate onto the factor edge e,
+    ("collapsed", v) when the edge shrinks to the single vertex v, or
+    ("non_edge", (c, d)) when they separate onto two factor vertices
+    that are not adjacent, in factor vertex order. Only the right side
+    of a lex product edge can be a non-edge.
     """
     assert side in ("left", "right")
     coord = 0 if side == "left" else 1
@@ -109,7 +112,8 @@ def project(p: ProductGraph, side: str, item) -> tuple[str, object]:
     if a == b:
         return ("collapsed", a)
     fe = factor.edge_between(a, b)
-    assert fe is not None, "product edge projects outside the factor"
+    if fe is None:
+        return ("non_edge", (a, b) if factor.index[a] < factor.index[b] else (b, a))
     return ("edge", fe)
 
 
@@ -147,11 +151,3 @@ def classify_edge(p: ProductGraph, e: tuple[Vertex, Vertex]) -> str:
     # both coordinates equal would be a loop, which simple graphs exclude.
     assert a != b or c != d
     return "cartesian" if (a == b or c == d) else "non_cartesian"
-
-
-def product_edge(p: ProductGraph, u: Vertex, v: Vertex) -> Edge:
-    """Canonical product edge {u, v}; raises if absent."""
-    e = p.graph.edge_between(u, v)
-    if e is None:
-        raise ItemNotInProduct(f"({u!r}, {v!r}) is not an edge of the product")
-    return e

@@ -19,35 +19,19 @@ bounded enumeration walks it exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EdgeNotInFactor, EdgeNotInProduct, SizeLimitExceeded
 from .graphs import Edge, Graph
 from .matchings import (
     DEFAULT_NODE_BUDGET,
+    ENUM_MAX_EDGES,
     OracleReport,
     canonical_matching,
     enumerate_k_matchings,
     max_k_matching,
 )
 from .products import ProductGraph
-
-WHP_ENUM_MAX_EDGES = 20
-
-
-@dataclass(frozen=True)
-class WhpUniverse:
-    """The product edges compatible with (m_g, m_h), as a host graph."""
-
-    product: ProductGraph
-    m_g: tuple[Edge, ...]
-    m_h: tuple[Edge, ...]
-    edges: tuple[Edge, ...]
-
-    @property
-    def graph(self) -> Graph:
-        return Graph(self.product.graph.vertices, self.edges)
 
 
 def _edge_allowed(p: ProductGraph, e: Edge, mg_set: frozenset, mh_set: frozenset) -> bool:
@@ -81,36 +65,35 @@ def is_whp(p: ProductGraph, m, m_g, m_h) -> tuple[bool, Edge | None]:
     return True, None
 
 
-def allowed_edges(p: ProductGraph, m_g, m_h) -> WhpUniverse:
-    """Filter the product's edges down to the preserving ones.
+def allowed_edges(p: ProductGraph, m_g, m_h) -> Graph:
+    """The product's vertices with only its preserving edges.
 
     On the direct product the result is exactly the diagonals of
     (m_g, m_h): both coordinates move on every edge, so both must be
     matched pairs.
     """
-    mg = canonical_matching(p.left, m_g, error=EdgeNotInFactor)
-    mh = canonical_matching(p.right, m_h, error=EdgeNotInFactor)
-    mg_set, mh_set = frozenset(mg), frozenset(mh)
-    edges = tuple(e for e in p.graph.edges if _edge_allowed(p, e, mg_set, mh_set))
-    return WhpUniverse(product=p, m_g=mg, m_h=mh, edges=edges)
+    mg = frozenset(canonical_matching(p.left, m_g, error=EdgeNotInFactor))
+    mh = frozenset(canonical_matching(p.right, m_h, error=EdgeNotInFactor))
+    edges = tuple(e for e in p.graph.edges if _edge_allowed(p, e, mg, mh))
+    return Graph(p.graph.vertices, edges)
 
 
 def max_whp_k_matching(
     p: ProductGraph, m_g, m_h, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleReport:
     """Exact maximum-size element of W_k(G*H, m_g, m_h)."""
-    universe = allowed_edges(p, m_g, m_h)
-    return max_k_matching(universe.graph, k, budget=budget)
+    return max_k_matching(allowed_edges(p, m_g, m_h), k, budget=budget)
 
 
-def enumerate_whp_k_matchings(
-    p: ProductGraph, m_g, m_h, k: int, max_edges: int = WHP_ENUM_MAX_EDGES
-) -> Iterator[tuple[Edge, ...]]:
-    """All of W_k, only offered while the allowed universe stays small."""
+def enumerate_whp_k_matchings(p: ProductGraph, m_g, m_h, k: int) -> Iterator[tuple[Edge, ...]]:
+    """All of W_k, only offered while the allowed universe stays small.
+
+    The size check runs at the call, not at the first item.
+    """
     universe = allowed_edges(p, m_g, m_h)
-    if len(universe.edges) > max_edges:
+    if universe.m > ENUM_MAX_EDGES:
         raise SizeLimitExceeded(
-            f"W_k enumeration supports at most {max_edges} allowed edges, "
-            f"got {len(universe.edges)}"
+            f"W_k enumeration supports at most {ENUM_MAX_EDGES} allowed edges, "
+            f"got {universe.m}"
         )
-    return enumerate_k_matchings(universe.graph, k, max_edges=max_edges)
+    return enumerate_k_matchings(universe, k)

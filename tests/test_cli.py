@@ -283,6 +283,42 @@ def test_suite_sample_outside_unit_interval(capsys, sample):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_suite_workers_below_one(capsys, workers):
+    code, out, err = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1", "--workers", workers])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: --workers must be at least 1") and err.count("\n") == 1
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(64, [4]), (3, [3]), (1, []), (None, [])])
+def test_suite_pool_is_capped_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
+    monkeypatch.setattr("kmatch.cli.Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr("kmatch.cli.os.cpu_count", lambda: cpus)
+    code, out, _ = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1", "--workers", "100000"])
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"]["tasks"] == 4
+    assert RecordingPool.sizes == sizes
+
+
 def test_suite_bad_k_list(capsys):
     code, _, err = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1,x"])
     assert code == EXIT_INPUT
@@ -403,6 +439,47 @@ def test_invalid_k_value(capsys, files):
     code, _, err = run_cli(capsys, ["solve", "--graph", files["p3"], "--k", "0"])
     assert code == EXIT_INPUT
     assert err.startswith("error:")
+
+
+# options a subcommand does not read ------------------------------------------------
+
+
+def valid_invocation(command, files):
+    return {
+        "product": ["product", "--kind", "cartesian", "--left", files["k2"], "--right", files["p3"]],
+        "construct": ["construct", "--kind", "boxast", "--product", "cartesian",
+                      "--left", files["k2"], "--right", files["p3"],
+                      "--mg", files["m01"], "--mh", files["m01"]],
+        "solve": ["solve", "--graph", files["p3"], "--k", "1"],
+        "wellbehaved": ["wellbehaved", "--left", files["k2"], "--right", files["p3"],
+                        "--star", "cartesian", "--k", "1"],
+        "whp": ["whp", "--product", "direct", "--left", files["k2"], "--right", files["p3"],
+                "--mg", files["m01"], "--mh", files["m01"], "--k", "1", "--max"],
+        "scenario": ["scenario", "c6-direct"],
+        "suite": ["suite", "--max-n", "2", "--k", "1"],
+    }[command]
+
+
+UNREAD = {
+    "product": (["--budget", "5"], ["--strict"], ["--seed", "3"]),
+    "construct": (["--out", "table"], ["--budget", "5"], ["--strict"], ["--seed", "3"]),
+    "solve": (["--out", "table"], ["--seed", "3"]),
+    "wellbehaved": (["--out", "table"], ["--seed", "3"]),
+    "whp": (["--out", "table"], ["--seed", "3"]),
+    "scenario": (["--strict"], ["--seed", "3"], ["--out", "dot"]),
+    "suite": (["--out", "dot"],),
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in UNREAD.items() for option in options
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_options_a_subcommand_does_not_read_are_refused(capsys, files, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*valid_invocation(command, files), *option])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT and out == ""
+    assert option[0] in err.splitlines()[-1]
 
 
 # byte-level determinism over the real entry point --------------------------------

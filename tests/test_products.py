@@ -13,7 +13,6 @@ from kmatch.products import (
     classify_edge,
     layer,
     product,
-    product_edge,
     project,
 )
 
@@ -123,6 +122,30 @@ def test_project_vertex_and_edge():
         project(p, "left", ((0, 0), (1, 2)))
 
 
+def test_project_lex_edges_onto_both_factors():
+    # the right coordinates of a lex edge may be two non-adjacent vertices
+    graphs = connected_graphs_upto(4)
+    non_edges = 0
+    for g in graphs:
+        for h in graphs:
+            p = product(g, h, "lex")
+            for e in p.graph.edges:
+                for side, coord, factor in (("left", 0, g), ("right", 1, h)):
+                    a, b = e[0][coord], e[1][coord]
+                    fe = factor.edge_between(a, b)
+                    if a == b:
+                        expected = ("collapsed", a)
+                    elif fe is not None:
+                        expected = ("edge", fe)
+                    else:
+                        assert side == "right", e
+                        pair = (a, b) if factor.index[a] < factor.index[b] else (b, a)
+                        expected = ("non_edge", pair)
+                        non_edges += 1
+                    assert project(p, side, e) == expected, (side, e)
+    assert non_edges > 0
+
+
 def test_classify_edge_split():
     p = product(build_named("path", 2), build_named("path", 2), "strong")
     kinds = {e: classify_edge(p, e) for e in p.graph.edges}
@@ -130,14 +153,6 @@ def test_classify_edge_split():
     assert sorted(kinds.values()).count("non_cartesian") == 2
     with pytest.raises(ItemNotInProduct):
         classify_edge(p, ((0, 0), (9, 9)))
-
-
-def test_product_edge_lookup():
-    p = product(build_named("path", 2), build_named("path", 2), "cartesian")
-    e = product_edge(p, (1, 0), (0, 0))
-    assert e == ((0, 0), (1, 0))
-    with pytest.raises(ItemNotInProduct):
-        product_edge(p, (0, 0), (1, 1))
 
 
 def test_direct_product_of_bipartite_disconnects():
