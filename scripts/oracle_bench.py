@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from kmatch.graphs import build_named
 from kmatch.matchings import DEFAULT_NODE_BUDGET, max_k_matching
@@ -35,19 +34,12 @@ INSTANCES = (
 )
 
 
-@dataclass
-class BenchConfig:
-    budget: int = DEFAULT_NODE_BUDGET
-    witness: bool = True
-    repeat: int = 1
-
-
 def parse_named(spec: str):
     family, _, arg = spec.partition("(")
     return build_named(family, int(arg.rstrip(")")))
 
 
-def bench(cfg: BenchConfig) -> int:
+def bench(budget: int, witness: bool, repeat: int) -> int:
     print(f"{'instance':<36} {'k':>2} {'n':>4} {'m':>5} {'build':>8} {'size':>5} "
           f"{'nodes':>9} {'time':>8} {'exhaustive':>10}")
     worst = 0.0
@@ -58,9 +50,9 @@ def bench(cfg: BenchConfig) -> int:
         p = product(g, h, star)
         build = time.perf_counter() - started
         best = None
-        for _ in range(cfg.repeat):
+        for _ in range(repeat):
             started = time.perf_counter()
-            report = max_k_matching(p.graph, k, budget=cfg.budget, witness=cfg.witness)
+            report = max_k_matching(p.graph, k, budget=budget, witness=witness)
             elapsed = time.perf_counter() - started
             if best is None or elapsed < best[1]:
                 best = (report, elapsed)
@@ -70,7 +62,7 @@ def bench(cfg: BenchConfig) -> int:
         print(f"{name:<36} {k:>2} {p.graph.n:>4} {p.graph.m:>5} {build:>7.3f}s {report.size:>5} "
               f"{report.nodes:>9} {elapsed:>7.3f}s {str(report.exhaustive):>10}")
     print(f"slowest query: {worst:.3f}s "
-          f"(budget {cfg.budget}, witness {cfg.witness})")
+          f"(budget {budget}, witness {witness})")
     return 0
 
 
@@ -82,9 +74,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=1,
                         help="run each query this many times, keep the fastest")
     args = parser.parse_args(argv)
-    cfg = BenchConfig(budget=args.budget, witness=not args.no_witness,
-                      repeat=max(1, args.repeat))
-    return bench(cfg)
+    return bench(args.budget, not args.no_witness, max(1, args.repeat))
 
 
 if __name__ == "__main__":

@@ -15,19 +15,14 @@ import sys
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+from kmatch.cli import parse_k_list
 from kmatch.constructions import PRODUCT_KINDS
 from kmatch.corpus import connected_graphs_upto, corpus_names
+from kmatch.errors import KmatchError
 from kmatch.matchings import DEFAULT_NODE_BUDGET
 from kmatch.wellbehaved import CHECKERS
 
-
-@dataclass
-class CensusConfig:
-    max_n: int = 4
-    ks: tuple[int, ...] = (1, 2, 3)
-    flavors: tuple[str, ...] = ("boxast", "circledast", "ast")
-    budget: int = DEFAULT_NODE_BUDGET
-    list_false: bool = False
+FLAVORS = ("boxast", "circledast", "ast")
 
 
 @dataclass
@@ -38,17 +33,19 @@ class Tally:
     false_pairs: list = field(default_factory=list)
 
 
-def run_census(cfg: CensusConfig) -> dict[tuple[str, str, int], Tally]:
-    graphs = list(connected_graphs_upto(cfg.max_n))
+def run_census(
+    max_n: int, ks: list[int], flavors: tuple[str, ...], budget: int
+) -> dict[tuple[str, str, int], Tally]:
+    graphs = list(connected_graphs_upto(max_n))
     corpus = list(zip(corpus_names(graphs), graphs))
     tallies: dict[tuple[str, str, int], Tally] = {}
-    for flavor in cfg.flavors:
+    for flavor in flavors:
         check = CHECKERS[flavor]
         for star in PRODUCT_KINDS[flavor]:
-            for k in cfg.ks:
+            for k in ks:
                 tally = tallies.setdefault((flavor, star, k), Tally())
                 for (gn, g), (hn, h) in iproduct(corpus, corpus):
-                    report = check(g, h, star, k, budget=cfg.budget)
+                    report = check(g, h, star, k, budget=budget)
                     if report.verdict is True:
                         tally.true += 1
                     elif report.verdict is False:
@@ -68,21 +65,19 @@ def main(argv=None) -> int:
     parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     parser.add_argument("--list-false", action="store_true", dest="list_false")
     args = parser.parse_args(argv)
-
-    cfg = CensusConfig(
-        max_n=args.max_n,
-        ks=tuple(int(tok) for tok in args.k.split(",") if tok.strip()),
-        flavors=tuple(args.flavor) if args.flavor else ("boxast", "circledast", "ast"),
-        budget=args.budget,
-        list_false=args.list_false,
-    )
-    tallies = run_census(cfg)
+    # bad input, such as no graph or no k (a census that checks nothing),
+    # exits 2 with one line, as in `kmatch suite`.
+    try:
+        tallies = run_census(args.max_n, parse_k_list(args.k), args.flavor or FLAVORS, args.budget)
+    except KmatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{'flavor':<12} {'star':<10} {'k':>2} {'true':>6} {'false':>6} {'unknown':>8}")
     for (flavor, star, k), tally in tallies.items():
         print(f"{flavor:<12} {star:<10} {k:>2} {tally.true:>6} {tally.false:>6} "
               f"{tally.unknown:>8}")
-        if cfg.list_false and tally.false_pairs:
+        if args.list_false and tally.false_pairs:
             shown = ", ".join(f"{a}|{b}" for a, b in tally.false_pairs[:12])
             more = "" if len(tally.false_pairs) <= 12 else f" (+{len(tally.false_pairs) - 12})"
             print(f"  false: {shown}{more}")

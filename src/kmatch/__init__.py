@@ -13,7 +13,6 @@ from .constructions import (
     ast,
     boxast,
     circledast,
-    classify_construction,
     predicted_size,
     predicted_size_for,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "check_boxast",
     "check_circledast",
     "circledast",
-    "classify_construction",
     "classify_edge",
     "classify_matching",
     "connected_graphs",

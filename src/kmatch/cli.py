@@ -2,7 +2,11 @@
 
 Subcommands: product, construct, solve, wellbehaved, whp, scenario,
 suite. Each subcommand accepts only the options its handler reads, so
-an option it would ignore is refused with exit code 2. Machine output is
+an option it would ignore is refused with exit code 2; so is an option
+that only another mode of the subcommand reads (such an option defaults
+to None). A mode is picked by a value, never by a flag: wellbehaved's
+--flavor includes the equivalence suite, whp always reports the W_k
+maximum, and a scenario without a name lists them. Machine output is
 canonical JSON (sorted keys, two-space indent, a trailing newline) so
 repeated runs are byte-identical; the library's report dataclasses are
 printed field for field, and wall-clock timings never enter JSON
@@ -25,11 +29,15 @@ from .constructions import CONSTRUCTORS, predicted_size_for
 from .corpus import connected_graphs_upto, corpus_names, load_corpus_dir
 from .errors import InconsistentInputs, InvalidParameter, KmatchError
 from .graphs import Graph, graph_to_json_obj, parse_edge_pairs, parse_graph, to_dot
-from .matchings import DEFAULT_NODE_BUDGET, enumerate_k_matchings, max_k_matching
+from .matchings import DEFAULT_NODE_BUDGET, check_k, enumerate_k_matchings, max_k_matching
 from .products import KINDS, product
 from .scenarios import SCENARIOS, run_scenario
 from .weakhom import allowed_edges, enumerate_whp_k_matchings, max_whp_k_matching
 from .wellbehaved import CHECKERS, equivalence_suite
+
+# wellbehaved --flavor: the three checkers, then the equivalence suite
+DECIDERS = {**CHECKERS, "equivalence": equivalence_suite}
+DEFAULT_MAX_N = 4
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -66,6 +74,27 @@ def _load_matching(path: str, factor: Graph):
     return parse_edge_pairs(text, factor)
 
 
+def _refuse_unread(args, dests: tuple[str, ...], mode: str) -> None:
+    """Refuse a passed option that the chosen mode does not read; such an
+    option defaults to None, so passing it is what makes it non-None."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise InvalidParameter(f"--{dest.replace('_', '-')} is not read {mode}")
+
+
+def parse_k_list(text: str) -> list[int]:
+    """The k values of a comma-separated list, each once, in first-seen order."""
+    try:
+        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise KmatchError(f"bad --k list {text!r}") from exc
+    if not ks:
+        raise InvalidParameter(f"--k lists no k: {text!r}")
+    for k in ks:
+        check_k(k)
+    return list(dict.fromkeys(ks))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -95,15 +124,16 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    options = {}
+    if args.kind == "boxast":
+        options = {"orientation": args.orientation or "gh", "normalize": not args.no_normalize}
+    else:
+        _refuse_unread(args, ("orientation", "no_normalize"), f"with --kind {args.kind}")
     g = _load_graph(args.left)
     h = _load_graph(args.right)
     p = product(g, h, args.product)
-    build = CONSTRUCTORS[args.kind]
-    if args.kind == "boxast":
-        result = build(p, _load_matching(args.mg, g), _load_matching(args.mh, h),
-                       orientation=args.orientation, normalize=not args.no_normalize)
-    else:
-        result = build(p, _load_matching(args.mg, g), _load_matching(args.mh, h))
+    m_g, m_h = _load_matching(args.mg, g), _load_matching(args.mh, h)
+    result = CONSTRUCTORS[args.kind](p, m_g, m_h, **options)
     cls = result.classification
     try:
         predicted = predicted_size_for(result)
@@ -144,8 +174,7 @@ def _cmd_solve(args) -> int:
 def _cmd_wellbehaved(args) -> int:
     g = _load_graph(args.left)
     h = _load_graph(args.right)
-    decide = equivalence_suite if args.equivalence else CHECKERS[args.flavor]
-    rep = decide(g, h, args.star, args.k, budget=args.budget)
+    rep = DECIDERS[args.flavor](g, h, args.star, args.k, budget=args.budget)
     return _print_report(asdict(rep), rep.exhaustive, args.strict)
 
 
@@ -156,23 +185,24 @@ def _cmd_whp(args) -> int:
     m_g = _load_matching(args.mg, g)
     m_h = _load_matching(args.mh, h)
     universe = allowed_edges(p, m_g, m_h)
+    report = max_whp_k_matching(p, m_g, m_h, args.k, budget=args.budget)
     payload = {
         "product_kind": p.kind,
         "universe": {"size": universe.m, "edges": list(universe.edges)},
+        "maximum": asdict(report),
     }
-    exhausted = True
-    if args.max:
-        report = max_whp_k_matching(p, m_g, m_h, args.k, budget=args.budget)
-        payload["maximum"] = asdict(report)
-        exhausted = report.exhaustive
     if args.enumerate:
         members = list(enumerate_whp_k_matchings(p, m_g, m_h, args.k))
         payload["enumeration"] = {"count": len(members)}
-    return _print_report(payload, exhausted, args.strict)
+    return _print_report(payload, report.exhaustive, args.strict)
 
 
 def _cmd_scenario(args) -> int:
-    if args.list:
+    if args.name is None:
+        if args.out == "table":
+            for name, spec in sorted(SCENARIOS.items()):
+                _print(f"{name:<16} {spec.description}\n")
+            return EXIT_OK
         payload = {
             name: {
                 "description": spec.description,
@@ -185,7 +215,7 @@ def _cmd_scenario(args) -> int:
         }
         _print(canonical_json(payload))
         return EXIT_OK
-    names = sorted(SCENARIOS) if args.name in (None, "all") else [args.name]
+    names = sorted(SCENARIOS) if args.name == "all" else [args.name]
     reports = [run_scenario(name, budget=args.budget) for name in names]
     if args.out == "table":
         for rep in reports:
@@ -248,19 +278,22 @@ def _suite_row(task) -> dict:
 
 
 def _cmd_suite(args) -> int:
-    if args.sample is not None and not 0.0 <= args.sample <= 1.0:
+    if args.corpus:
+        _refuse_unread(args, ("max_n",), "with --corpus")
+    if args.sample is None:
+        _refuse_unread(args, ("seed",), "without --sample")
+    elif not 0.0 <= args.sample <= 1.0:
         raise InvalidParameter(f"--sample must be a probability in [0, 1], got {args.sample}")
     if args.workers < 1:
         raise InvalidParameter(f"--workers must be at least 1, got {args.workers}")
+    # an empty corpus or k list is refused here, so only --sample can
+    # leave the sweep without tasks.
     if args.corpus:
         named = list(load_corpus_dir(args.corpus))
     else:
-        graphs = connected_graphs_upto(args.max_n)
+        graphs = connected_graphs_upto(DEFAULT_MAX_N if args.max_n is None else args.max_n)
         named = list(zip(corpus_names(graphs), graphs))
-    try:
-        ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise KmatchError(f"bad --k list {args.k!r}") from exc
+    ks = parse_k_list(args.k)
     tasks = [
         (ln, lg, rn, rg, k, args.budget)
         for ln, lg in named
@@ -268,7 +301,7 @@ def _cmd_suite(args) -> int:
         for k in ks
     ]
     if args.sample is not None:
-        rng = Random(args.seed)
+        rng = Random(args.seed or 0)
         tasks = [t for t in tasks if rng.random() < args.sample]
     workers = min(args.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -340,9 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--right", required=True)
     p_con.add_argument("--mg", required=True, help="left factor matching file")
     p_con.add_argument("--mh", required=True, help="right factor matching file")
-    p_con.add_argument("--orientation", choices=("gh", "hg"), default="gh")
-    p_con.add_argument("--no-normalize", action="store_true",
-                       help="keep the secondary matching even when the primary is perfect")
+    p_con.add_argument("--orientation", choices=("gh", "hg"), default=None,
+                       help="boxast only: which factor's matching is copied (default gh)")
+    p_con.add_argument("--no-normalize", action="store_true", default=None,
+                       help="boxast only: keep the secondary matching even when the "
+                       "primary is perfect")
     p_con.set_defaults(handler=_cmd_construct)
 
     p_solve = sub.add_parser("solve", parents=oracles, help="exact maximum k-matching")
@@ -354,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wb = sub.add_parser("wellbehaved", parents=oracles,
                           help="decide whether m_k of a product is attained by a construction")
-    p_wb.add_argument("--flavor", choices=("boxast", "ast", "circledast"), default="boxast")
+    p_wb.add_argument("--flavor", choices=DECIDERS, default="boxast",
+                      help="the construction to decide, or 'equivalence' for the "
+                      "seven-condition equivalence suite")
     p_wb.add_argument("--left", required=True)
     p_wb.add_argument("--right", required=True)
     p_wb.add_argument("--star", choices=KINDS, required=True)
     p_wb.add_argument("--k", type=int, required=True)
-    p_wb.add_argument("--equivalence", action="store_true",
-                      help="run the seven-condition equivalence suite instead")
     p_wb.set_defaults(handler=_cmd_wellbehaved)
 
     p_whp = sub.add_parser("whp", parents=oracles,
@@ -371,28 +406,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_whp.add_argument("--mg", required=True)
     p_whp.add_argument("--mh", required=True)
     p_whp.add_argument("--k", type=int, required=True)
-    p_whp.add_argument("--max", action="store_true", help="compute the maximum member")
     p_whp.add_argument("--enumerate", action="store_true", help="count all members (bounded)")
     p_whp.set_defaults(handler=_cmd_whp)
 
     p_scen = sub.add_parser("scenario", parents=[budget], help="run a bundled worked example")
     p_scen.add_argument("--out", choices=("json", "table"), default="json")
-    p_scen.add_argument("name", nargs="?", help="scenario name, or 'all'")
-    p_scen.add_argument("--list", action="store_true", help="list available scenarios")
+    p_scen.add_argument("name", nargs="?",
+                        help="scenario name, or 'all'; without one, list the scenarios")
     p_scen.set_defaults(handler=_cmd_scenario)
 
     p_suite = sub.add_parser("suite", parents=oracles,
                              help="equivalence + implication ledger over a corpus")
     p_suite.add_argument("--out", choices=("json", "table"), default="json")
     p_suite.add_argument("--corpus", help="directory of graph files (default: built-in corpus)")
-    p_suite.add_argument("--max-n", type=int, default=4, dest="max_n",
-                         help="built-in corpus bound (connected graphs up to this order)")
+    p_suite.add_argument("--max-n", type=int, default=None, dest="max_n",
+                         help="built-in corpus bound: connected graphs up to this order "
+                         f"(default {DEFAULT_MAX_N})")
     p_suite.add_argument("--k", default="1,2,3", help="comma-separated k values")
     p_suite.add_argument("--workers", type=int, default=1,
                          help="worker processes (at most one per task and per CPU)")
     p_suite.add_argument("--sample", type=float, default=None,
                          help="keep each task with this probability (uses --seed)")
-    p_suite.add_argument("--seed", type=int, default=0, help="seed for --sample")
+    p_suite.add_argument("--seed", type=int, default=None, help="seed for --sample (default 0)")
     p_suite.set_defaults(handler=_cmd_suite)
 
     return parser
@@ -401,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "scenario" and not args.list and args.name is None:
-        args.list = True
     try:
         return args.handler(args)
     except KmatchError as exc:

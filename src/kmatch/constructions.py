@@ -193,20 +193,6 @@ def _classify(
     return Classification(False, None, None, "none")
 
 
-def classify_construction(
-    kind: str, p: ProductGraph, m_g, m_h, orientation: str = "gh"
-) -> Classification:
-    """Predict, from the factors alone, whether the construction is a
-    k-matching of the product, and under which condition."""
-    if orientation not in ("gh", "hg"):
-        raise InvalidParameter(f"orientation must be gh or hg, got {orientation!r}")
-    gs, hs = _factor_profiles(p, m_g, m_h)
-    if kind not in PRODUCT_KINDS:
-        raise InvalidParameter(f"unknown construction kind {kind!r}")
-    _require_kind(kind, p)
-    return _classify(kind, gs, hs, orientation)
-
-
 # the constructions ----------------------------------------------------------
 #
 # Each one profiles its factor sets once and profiles the union of its raw
@@ -343,36 +329,29 @@ def predicted_size(
 ) -> int:
     """Closed-form size of a valid construction from factor summaries.
 
-    boxast and circledast cover n_g*n_h - u_g*u_h vertex pairs k/2 times
-    each; ast pairs every matched edge with every matched edge twice. The
-    factor summaries must satisfy the counting identity k(n-u)/2 = |m| on
-    both sides or the request is refused as inconsistent.
+    boxast (a k-matching) and circledast (a k_G k_H-matching) give each of
+    the n_g*n_h - u_g*u_h covered vertex pairs that many edge ends; ast
+    pairs every matched edge with every matched edge twice. Each factor
+    summary must satisfy the counting identity k(n-u)/2 = |m| with its own
+    k, which is k_G = k_H = k for boxast, or the request is refused as
+    inconsistent.
     """
+    if kind not in PRODUCT_KINDS:
+        raise InvalidParameter(f"unknown construction kind {kind!r}")
     if kind == "boxast":
         if k is None:
             raise InvalidParameter("boxast prediction needs k")
-        _check_factor(k, n_g, u_g, size_g, "left")
-        _check_factor(k, n_h, u_h, size_h, "right")
-        total = k * (n_g * n_h - u_g * u_h)
-        assert total % 2 == 0
-        return total // 2
+        factor_ks = (k, k)
+    elif factor_ks is None:
+        raise InvalidParameter(f"{kind} prediction needs (k_G, k_H)")
+    k_g, k_h = factor_ks
+    _check_factor(k_g, n_g, u_g, size_g, "left")
+    _check_factor(k_h, n_h, u_h, size_h, "right")
     if kind == "ast":
-        if factor_ks is None:
-            raise InvalidParameter("ast prediction needs (k_G, k_H)")
-        k_g, k_h = factor_ks
-        _check_factor(k_g, n_g, u_g, size_g, "left")
-        _check_factor(k_h, n_h, u_h, size_h, "right")
         return 2 * size_g * size_h
-    if kind == "circledast":
-        if factor_ks is None:
-            raise InvalidParameter("circledast prediction needs (k_G, k_H)")
-        k_g, k_h = factor_ks
-        _check_factor(k_g, n_g, u_g, size_g, "left")
-        _check_factor(k_h, n_h, u_h, size_h, "right")
-        total = k_g * k_h * (n_g * n_h - u_g * u_h)
-        assert total % 2 == 0
-        return total // 2
-    raise InvalidParameter(f"unknown construction kind {kind!r}")
+    total = (k if kind == "boxast" else k_g * k_h) * (n_g * n_h - u_g * u_h)
+    assert total % 2 == 0
+    return total // 2
 
 
 def predicted_size_for(result: ConstructionResult) -> int | None:

@@ -44,6 +44,8 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 
 @lru_cache(maxsize=None)
 def connected_graphs_upto(max_n: int) -> tuple[Graph, ...]:
+    if max_n < 1:
+        raise CorpusError(f"the corpus needs at least one vertex, got a bound of {max_n}")
     out: list[Graph] = []
     for n in range(1, max_n + 1):
         out.extend(connected_graphs(n))
@@ -74,4 +76,6 @@ def load_corpus_dir(path: str | Path) -> tuple[tuple[str, Graph], ...]:
             out.append((file.name, parse_graph(file.read_text())))
         except (OSError, KmatchError) as exc:
             raise CorpusError(f"{file}: {exc}") from exc
+    if not out:
+        raise CorpusError(f"{root} holds no graph files ({', '.join(CORPUS_SUFFIXES)})")
     return tuple(out)

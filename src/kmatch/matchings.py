@@ -566,13 +566,18 @@ def enumerate_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
     Emitted in include-first order over the canonical edge list (supersets
     of earlier edges come first, the empty set last); the order is
     deterministic. Guarded by an edge-count bound since the output can be
-    exponential.
+    exponential; k and the bound are checked at the call, not at the first
+    item.
     """
     check_k(k)
     if g.m > ENUM_MAX_EDGES:
         raise SizeLimitExceeded(
             f"enumeration supports at most {ENUM_MAX_EDGES} edges, graph has {g.m}"
         )
+    return _walk_k_matchings(g, k)
+
+
+def _walk_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
     idx = g.index
     edges = [(idx[u], idx[v]) for u, v in g.edges]
     label_edges = g.edges

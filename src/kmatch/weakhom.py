@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import EdgeNotInFactor, EdgeNotInProduct, SizeLimitExceeded
+from .errors import EdgeNotInFactor, EdgeNotInProduct
 from .graphs import Edge, Graph
 from .matchings import (
     DEFAULT_NODE_BUDGET,
-    ENUM_MAX_EDGES,
     OracleReport,
     canonical_matching,
     enumerate_k_matchings,
@@ -34,33 +33,15 @@ from .matchings import (
 from .products import ProductGraph
 
 
-def _edge_allowed(p: ProductGraph, e: Edge, mg_set: frozenset, mh_set: frozenset) -> bool:
-    # A moving coordinate must project onto a matched factor edge.  On the
-    # lex product the right pair need not even be adjacent in the factor;
-    # edge_between then returns None and the edge is simply not allowed.
-    (a, c), (b, d) = e
-    if a != b:
-        fe = p.left.edge_between(a, b)
-        if fe is None or fe not in mg_set:
-            return False
-    if c != d:
-        fe = p.right.edge_between(c, d)
-        if fe is None or fe not in mh_set:
-            return False
-    return True
-
-
 def is_whp(p: ProductGraph, m, m_g, m_h) -> tuple[bool, Edge | None]:
     """Does every edge of m project into the factor data?
 
     Returns (True, None) or (False, first offending edge) in canonical
     order.
     """
-    mg = frozenset(canonical_matching(p.left, m_g, error=EdgeNotInFactor))
-    mh = frozenset(canonical_matching(p.right, m_h, error=EdgeNotInFactor))
-    edges = canonical_matching(p.graph, m, error=EdgeNotInProduct)
-    for e in edges:
-        if not _edge_allowed(p, e, mg, mh):
+    allowed = allowed_edges(p, m_g, m_h).edge_set
+    for e in canonical_matching(p.graph, m, error=EdgeNotInProduct):
+        if e not in allowed:
             return False, e
     return True, None
 
@@ -74,8 +55,17 @@ def allowed_edges(p: ProductGraph, m_g, m_h) -> Graph:
     """
     mg = frozenset(canonical_matching(p.left, m_g, error=EdgeNotInFactor))
     mh = frozenset(canonical_matching(p.right, m_h, error=EdgeNotInFactor))
-    edges = tuple(e for e in p.graph.edges if _edge_allowed(p, e, mg, mh))
-    return Graph(p.graph.vertices, edges)
+    # A moving coordinate must project onto a matched factor edge.  On the
+    # lex product the right pair need not even be adjacent in the factor;
+    # edge_between then returns None and the edge is simply not allowed.
+    edges = []
+    for e in p.graph.edges:
+        (a, c), (b, d) = e
+        if (a == b or p.left.edge_between(a, b) in mg) and (
+            c == d or p.right.edge_between(c, d) in mh
+        ):
+            edges.append(e)
+    return Graph(p.graph.vertices, tuple(edges))
 
 
 def max_whp_k_matching(
@@ -86,14 +76,6 @@ def max_whp_k_matching(
 
 
 def enumerate_whp_k_matchings(p: ProductGraph, m_g, m_h, k: int) -> Iterator[tuple[Edge, ...]]:
-    """All of W_k, only offered while the allowed universe stays small.
-
-    The size check runs at the call, not at the first item.
-    """
-    universe = allowed_edges(p, m_g, m_h)
-    if universe.m > ENUM_MAX_EDGES:
-        raise SizeLimitExceeded(
-            f"W_k enumeration supports at most {ENUM_MAX_EDGES} allowed edges, "
-            f"got {universe.m}"
-        )
-    return enumerate_k_matchings(universe, k)
+    """All of W_k, only offered while the allowed universe stays within
+    the enumeration bound; the size check runs at the call."""
+    return enumerate_k_matchings(allowed_edges(p, m_g, m_h), k)

@@ -109,6 +109,16 @@ def _report_numbers(r: OracleReport) -> dict:
     return {"size": r.size, "unmatched": r.unmatched, "witness": list(r.witness)}
 
 
+def _product_query(g: Graph, h: Graph, star: str, k: int, flavor: str, budget: int, mode: str):
+    """The product G*H and its oracle report, once k and the star are
+    checked against the flavor's product kinds."""
+    check_k(k)
+    if star not in PRODUCT_KINDS[flavor]:
+        raise UnsupportedKind(f"{flavor} flavor is undefined on the {star} product")
+    p = product(g, h, star)
+    return p, cached_query(p.graph, k, mode, budget)
+
+
 def check_boxast(
     g: Graph, h: Graph, star: str, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> WellBehavedReport:
@@ -119,13 +129,9 @@ def check_boxast(
     maximum factor matchings and the boxast built from them, in both
     orientations.
     """
-    check_k(k)
-    if star not in PRODUCT_KINDS["boxast"]:
-        raise UnsupportedKind(f"boxast flavor is undefined on the {star} product")
+    p, rp = _product_query(g, h, star, k, "boxast", budget, WITNESS)
     rg = cached_query(g, k, WITNESS, budget)
     rh = cached_query(h, k, WITNESS, budget)
-    p = product(g, h, star)
-    rp = cached_query(p.graph, k, WITNESS, budget)
     exhaustive = rg.exhaustive and rh.exhaustive and rp.exhaustive
     verdict = (rp.unmatched == rg.unmatched * rh.unmatched) if exhaustive else None
     gh = boxast(p, rg.witness, rh.witness, orientation="gh")
@@ -151,11 +157,7 @@ def check_circledast(
     M2.b, M3, M4 for a pair whose unmatched counts satisfy
     u_G u_H = u_k(G*H); the first hit becomes the evidence witness.
     """
-    check_k(k)
-    if star not in PRODUCT_KINDS["circledast"]:
-        raise UnsupportedKind(f"circledast flavor is undefined on the {star} product")
-    p = product(g, h, star)
-    rp = cached_query(p.graph, k, WITNESS, budget)
+    _, rp = _product_query(g, h, star, k, "circledast", budget, WITNESS)
 
     # candidate streams per regime: (tag, m_g, m_h, u_g, u_h) tuples
     def stream():
@@ -214,14 +216,10 @@ def check_ast(
     Tries every factor split k_G k_H = k in ascending k_G and compares
     m_k(G*H) with 2 m_{k_G}(G) m_{k_H}(H).
     """
-    check_k(k)
-    if star not in PRODUCT_KINDS["ast"]:
-        raise UnsupportedKind(f"ast flavor is undefined on the {star} product")
-    p = product(g, h, star)
-    rp = cached_query(p.graph, k, WITNESS, budget)
+    _, rp = _product_query(g, h, star, k, "ast", budget, WITNESS)
     attempts = []
     winner = None
-    all_settled = rp.exhaustive
+    all_settled = True
     for k_g, k_h in _divisor_splits(k):
         rg = cached_query(g, k_g, WITNESS, budget)
         rh = cached_query(h, k_h, WITNESS, budget)
@@ -239,20 +237,24 @@ def check_ast(
         )
         if settled and hit and winner is None:
             winner = {"k_g": k_g, "k_h": k_h, "m_g": list(rg.witness), "m_h": list(rh.witness)}
-        if not settled:
-            all_settled = False
-    if winner is not None:
-        verdict = True
-    elif all_settled:
-        verdict = False
-    else:
-        verdict = None
+        all_settled = all_settled and settled
+    verdict = True if winner is not None else False if all_settled else None
     evidence = {"product": _report_numbers(rp), "splits": attempts, "witness": winner}
-    exhaustive = all_settled
-    return WellBehavedReport("ast", star, k, verdict, evidence, exhaustive)
+    return WellBehavedReport("ast", star, k, verdict, evidence, all_settled)
 
 
 CHECKERS = {"boxast": check_boxast, "ast": check_ast, "circledast": check_circledast}
+
+# the seven characterizations of the boxast flavor, in equivalence_suite's order
+CONDITIONS = (
+    "definition",
+    "all-max-pairs-gh",
+    "all-max-pairs-hg",
+    "size-left-formula",
+    "size-right-formula",
+    "size-product-formula",
+    "unmatched-product",
+)
 
 
 def equivalence_suite(
@@ -270,13 +272,9 @@ def equivalence_suite(
     6. the product size formula in n and u.
     7. the unmatched-count identity.
     """
-    check_k(k)
-    if star not in PRODUCT_KINDS["boxast"]:
-        raise UnsupportedKind(f"the equivalence suite covers the boxast stars, not {star}")
+    p, rp = _product_query(g, h, star, k, "boxast", budget, SIZE)
     rg = cached_query(g, k, WITNESS, budget)
     rh = cached_query(h, k, WITNESS, budget)
-    p = product(g, h, star)
-    rp = cached_query(p.graph, k, SIZE, budget)
     exhaustive = rg.exhaustive and rh.exhaustive and rp.exhaustive
     numbers = {
         "left": {"n": g.n, "size": rg.size, "unmatched": rg.unmatched},
@@ -284,18 +282,7 @@ def equivalence_suite(
         "product": {"n": p.graph.n, "size": rp.size, "unmatched": rp.unmatched},
     }
     if not exhaustive:
-        conditions = {
-            name: None
-            for name in (
-                "definition",
-                "all-max-pairs-gh",
-                "all-max-pairs-hg",
-                "size-left-formula",
-                "size-right-formula",
-                "size-product-formula",
-                "unmatched-product",
-            )
-        }
+        conditions = dict.fromkeys(CONDITIONS)
         return EquivalenceReport(star, k, conditions, None, numbers, False)
 
     us_g, us_h = achievable_unmatched(g, k), achievable_unmatched(h, k)
@@ -310,14 +297,14 @@ def equivalence_suite(
                     return False
         return True
 
-    conditions = {
-        "definition": definition,
-        "all-max-pairs-gh": all_max_pairs("gh"),
-        "all-max-pairs-hg": all_max_pairs("hg"),
-        "size-left-formula": rp.size == rg.size * h.n + rh.size * rg.unmatched,
-        "size-right-formula": rp.size == rh.size * g.n + rg.size * rh.unmatched,
-        "size-product-formula": 2 * rp.size == k * (g.n * h.n - rg.unmatched * rh.unmatched),
-        "unmatched-product": rp.unmatched == rg.unmatched * rh.unmatched,
-    }
+    conditions = dict(zip(CONDITIONS, (
+        definition,
+        all_max_pairs("gh"),
+        all_max_pairs("hg"),
+        rp.size == rg.size * h.n + rh.size * rg.unmatched,
+        rp.size == rh.size * g.n + rg.size * rh.unmatched,
+        2 * rp.size == k * (g.n * h.n - rg.unmatched * rh.unmatched),
+        rp.unmatched == rg.unmatched * rh.unmatched,
+    )))
     agree = len(set(conditions.values())) == 1
     return EquivalenceReport(star, k, conditions, agree, numbers, True)

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kmatch.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
+from kmatch.scenarios import SCENARIOS
+from kmatch.wellbehaved import CONDITIONS
 
 
 @pytest.fixture
@@ -183,7 +185,7 @@ def test_wellbehaved_single_flavor(capsys, files):
 def test_wellbehaved_equivalence_suite(capsys, files):
     code, out, _ = run_cli(
         capsys,
-        ["wellbehaved", "--equivalence", "--left", files["s3"],
+        ["wellbehaved", "--flavor", "equivalence", "--left", files["s3"],
          "--right", files["p3"], "--star", "strong", "--k", "1"],
     )
     assert code == EXIT_OK
@@ -191,6 +193,17 @@ def test_wellbehaved_equivalence_suite(capsys, files):
     assert payload["agree"] is True
     assert len(payload["conditions"]) == 7
     assert all(v is not None for v in payload["conditions"].values())
+
+
+@pytest.mark.parametrize("budget", [None, "1"])
+def test_wellbehaved_flavor_equivalence_reports_the_seven_conditions(capsys, files, budget):
+    argv = ["wellbehaved", "--flavor", "equivalence", "--left", files["s3"],
+            "--right", files["p3"], "--star", "strong", "--k", "1"]
+    code, out, _ = run_cli(capsys, argv + (["--budget", budget] if budget else []))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert set(payload["conditions"]) == set(CONDITIONS)
+    assert payload["exhaustive"] is (budget is None)
 
 
 # whp ---------------------------------------------------------------------------
@@ -201,13 +214,22 @@ def test_whp_universe_and_members(capsys, files):
         capsys,
         ["whp", "--product", "direct", "--left", files["k2"], "--right", files["p3"],
          "--mg", files["m01"], "--mh", files["m01"], "--k", "1",
-         "--max", "--enumerate"],
+         "--enumerate"],
     )
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["universe"]["size"] == 2
     assert payload["maximum"]["size"] == 2
     assert payload["enumeration"]["count"] == 4
+
+
+def test_whp_reads_budget_and_strict_on_every_call(capsys, files):
+    argv = ["whp", "--product", "cartesian", "--left", files["p3"], "--right", files["p3"],
+            "--mg", files["m01"], "--mh", files["m01"], "--k", "1", "--budget", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK and json.loads(out)["maximum"]["exhaustive"] is False
+    code, out, _ = run_cli(capsys, [*argv, "--strict"])
+    assert code == EXIT_BUDGET and json.loads(out)["maximum"]["exhaustive"] is False
 
 
 # scenario ----------------------------------------------------------------------
@@ -219,6 +241,15 @@ def test_scenario_bare_invocation_lists(capsys):
     payload = json.loads(out)
     assert set(payload) == {"s3k3-perfect", "triple-product", "c6-direct", "k2p3-direct"}
     assert all("description" in entry for entry in payload.values())
+
+
+def test_scenario_table_listing_has_one_line_per_scenario(capsys):
+    code, out, _ = run_cli(capsys, ["scenario", "--out", "table"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == sorted(SCENARIOS)
+    for line, name in zip(lines, sorted(SCENARIOS)):
+        assert line.endswith(SCENARIOS[name].description)
 
 
 def test_scenario_all_passes(capsys):
@@ -319,6 +350,34 @@ def test_suite_pool_is_capped_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes
     assert RecordingPool.sizes == sizes
 
 
+def test_suite_runs_each_k_once_in_first_seen_order(capsys):
+    code, once, _ = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1"])
+    code_twice, twice, _ = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1,1"])
+    assert code == code_twice == EXIT_OK
+    assert twice == once
+    code, out, _ = run_cli(capsys, ["suite", "--max-n", "1", "--k", "2,1,2"])
+    assert code == EXIT_OK
+    assert [row["k"] for row in json.loads(out)["rows"]] == [2, 1]
+
+
+@pytest.mark.parametrize("option", [
+    ["--max-n", "0"], ["--max-n", "-3"], ["--k", ","], ["--corpus", "EMPTY"],
+    ["--k", "0", "--sample", "0"],
+], ids=" ".join)
+def test_suite_that_checks_nothing_is_refused(capsys, tmp_path, option):
+    (tmp_path / "notes.md").write_text("not a graph\n")
+    option = [str(tmp_path) if token == "EMPTY" else token for token in option]
+    code, out, err = run_cli(capsys, ["suite", "--k", "1", *option])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_suite_sampling_every_task_away_still_succeeds(capsys):
+    code, out, _ = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1", "--sample", "0"])
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"]["tasks"] == 0
+
+
 def test_suite_bad_k_list(capsys):
     code, _, err = run_cli(capsys, ["suite", "--max-n", "2", "--k", "1,x"])
     assert code == EXIT_INPUT
@@ -355,7 +414,7 @@ def test_matching_labels_equal_across_json_types_are_refused(capsys, files):
 
 @pytest.mark.parametrize("command", [
     ["construct", "--kind", "ast", "--product", "direct"],
-    ["whp", "--product", "direct", "--k", "1", "--max"],
+    ["whp", "--product", "direct", "--k", "1"],
 ])
 def test_matching_labels_differing_from_the_factor_in_json_type_are_refused(capsys, tmp_path, command):
     # false and true equal the factor's vertices 0 and 1 in Python only.
@@ -454,7 +513,7 @@ def valid_invocation(command, files):
         "wellbehaved": ["wellbehaved", "--left", files["k2"], "--right", files["p3"],
                         "--star", "cartesian", "--k", "1"],
         "whp": ["whp", "--product", "direct", "--left", files["k2"], "--right", files["p3"],
-                "--mg", files["m01"], "--mh", files["m01"], "--k", "1", "--max"],
+                "--mg", files["m01"], "--mh", files["m01"], "--k", "1"],
         "scenario": ["scenario", "c6-direct"],
         "suite": ["suite", "--max-n", "2", "--k", "1"],
     }[command]
@@ -480,6 +539,41 @@ def test_options_a_subcommand_does_not_read_are_refused(capsys, files, command, 
     out, err = capsys.readouterr()
     assert exc.value.code == EXIT_INPUT and out == ""
     assert option[0] in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, option", [
+    ("construct-ast", ["--orientation", "hg"]),
+    ("construct-ast", ["--orientation", "gh"]),
+    ("construct-ast", ["--no-normalize"]),
+    ("construct-circledast", ["--orientation", "hg"]),
+    ("construct-circledast", ["--no-normalize"]),
+    ("suite", ["--seed", "3"]),
+    ("suite-corpus", ["--max-n", "3"]),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_options_a_mode_does_not_read_are_refused(capsys, files, tmp_path, command, option):
+    (tmp_path / "k2.txt").write_text("0 1\n")
+    construct = ["construct", "--product", "strong", "--left", files["k2"], "--right", files["p3"],
+                 "--mg", files["m01"], "--mh", files["m01"]]
+    argv = {
+        "construct-ast": [*construct, "--kind", "ast"],
+        "construct-circledast": [*construct, "--kind", "circledast"],
+        "suite": ["suite", "--max-n", "2", "--k", "1"],
+        "suite-corpus": ["suite", "--corpus", str(tmp_path), "--k", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, [*argv, *option])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {option[0]} is not read ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, option", [
+    ("wellbehaved", "--equivalence"), ("whp", "--max"), ("scenario", "--list"),
+])
+def test_removed_mode_flags_are_refused(capsys, files, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*valid_invocation(command, files), option])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT and out == ""
+    assert option in err.splitlines()[-1]
 
 
 # byte-level determinism over the real entry point --------------------------------

@@ -6,7 +6,6 @@ from kmatch.constructions import (
     ast,
     boxast,
     circledast,
-    classify_construction,
     predicted_size,
     predicted_size_for,
 )
@@ -256,14 +255,6 @@ def test_prediction_equals_validation_on_small_pairs(small_corpus):
                         for m_h in pool[hname]:
                             r = builders[kindname](p, m_g, m_h)
                             assert verdict_matches(p, r), (gname, hname, kindname, star)
-
-
-def test_classify_construction_matches_builder_classification():
-    p3, c4 = build_named("path", 3), build_named("cycle", 4)
-    p = product(p3, c4, "strong")
-    direct = classify_construction("circledast", p, [(0, 1)], [(0, 1)])
-    via_builder = circledast(p, [(0, 1)], [(0, 1)]).classification
-    assert direct == via_builder
 
 
 def test_predicted_size_refuses_inconsistent_summaries():

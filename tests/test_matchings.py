@@ -198,6 +198,8 @@ def test_enumeration_size_guard():
     g = build_named("complete", 7)  # 21 edges
     with pytest.raises(SizeLimitExceeded):
         list(enumerate_k_matchings(g, 1))
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_k_matchings(g, 1)  # checked at the call, before the first item
 
 
 def test_maximum_k_matchings_are_exactly_the_largest():

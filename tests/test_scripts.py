@@ -3,6 +3,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 from kmatch.constructions import PRODUCT_KINDS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -16,3 +18,11 @@ def test_wb_census_prints_one_row_per_flavor_star_and_k(capsys):
     cells = [tuple(row.split()[:3]) for row in rows]
     flavors = ("boxast", "circledast", "ast")
     assert cells == [(f, star, k) for f in flavors for star in PRODUCT_KINDS[f] for k in ("1", "2")]
+
+
+@pytest.mark.parametrize("option", [["--k", ","], ["--max-n", "0"]], ids=" ".join)
+def test_wb_census_that_checks_nothing_is_refused(capsys, option):
+    census = runpy.run_path(str(SCRIPTS / "wb_census.py"), run_name="wb_census")
+    assert census["main"](option) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
