@@ -13,8 +13,6 @@ from .constructions import (
     ast,
     boxast,
     circledast,
-    predicted_size,
-    predicted_size_for,
 )
 from .corpus import connected_graphs, connected_graphs_upto, corpus_names, load_corpus_dir
 from .errors import (
@@ -23,7 +21,6 @@ from .errors import (
     EdgeNotInHost,
     EdgeNotInProduct,
     IncompatibleProduct,
-    InconsistentInputs,
     InvalidK,
     InvalidParameter,
     InvariantViolation,
@@ -54,7 +51,7 @@ from .matchings import (
 )
 from .products import ProductGraph, classify_edge, layer, product, project
 from .scenarios import SCENARIOS, run_scenario
-from .weakhom import allowed_edges, is_whp, max_whp_k_matching
+from .weakhom import allowed_edges, is_whp
 from .wellbehaved import (
     EquivalenceReport,
     WellBehavedReport,
@@ -100,11 +97,8 @@ __all__ = [
     "load_corpus_dir",
     "make_graph",
     "max_k_matching",
-    "max_whp_k_matching",
     "maximum_k_matchings",
     "parse_graph",
-    "predicted_size",
-    "predicted_size_for",
     "product",
     "project",
     "run_scenario",
@@ -114,7 +108,6 @@ __all__ = [
     "EdgeNotInHost",
     "EdgeNotInProduct",
     "IncompatibleProduct",
-    "InconsistentInputs",
     "InvalidK",
     "InvalidParameter",
     "InvariantViolation",

@@ -25,14 +25,14 @@ from multiprocessing import Pool
 from pathlib import Path
 from random import Random
 
-from .constructions import CONSTRUCTORS, predicted_size_for
+from .constructions import CONSTRUCTORS
 from .corpus import connected_graphs_upto, corpus_names, load_corpus_dir
-from .errors import InconsistentInputs, InvalidParameter, KmatchError
+from .errors import InvalidParameter, KmatchError
 from .graphs import Graph, graph_to_json_obj, parse_edge_pairs, parse_graph, to_dot
 from .matchings import DEFAULT_NODE_BUDGET, check_k, enumerate_k_matchings, max_k_matching
 from .products import KINDS, product
 from .scenarios import SCENARIOS, run_scenario
-from .weakhom import allowed_edges, enumerate_whp_k_matchings, max_whp_k_matching
+from .weakhom import allowed_edges
 from .wellbehaved import CHECKERS, equivalence_suite
 
 # wellbehaved --flavor: the three checkers, then the equivalence suite
@@ -126,22 +126,16 @@ def _cmd_product(args) -> int:
 def _cmd_construct(args) -> int:
     options = {}
     if args.kind == "boxast":
-        options = {"orientation": args.orientation or "gh", "normalize": not args.no_normalize}
+        options = {"orientation": args.orientation or "gh"}
     else:
-        _refuse_unread(args, ("orientation", "no_normalize"), f"with --kind {args.kind}")
+        _refuse_unread(args, ("orientation",), f"with --kind {args.kind}")
     g = _load_graph(args.left)
     h = _load_graph(args.right)
     p = product(g, h, args.product)
     m_g, m_h = _load_matching(args.mg, g), _load_matching(args.mh, h)
     result = CONSTRUCTORS[args.kind](p, m_g, m_h, **options)
     cls = result.classification
-    try:
-        predicted = predicted_size_for(result)
-    except InconsistentInputs:
-        predicted = None
-    validated = None
-    if cls.is_k_matching and cls.k is not None:
-        validated = result.profile.uniform in (0, cls.k)
+    validated = result.profile.uniform in (0, cls.k) if cls.is_k_matching else None
     payload = {
         "kind": result.kind,
         "orientation": result.orientation,
@@ -151,7 +145,7 @@ def _cmd_construct(args) -> int:
         "edges": list(result.edges),
         "parts": {name: list(part) for name, part in result.parts.items()},
         "classification": asdict(cls),
-        "size": {"actual": len(result.edges), "predicted": predicted},
+        "size": {"actual": len(result.edges), "predicted": result.predicted_size},
         "validated_k_matching": validated,
     }
     _print(canonical_json(payload))
@@ -185,15 +179,15 @@ def _cmd_whp(args) -> int:
     m_g = _load_matching(args.mg, g)
     m_h = _load_matching(args.mh, h)
     universe = allowed_edges(p, m_g, m_h)
-    report = max_whp_k_matching(p, m_g, m_h, args.k, budget=args.budget)
+    report = max_k_matching(universe, args.k, budget=args.budget)
     payload = {
         "product_kind": p.kind,
         "universe": {"size": universe.m, "edges": list(universe.edges)},
         "maximum": asdict(report),
     }
     if args.enumerate:
-        members = list(enumerate_whp_k_matchings(p, m_g, m_h, args.k))
-        payload["enumeration"] = {"count": len(members)}
+        count = sum(1 for _ in enumerate_k_matchings(universe, args.k))
+        payload["enumeration"] = {"count": count}
     return _print_report(payload, report.exhaustive, args.strict)
 
 
@@ -375,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--mh", required=True, help="right factor matching file")
     p_con.add_argument("--orientation", choices=("gh", "hg"), default=None,
                        help="boxast only: which factor's matching is copied (default gh)")
-    p_con.add_argument("--no-normalize", action="store_true", default=None,
-                       help="boxast only: keep the secondary matching even when the "
-                       "primary is perfect")
     p_con.set_defaults(handler=_cmd_construct)
 
     p_solve = sub.add_parser("solve", parents=oracles, help="exact maximum k-matching")

@@ -22,7 +22,8 @@ Each result carries a classification: a prediction, computed from the
 factor sides only, of whether the produced set is a k-matching and for
 which k. The prediction is exact (the test suite compares it against
 direct validation over exhaustively enumerated inputs); the condition tags
-name which factor regime applied.
+name which factor regime applied. A k-matching result also carries its
+closed-form size: k/2 edges per product vertex pair it covers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from .errors import (
     EdgeNotInFactor,
     IncompatibleProduct,
-    InconsistentInputs,
     InvalidParameter,
     InvariantViolation,
 )
@@ -71,9 +71,9 @@ class ConstructionResult:
 
     `profile` is the set's degree profile in the product (`edges` reads
     it); `profile.uniform in (0, k)` validates it as a k-matching.
-    `unmatched_g` and `unmatched_h` count the vertices that `m_g` and
-    `m_h` leave unmatched in their factors, as the construction's own
-    factor profiles found them.
+    `predicted_size` is k * covered / 2, where covered counts the product
+    vertex pairs the factor profiles say the set touches; None when the
+    classification says the set is no k-matching.
     """
 
     kind: str
@@ -84,8 +84,7 @@ class ConstructionResult:
     profile: DegreeProfile
     parts: dict[str, tuple[Edge, ...]]
     classification: Classification
-    unmatched_g: int
-    unmatched_h: int
+    predicted_size: int | None
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -148,36 +147,33 @@ def diagonals(m_g, m_h):
 # classification from the factor profiles -------------------------------------
 
 
-def _classify(
-    kind: str, gs: DegreeProfile, hs: DegreeProfile, orientation: str = "gh"
-) -> Classification:
-    if kind == "boxast":
-        primary = gs if orientation == "gh" else hs
-        if primary.perfect:
-            return Classification(True, primary.uniform, None, "perfect-primary")
-        if gs.valid and hs.valid:
-            if gs.empty and hs.empty:
-                k = 1
-            elif gs.empty:
-                k = hs.uniform
-            elif hs.empty:
-                k = gs.uniform
-            elif gs.uniform == hs.uniform:
-                k = gs.uniform
-            else:
-                return Classification(False, None, None, "none")
-            return Classification(True, k, None, "both-matchings")
-        return Classification(False, None, None, "none")
-    if kind == "ast":
-        if gs.valid and hs.valid:
-            if gs.empty or hs.empty:
-                return Classification(True, 1, (1, 1), "factored")
-            return Classification(True, gs.uniform * hs.uniform, (gs.uniform, hs.uniform), "factored")
-        if gs.empty or hs.empty:
-            # the produced set is empty, hence trivially a k-matching, but no
-            # factor regime explains it (the other side is not a matching).
-            return Classification(True, 1, (1, 1), "none")
-        return Classification(False, None, None, "none")
+_NOT_A_K_MATCHING = Classification(False, None, None, "none")
+
+
+def _classify_boxast(gs: DegreeProfile, hs: DegreeProfile, orientation: str) -> Classification:
+    primary = gs if orientation == "gh" else hs
+    if primary.perfect:
+        return Classification(True, primary.uniform, None, "perfect-primary")
+    if not (gs.valid and hs.valid):
+        return _NOT_A_K_MATCHING
+    # an empty side adopts the other side's k; two empty sides give 1.
+    ks = {gs.uniform, hs.uniform} - {0}
+    if len(ks) > 1:
+        return _NOT_A_K_MATCHING
+    return Classification(True, max(ks, default=1), None, "both-matchings")
+
+
+def _classify_ast(gs: DegreeProfile, hs: DegreeProfile) -> Classification:
+    if gs.empty or hs.empty:
+        # the produced set is empty, hence trivially a k-matching; no factor
+        # regime explains it when the other side is not a matching.
+        return Classification(True, 1, (1, 1), "factored" if gs.valid and hs.valid else "none")
+    if gs.valid and hs.valid:
+        return Classification(True, gs.uniform * hs.uniform, (gs.uniform, hs.uniform), "factored")
+    return _NOT_A_K_MATCHING
+
+
+def _classify_circledast(gs: DegreeProfile, hs: DegreeProfile) -> Classification:
     if gs.perfect and hs.valid and hs.uniform == 1:
         return Classification(True, gs.uniform, (gs.uniform, 1), "M1.a")
     if gs.valid and gs.uniform >= 1 and hs.empty:
@@ -190,7 +186,7 @@ def _classify(
         return Classification(True, 1, (1, 1), "M3")
     if gs.perfect and hs.perfect:
         return Classification(True, gs.uniform * hs.uniform, (gs.uniform, hs.uniform), "M4")
-    return Classification(False, None, None, "none")
+    return _NOT_A_K_MATCHING
 
 
 # the constructions ----------------------------------------------------------
@@ -201,33 +197,27 @@ def _classify(
 # supported kind, so a part missing from the product is a bug.
 
 
-def boxast(
-    p: ProductGraph, m_g, m_h, orientation: str = "gh", normalize: bool = True
-) -> ConstructionResult:
+def boxast(p: ProductGraph, m_g, m_h, orientation: str = "gh") -> ConstructionResult:
     """Layer copies of the primary matching plus fill over its unmatched
     vertices.
 
-    With normalize on (the default), a perfect primary matching forces the
-    recorded secondary to the empty set. That never changes the edge set
-    (a perfect primary leaves nothing to fill) but keeps the reported
-    parts in the canonical form the characterizations assume.
+    A perfect primary matching leaves nothing to fill, so the recorded
+    secondary is the empty set: the canonical form the characterizations
+    assume.
     """
     _require_kind("boxast", p)
     if orientation not in ("gh", "hg"):
         raise InvalidParameter(f"orientation must be gh or hg, got {orientation!r}")
     gs, hs = _factor_profiles(p, m_g, m_h)
     mg, mh = gs.edges, hs.edges
-    # a perfect primary settles the classification alone, so the profiles
-    # of the inputs still classify the normalized pair.
-    if normalize:
-        if orientation == "gh" and gs.perfect:
-            mh = ()
-        elif orientation == "hg" and hs.perfect:
-            mg = ()
     if orientation == "gh":
+        if gs.perfect:
+            mh = ()
         copies = copies_in_left_layers(mg, p.right)
         fill = fill_over_left_unmatched(gs.unmatched, mh)
     else:
+        if hs.perfect:
+            mg = ()
         copies = copies_in_right_layers(mh, p.left)
         fill = fill_over_right_unmatched(hs.unmatched, mg)
     profile = degree_profile(p.graph, copies + fill, error=InvariantViolation)
@@ -240,6 +230,9 @@ def boxast(
         copies, fill = moves_left, moves_right
     else:
         copies, fill = moves_right, moves_left
+    cls = _classify_boxast(gs, hs, orientation)
+    # a pair stays uncovered only when both of its coordinates are unmatched
+    covered = p.left.n * p.right.n - len(gs.unmatched) * len(hs.unmatched)
     return ConstructionResult(
         kind="boxast",
         orientation=orientation,
@@ -248,10 +241,8 @@ def boxast(
         m_h=mh,
         profile=profile,
         parts={"layer_copies": copies, "unmatched_fill": fill},
-        classification=_classify("boxast", gs, hs, orientation),
-        # a side normalized away is recorded empty: it matches nothing.
-        unmatched_g=len(gs.unmatched) if mg else p.left.n,
-        unmatched_h=len(hs.unmatched) if mh else p.right.n,
+        classification=cls,
+        predicted_size=cls.k * covered // 2 if cls.is_k_matching else None,
     )
 
 
@@ -262,6 +253,9 @@ def ast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     profile = degree_profile(p.graph, diagonals(gs.edges, hs.edges), error=InvariantViolation)
     edges = profile.edges
     assert len(edges) == 2 * len(gs.edges) * len(hs.edges)
+    cls = _classify_ast(gs, hs)
+    # a pair is covered only when both of its coordinates are matched
+    covered = (p.left.n - len(gs.unmatched)) * (p.right.n - len(hs.unmatched))
     return ConstructionResult(
         kind="ast",
         orientation="gh",
@@ -270,9 +264,8 @@ def ast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
         m_h=hs.edges,
         profile=profile,
         parts={"diagonals": edges},
-        classification=_classify("ast", gs, hs),
-        unmatched_g=len(gs.unmatched),
-        unmatched_h=len(hs.unmatched),
+        classification=cls,
+        predicted_size=cls.k * covered // 2 if cls.is_k_matching else None,
     )
 
 
@@ -289,6 +282,8 @@ def circledast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     # exactly one unmatched coordinate on its own side: pairwise disjoint.
     assert len(edges) == len(core) + len(left_fill) + len(right_fill)
     right_fill, left_fill, core = _split_by_shape(edges)
+    cls = _classify_circledast(gs, hs)
+    covered = p.left.n * p.right.n - len(gs.unmatched) * len(hs.unmatched)
     return ConstructionResult(
         kind="circledast",
         orientation="gh",
@@ -297,85 +292,10 @@ def circledast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
         m_h=hs.edges,
         profile=profile,
         parts={"diagonals": core, "left_fill": left_fill, "right_fill": right_fill},
-        classification=_classify("circledast", gs, hs),
-        unmatched_g=len(gs.unmatched),
-        unmatched_h=len(hs.unmatched),
+        classification=cls,
+        predicted_size=cls.k * covered // 2 if cls.is_k_matching else None,
     )
 
 
 CONSTRUCTORS = {"boxast": boxast, "ast": ast, "circledast": circledast}
 
-
-# size prediction ------------------------------------------------------------
-
-
-def _check_factor(k: int, n: int, u: int, size: int, side: str) -> None:
-    if k * (n - u) != 2 * size:
-        raise InconsistentInputs(
-            f"{side} factor: k(n-u)/2 = {k}*({n}-{u})/2 does not equal |m| = {size}"
-        )
-
-
-def predicted_size(
-    kind: str,
-    n_g: int,
-    n_h: int,
-    size_g: int,
-    size_h: int,
-    u_g: int,
-    u_h: int,
-    k: int | None = None,
-    factor_ks: tuple[int, int] | None = None,
-) -> int:
-    """Closed-form size of a valid construction from factor summaries.
-
-    boxast (a k-matching) and circledast (a k_G k_H-matching) give each of
-    the n_g*n_h - u_g*u_h covered vertex pairs that many edge ends; ast
-    pairs every matched edge with every matched edge twice. Each factor
-    summary must satisfy the counting identity k(n-u)/2 = |m| with its own
-    k, which is k_G = k_H = k for boxast, or the request is refused as
-    inconsistent.
-    """
-    if kind not in PRODUCT_KINDS:
-        raise InvalidParameter(f"unknown construction kind {kind!r}")
-    if kind == "boxast":
-        if k is None:
-            raise InvalidParameter("boxast prediction needs k")
-        factor_ks = (k, k)
-    elif factor_ks is None:
-        raise InvalidParameter(f"{kind} prediction needs (k_G, k_H)")
-    k_g, k_h = factor_ks
-    _check_factor(k_g, n_g, u_g, size_g, "left")
-    _check_factor(k_h, n_h, u_h, size_h, "right")
-    if kind == "ast":
-        return 2 * size_g * size_h
-    total = (k if kind == "boxast" else k_g * k_h) * (n_g * n_h - u_g * u_h)
-    assert total % 2 == 0
-    return total // 2
-
-
-def predicted_size_for(result: ConstructionResult) -> int | None:
-    """predicted_size with the scalars taken from a construction result.
-
-    Returns None when the construction is not a valid k-matching (the
-    formulas only speak about valid ones).
-    """
-    cls = result.classification
-    if not cls.is_k_matching:
-        return None
-    if result.kind == "ast" and (not result.m_g or not result.m_h):
-        # an empty side empties the diagonals no matter what the other
-        # side looks like; the factor identity need not hold there.
-        return 0
-    p = result.product
-    return predicted_size(
-        result.kind,
-        p.left.n,
-        p.right.n,
-        len(result.m_g),
-        len(result.m_h),
-        result.unmatched_g,
-        result.unmatched_h,
-        k=cls.k,
-        factor_ks=cls.factor_ks,
-    )

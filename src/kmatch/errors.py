@@ -62,10 +62,6 @@ class IncompatibleProduct(KmatchError):
     """The construction is undefined on this product kind."""
 
 
-class InconsistentInputs(KmatchError):
-    """Scalar summaries disagree with each other (k(n-u)/2 != |m|)."""
-
-
 class ScenarioError(KmatchError):
     """A bundled scenario failed to execute; wraps the underlying error."""
 

@@ -11,25 +11,17 @@ kinds, including the right projection of the lex product (which is not a
 weak homomorphism of the ambient graphs; the membership rule does not
 care).
 
-Everything here reduces W_k queries to plain k-matching queries on the
-subgraph spanned by the allowed edges: membership filters edges, the
-maximum query runs the exact oracle on the allowed subgraph, and the
-bounded enumeration walks it exhaustively.
+Every W_k query is a plain k-matching query on the subgraph spanned by
+the allowed edges: membership filters edges, and the maximum and the
+bounded enumeration are `max_k_matching` and `enumerate_k_matchings` run
+on `allowed_edges(...)`, built once per query.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import EdgeNotInFactor, EdgeNotInProduct
 from .graphs import Edge, Graph
-from .matchings import (
-    DEFAULT_NODE_BUDGET,
-    OracleReport,
-    canonical_matching,
-    enumerate_k_matchings,
-    max_k_matching,
-)
+from .matchings import canonical_matching
 from .products import ProductGraph
 
 
@@ -66,16 +58,3 @@ def allowed_edges(p: ProductGraph, m_g, m_h) -> Graph:
         ):
             edges.append(e)
     return Graph(p.graph.vertices, tuple(edges))
-
-
-def max_whp_k_matching(
-    p: ProductGraph, m_g, m_h, k: int, budget: int = DEFAULT_NODE_BUDGET
-) -> OracleReport:
-    """Exact maximum-size element of W_k(G*H, m_g, m_h)."""
-    return max_k_matching(allowed_edges(p, m_g, m_h), k, budget=budget)
-
-
-def enumerate_whp_k_matchings(p: ProductGraph, m_g, m_h, k: int) -> Iterator[tuple[Edge, ...]]:
-    """All of W_k, only offered while the allowed universe stays within
-    the enumeration bound; the size check runs at the call."""
-    return enumerate_k_matchings(allowed_edges(p, m_g, m_h), k)

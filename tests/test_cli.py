@@ -27,6 +27,7 @@ def files(tmp_path):
     docs = {
         "k2.txt": "0 1\n",
         "p3.txt": "0 1\n1 2\n",
+        "k3.txt": "0 1\n1 2\n0 2\n",
         "s3.txt": "c l1\nc l2\nc l3\n",
         "m01.txt": "0 1\n",
         "m12.txt": "1 2\n",
@@ -127,32 +128,24 @@ def test_solve_budget_strict_exit(capsys, files):
 
 
 def test_construct_layered(capsys, files):
-    code, out, _ = run_cli(
-        capsys,
-        ["construct", "--kind", "boxast", "--product", "cartesian",
-         "--left", files["k2"], "--right", files["p3"],
-         "--mg", files["m01"], "--mh", files["m01"]],
-    )
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["classification"]["is_k_matching"] is True
-    assert payload["classification"]["k"] == 1
-    assert payload["classification"]["condition"] == "perfect-primary"
-    assert payload["size"] == {"actual": 3, "predicted": 3}
-    assert payload["validated_k_matching"] is True
-    assert payload["m_g"] == [["0", "1"]]
-    assert payload["m_h"] == []  # normalized away by the perfect primary
-
-
-def test_construct_no_normalize_keeps_secondary(capsys, files):
-    argv = ["construct", "--kind", "boxast", "--product", "cartesian",
-            "--left", files["k2"], "--right", files["p3"],
-            "--mg", files["m01"], "--mh", files["m01"], "--no-normalize"]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["m_h"] == [["0", "1"]]
-    assert payload["size"]["actual"] == 3
+    # a perfect K2 primary; the secondary is a 1-matching of P3, then the
+    # triangle's 2-matching, whose k differs from the primary's
+    for right, mh in (("p3", "m01"), ("k3", "k3")):
+        code, out, _ = run_cli(
+            capsys,
+            ["construct", "--kind", "boxast", "--product", "cartesian",
+             "--left", files["k2"], "--right", files[right],
+             "--mg", files["m01"], "--mh", files[mh]],
+        )
+        assert code == EXIT_OK, right
+        payload = json.loads(out)
+        assert payload["classification"]["is_k_matching"] is True
+        assert payload["classification"]["k"] == 1
+        assert payload["classification"]["condition"] == "perfect-primary"
+        assert payload["size"] == {"actual": 3, "predicted": 3}, right
+        assert payload["validated_k_matching"] is True
+        assert payload["m_g"] == [["0", "1"]]
+        assert payload["m_h"] == []  # recorded empty under the perfect primary
 
 
 def test_construct_rejects_foreign_matching(capsys, files):
@@ -485,6 +478,38 @@ def test_solve_input_fuzz_exits_zero_or_two(capsys, tmp_path, doc):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (doc, err)
 
 
+MATCHING_COMMANDS = {
+    "construct-boxast": ["construct", "--kind", "boxast", "--product", "cartesian"],
+    "construct-ast": ["construct", "--kind", "ast", "--product", "direct"],
+    "construct-circledast": ["construct", "--kind", "circledast", "--product", "strong"],
+    "whp": ["whp", "--product", "strong", "--k", "1"],
+}
+
+
+@given(documents, st.sampled_from(sorted(MATCHING_COMMANDS)), st.sampled_from(["--mg", "--mh"]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_matching_input_fuzz_exits_zero_or_two(capsys, tmp_path, doc, command, option):
+    # Every matching file either builds or is refused with a one-line
+    # error. The factors are triangles on the labels 0, 1, 2, which the
+    # fuzzed documents can spell, and the other side gets a valid matching.
+    graph, fixed, fuzzed = tmp_path / "k3.json", tmp_path / "m01.json", tmp_path / "fuzz.matching"
+    graph.write_text('{"edges": [[0, 1], [1, 2], [0, 2]]}\n')
+    fixed.write_text("[[0, 1]]\n")
+    if isinstance(doc, str):
+        fuzzed.write_bytes(doc.encode("utf-8", "surrogatepass"))
+    else:
+        fuzzed.write_bytes(doc)
+    sides = {"--mg": str(fixed), "--mh": str(fixed), option: str(fuzzed)}
+    argv = [*MATCHING_COMMANDS[command], "--left", str(graph), "--right", str(graph),
+            "--mg", sides["--mg"], "--mh", sides["--mh"]]
+    code, out, err = run_cli(capsys, argv)
+    assert code in (EXIT_OK, EXIT_INPUT), (doc, err)
+    if code == EXIT_OK:
+        assert json.loads(out) and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (doc, err)
+
+
 def test_budget_below_one(capsys, files):
     for budget in ("0", "-5"):
         code, _, err = run_cli(
@@ -544,9 +569,7 @@ def test_options_a_subcommand_does_not_read_are_refused(capsys, files, command, 
 @pytest.mark.parametrize("command, option", [
     ("construct-ast", ["--orientation", "hg"]),
     ("construct-ast", ["--orientation", "gh"]),
-    ("construct-ast", ["--no-normalize"]),
     ("construct-circledast", ["--orientation", "hg"]),
-    ("construct-circledast", ["--no-normalize"]),
     ("suite", ["--seed", "3"]),
     ("suite-corpus", ["--max-n", "3"]),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
@@ -567,6 +590,7 @@ def test_options_a_mode_does_not_read_are_refused(capsys, files, tmp_path, comma
 
 @pytest.mark.parametrize("command, option", [
     ("wellbehaved", "--equivalence"), ("whp", "--max"), ("scenario", "--list"),
+    ("construct", "--no-normalize"),
 ])
 def test_removed_mode_flags_are_refused(capsys, files, command, option):
     with pytest.raises(SystemExit) as exc:

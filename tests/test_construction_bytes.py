@@ -12,8 +12,7 @@ import hashlib
 from itertools import product as iproduct
 
 from kmatch.cli import canonical_json
-from kmatch.constructions import ast, boxast, circledast, predicted_size_for
-from kmatch.errors import InconsistentInputs
+from kmatch.constructions import ast, boxast, circledast
 from kmatch.matchings import enumerate_k_matchings
 from kmatch.products import product
 
@@ -41,10 +40,6 @@ def builds(p, m_g, m_h):
 
 def record(result) -> str:
     cls = result.classification
-    try:
-        predicted = predicted_size_for(result)
-    except InconsistentInputs:
-        predicted = "inconsistent"
     return canonical_json(
         {
             "kind": result.kind,
@@ -54,7 +49,7 @@ def record(result) -> str:
             "m_g": list(result.m_g),
             "m_h": list(result.m_h),
             "classification": [cls.is_k_matching, cls.k, cls.factor_ks, cls.condition],
-            "predicted_size_for": predicted,
+            "predicted_size_for": result.predicted_size,
         }
     )
 

@@ -2,19 +2,8 @@
 
 import pytest
 
-from kmatch.constructions import (
-    ast,
-    boxast,
-    circledast,
-    predicted_size,
-    predicted_size_for,
-)
-from kmatch.errors import (
-    EdgeNotInFactor,
-    IncompatibleProduct,
-    InconsistentInputs,
-    InvalidParameter,
-)
+from kmatch.constructions import ast, boxast, circledast
+from kmatch.errors import EdgeNotInFactor, IncompatibleProduct, InvalidParameter
 from kmatch.graphs import build_named
 from kmatch.matchings import (
     degree_profile,
@@ -76,16 +65,7 @@ def test_boxast_orientations_agree_on_size():
     gh = boxast(p, m_g, m_h, orientation="gh")
     hg = boxast(p, m_g, m_h, orientation="hg")
     assert gh.classification.is_k_matching and hg.classification.is_k_matching
-    assert len(gh.edges) == len(hg.edges) == predicted_size_for(gh)
-
-
-def test_boxast_normalization_is_setwise_noop():
-    k2, p3 = build_named("complete", 2), build_named("path", 3)
-    p = product(k2, p3, "cartesian")
-    kept = boxast(p, [(0, 1)], [(1, 2)], normalize=False)
-    dropped = boxast(p, [(0, 1)], [(1, 2)])
-    assert kept.m_h == ((1, 2),) and dropped.m_h == ()
-    assert kept.edges == dropped.edges
+    assert len(gh.edges) == len(hg.edges) == gh.predicted_size
 
 
 def test_boxast_rejects_direct_product_and_bad_orientation():
@@ -144,7 +124,7 @@ def test_ast_empty_side_swallows_an_invalid_other_side():
     assert r.edges == ()
     assert r.classification.is_k_matching
     assert r.classification.condition == "none"
-    assert predicted_size_for(r) == 0
+    assert r.predicted_size == 0
 
 
 def test_circledast_regime_m1a_worked_example():
@@ -156,7 +136,7 @@ def test_circledast_regime_m1a_worked_example():
     assert r.parts["left_fill"] == ()
     assert len(r.parts["right_fill"]) == 1  # P_3 vertex 2 is open
     assert verdict_matches(p, r)
-    assert len(r.edges) == predicted_size_for(r)
+    assert len(r.edges) == r.predicted_size
 
 
 def test_circledast_regimes_cover_the_grid():
@@ -175,7 +155,7 @@ def test_circledast_regimes_cover_the_grid():
         r = circledast(p, m_g, m_h)
         assert r.classification.condition == regime, (m_g, m_h)
         assert verdict_matches(p, r), regime
-        assert len(r.edges) == predicted_size_for(r), regime
+        assert len(r.edges) == r.predicted_size, regime
 
 
 def test_circledast_m4_multiplies_degrees():
@@ -257,18 +237,9 @@ def test_prediction_equals_validation_on_small_pairs(small_corpus):
                             assert verdict_matches(p, r), (gname, hname, kindname, star)
 
 
-def test_predicted_size_refuses_inconsistent_summaries():
-    with pytest.raises(InconsistentInputs):
-        predicted_size("boxast", 4, 4, 3, 0, 2, 4, k=1)  # 1*(4-2)/2 != 3
-    with pytest.raises(InvalidParameter):
-        predicted_size("boxast", 4, 4, 2, 0, 0, 4)  # k missing
-    with pytest.raises(InvalidParameter):
-        predicted_size("spiral", 4, 4, 2, 0, 0, 4, k=1)
-
-
 def test_predicted_size_for_invalid_construction_is_none():
     p3 = build_named("path", 3)
     p = product(p3, p3, "strong")
     r = boxast(p, [(0, 1)], [(0, 1), (1, 2)])  # secondary not a matching
     assert not r.classification.is_k_matching
-    assert predicted_size_for(r) is None
+    assert r.predicted_size is None

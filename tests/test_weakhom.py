@@ -5,14 +5,9 @@ import pytest
 from kmatch.constructions import ast, boxast, circledast
 from kmatch.errors import EdgeNotInProduct, SizeLimitExceeded
 from kmatch.graphs import build_named
-from kmatch.matchings import max_k_matching, maximum_k_matchings
+from kmatch.matchings import enumerate_k_matchings, max_k_matching, maximum_k_matchings
 from kmatch.products import product
-from kmatch.weakhom import (
-    allowed_edges,
-    enumerate_whp_k_matchings,
-    is_whp,
-    max_whp_k_matching,
-)
+from kmatch.weakhom import allowed_edges, is_whp
 
 
 def test_membership_accepts_projections_into_the_matching():
@@ -60,7 +55,7 @@ def test_every_direct_member_is_inside_the_diagonal_set():
     for m_g in maximum_k_matchings(g, 1):
         for m_h in maximum_k_matchings(h, 1):
             diag = set(ast(p, m_g, m_h).edges)
-            for member in enumerate_whp_k_matchings(p, m_g, m_h, 1):
+            for member in enumerate_k_matchings(allowed_edges(p, m_g, m_h), 1):
                 assert set(member) <= diag
 
 
@@ -72,7 +67,7 @@ def test_boxast_dominates_every_preserving_matching():
             built = boxast(p, m_g, m_h)
             assert built.classification.is_k_matching
             best = max(
-                (len(m) for m in enumerate_whp_k_matchings(p, m_g, m_h, 1)),
+                (len(m) for m in enumerate_k_matchings(allowed_edges(p, m_g, m_h), 1)),
                 default=0,
             )
             assert len(built.edges) == best
@@ -85,7 +80,8 @@ def test_circledast_dominates_on_the_strong_product():
         for m_h in maximum_k_matchings(h, 1):
             built = circledast(p, m_g, m_h)
             assert built.classification.is_k_matching
-            best = max(len(m) for m in enumerate_whp_k_matchings(p, m_g, m_h, 1))
+            universe = allowed_edges(p, m_g, m_h)
+            best = max(len(m) for m in enumerate_k_matchings(universe, 1))
             assert len(built.edges) == best
 
 
@@ -96,7 +92,7 @@ def test_preserving_maximum_can_fall_short_of_the_true_maximum():
     p = product(s3, k3, "cartesian")
     m_g = max_k_matching(s3, 1).witness
     m_h = max_k_matching(k3, 1).witness
-    preserved = max_whp_k_matching(p, m_g, m_h, 1)
+    preserved = max_k_matching(allowed_edges(p, m_g, m_h), 1)
     assert preserved.exhaustive
     assert preserved.size == 5
     assert max_k_matching(p.graph, 1).size == 6
@@ -106,13 +102,13 @@ def test_enumeration_guard_on_big_universes():
     k4 = build_named("complete", 4)
     p = product(k4, k4, "strong")
     with pytest.raises(SizeLimitExceeded):
-        enumerate_whp_k_matchings(p, k4.edges, k4.edges, 1)
+        enumerate_k_matchings(allowed_edges(p, k4.edges, k4.edges), 1)
 
 
 def test_max_whp_reports_like_the_oracle():
     k2, p3 = build_named("complete", 2), build_named("path", 3)
     p = product(k2, p3, "cartesian")
-    rep = max_whp_k_matching(p, [(0, 1)], [(0, 1)], 1)
+    rep = max_k_matching(allowed_edges(p, [(0, 1)], [(0, 1)]), 1)
     assert rep.exhaustive and rep.size == 3 and rep.unmatched == 0
     ok, _ = is_whp(p, rep.witness, [(0, 1)], [(0, 1)])
     assert ok
