@@ -567,8 +567,10 @@ def test_options_a_subcommand_does_not_read_are_refused(capsys, files, command, 
 
 
 @pytest.mark.parametrize("command, option", [
+    ("construct-ast", ["--no-normalize"]),
     ("construct-ast", ["--orientation", "hg"]),
     ("construct-ast", ["--orientation", "gh"]),
+    ("construct-circledast", ["--no-normalize"]),
     ("construct-circledast", ["--orientation", "hg"]),
     ("suite", ["--seed", "3"]),
     ("suite-corpus", ["--max-n", "3"]),
@@ -583,6 +585,14 @@ def test_options_a_mode_does_not_read_are_refused(capsys, files, tmp_path, comma
         "suite": ["suite", "--max-n", "2", "--k", "1"],
         "suite-corpus": ["suite", "--corpus", str(tmp_path), "--k", "1"],
     }[command]
+    if option[0] == "--no-normalize":
+        # no mode reads it any more, so the parser itself refuses it
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *option])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_INPUT and out == ""
+        assert err.splitlines()[-1].endswith(f"unrecognized arguments: {option[0]}")
+        return
     code, out, err = run_cli(capsys, [*argv, *option])
     assert code == EXIT_INPUT and out == ""
     assert err.startswith(f"error: {option[0]} is not read ") and err.count("\n") == 1
