@@ -17,6 +17,7 @@ payloads. Exit codes: 0 all good, 1 an expectation failed, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -337,7 +338,10 @@ def _tri(v) -> str:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small command's work."""
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                         help="search-node budget for the exact oracles")

@@ -14,17 +14,19 @@ degree order (low-degree vertices first), which finds the optimum in far
 fewer nodes, and reports some maximum. Instances that outgrow the cap go
 to an integer program (one binary per edge, one per vertex, degree =
 k * matched) that proves the exact size; a witness query then recovers
-the canonical witness by lexicographic fixing. The budget caps total
-effort, counting search nodes plus a flat charge per optimizer call; an
-exhausted budget degrades the report to exhaustive=False instead of
-raising.
+the canonical witness by lexicographic fixing. Each fixing probe is
+settled by propagation when it can be, else by the same search run as a
+capped probe toward the known size, and only else by the program. The
+budget caps total effort, counting search nodes (probe searches
+included) plus a flat charge per optimizer call; an exhausted budget
+degrades the report to exhaustive=False instead of raising.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EdgeNotInHost,
@@ -179,8 +181,9 @@ class OracleReport:
     the lexicographically smallest maximum under the canonical edge order.
     A size-only query (witness=False) reports some maximum instead, in
     canonical edge order but not the canonical one. `nodes` is the effort
-    spent against the budget: search nodes plus a flat charge per
-    optimizer call.
+    spent against the budget: search nodes, those of the witness
+    recovery's probe searches included, plus a flat charge per optimizer
+    call.
     """
 
     k: int
@@ -219,13 +222,29 @@ def _degree_order(g: Graph) -> list[int]:
 
 
 def _search_maximum(
-    g: Graph, k: int, node_cap: int, order: list[int] | None = None
+    g: Graph,
+    k: int,
+    node_cap: int,
+    order: list[int] | None = None,
+    forced: Sequence[int] = (),
+    target: int | None = None,
 ) -> _SearchOutcome:
     """Include-first branch-and-bound over an edge order.
 
     `order` lists canonical edge indices in the order they are decided;
     the default is the canonical order. `best` always holds canonical
     indices, ascending.
+
+    A probe passes `forced`, edges that are in from the start, and a
+    `target` size that no k-matching exceeds. Then `order` lists only the
+    edges left to decide; an edge in neither list is out. Sizes count the
+    forced edges. The incumbent starts at target - 1, so the bound prunes
+    every branch that cannot reach the target, and the search stops at
+    the first leaf that does. A settled probe without a leaf proves that
+    no k-matching of the target size contains the forced edges and avoids
+    the others. A vertex that the forced edges push above k, or leave
+    stuck between 0 and k with too few edges to decide, has no leaf at
+    all: that is settled before the root is entered.
 
     Bookkeeping per vertex: deg (chosen incident edges), rem (undecided
     incident edges), cap = min(k - deg, rem) summed into `slack`, and
@@ -259,12 +278,19 @@ def _search_maximum(
         rem[a] += 1
         rem[b] += 1
     deg = [0] * g.n
-    cap = [r if r < k else k for r in rem]
+    for j in forced:
+        for x in canonical[j]:
+            deg[x] += 1
+    base = len(forced)
+    best_size = -1 if target is None else target - 1
+    if any(d > k or 0 < d < k and d + r < k for d, r in zip(deg, rem)):
+        return _SearchOutcome(best_size=best_size, best=None, nodes=0, settled=True)
+    stop = m + base + 1 if target is None else target
+    cap = [r if r < k - d else k - d for d, r in zip(deg, rem)]
     slack = sum(cap)
-    cand = sum(1 for r in rem if r >= k)
+    cand = sum(1 for d, r in zip(deg, rem) if d + r >= k)
     chosen: list[int] = []
     best: list[int] | None = None
-    best_size = -1
     nodes = 0
     settled = True
     odd_k = k % 2 == 1
@@ -296,9 +322,11 @@ def _search_maximum(
                 settled = False
                 break
             if t == m:
-                if len(chosen) > best_size:
-                    best_size = len(chosen)
+                if base + len(chosen) > best_size:
+                    best_size = base + len(chosen)
                     best = chosen.copy()
+                    if best_size >= stop:
+                        break
                 continue
             a, b = ends[t]
             for x in (a, b):
@@ -318,7 +346,7 @@ def _search_maximum(
                 if (
                     (da == k or da + rem[a] >= k)
                     and (db == k or db + rem[b] >= k)
-                    and bound(len(chosen), slack, cand) > best_size
+                    and bound(base + len(chosen), slack, cand) > best_size
                 ):
                     stack.append((t + 1, enter))
                 continue
@@ -344,12 +372,12 @@ def _search_maximum(
         if (
             (da == 0 or da == k or da + rem[a] >= k)
             and (db == 0 or db == k or db + rem[b] >= k)
-            and bound(len(chosen), slack, cand) > best_size
+            and bound(base + len(chosen), slack, cand) > best_size
         ):
             stack.append((t + 1, enter))
 
     if order is not None and best is not None:
-        best = sorted(order[t] for t in best)
+        best = sorted([*forced, *(order[t] for t in best)])
     return _SearchOutcome(best_size=best_size, best=best, nodes=nodes, settled=settled)
 
 
@@ -424,14 +452,19 @@ class _SizeProgram:
                 f"size solve returned {len(taken)} edges for objective {-res.fun}"
             )
         chosen = frozenset(ones) | frozenset(taken)
+        if self.off_condition(chosen):
+            raise InvariantViolation(f"size solve returned a point off the 0-or-{self.k} condition")
+        return len(chosen), chosen
+
+    def off_condition(self, chosen: Iterable[int]) -> bool:
+        """True when the edges `chosen` leave a vertex at a degree other
+        than 0 or k. A plain test, not an assert, so it runs under -O."""
         degrees = [0] * self.n
         for j in chosen:
             a, b = self.ends[j]
             degrees[a] += 1
             degrees[b] += 1
-        if any(d != 0 and d != self.k for d in degrees):
-            raise InvariantViolation(f"size solve returned a point off the 0-or-{self.k} condition")
-        return len(chosen), chosen
+        return any(d != 0 and d != self.k for d in degrees)
 
     def relaxation_bound(self) -> int:
         """Floor of the continuous relaxation: an upper bound on the size."""
@@ -470,13 +503,19 @@ def max_k_matching(
     maximum is the lexicographically smallest one; when the search gives
     up, the integer program proves the maximum size and the canonical
     witness is recovered by fixing edges in canonical order, keeping an
-    edge exactly when some maximum matching still contains it. With
-    `witness` off the search runs in degree order, which settles far more
-    instances within the cap, and both the search and the solver report
-    just some maximum matching; size and unmatched counts are exact
-    either way. `budget` caps the total effort (search nodes plus a flat
-    charge per optimizer call); when it runs out the report degrades to
-    exhaustive=False carrying the best matching found so far.
+    edge exactly when some maximum matching still contains it. Each such
+    probe goes through three stages, and the first that decides it
+    settles it: propagation (an endpoint of the edge already has degree k,
+    or cannot reach k from the kept edges, the edge and the undecided
+    ones), a search capped at `_SEARCH_CAP` nodes for a maximum over the
+    undecided edges in degree order, and a solve of the integer program.
+    With `witness` off the search runs in degree order, which settles far
+    more instances within the cap, and both the search and the solver
+    report just some maximum matching; size and unmatched counts are
+    exact either way. `budget` caps the total effort (search nodes, probe
+    searches included, plus a flat charge per optimizer call); when it
+    runs out the report degrades to exhaustive=False carrying the best
+    matching found so far.
     """
     check_k(k)
     if budget < 1:
@@ -532,28 +571,57 @@ def max_k_matching(
     # lexicographic recovery: walk the canonical order and keep an edge iff
     # some maximum matching agrees with every decision so far and contains
     # it. `sol` always witnesses the decisions made up to this point, so
-    # its members are kept for free.
+    # its members are kept for free. Any other edge j is a probe, settled
+    # by the first of three stages that can: propagation at j's endpoints,
+    # a capped search for a maximum over the edges after j, the solver.
+    ends = program.ends
+    kept = [0] * g.n  # degree from the kept edges
+    ahead = [0] * g.n  # incident edges after the current one
+    for a, b in ends:
+        ahead[a] += 1
+        ahead[b] += 1
+    # the search's best edge order; a yes/no probe may decide in any order.
+    tail = _degree_order(g)
+
+    def partial() -> OracleReport:
+        # sol is a genuine maximum, just not the canonical one.
+        return report(optimum, tuple(label_edges[i] for i in sorted(sol)), False, spent)
+
     fixed: dict[int, int] = {}
     ones = 0
     for j in range(g.m):
         if ones == optimum:
             break
-        if j in sol:
-            fixed[j] = 1
+        a, b = ends[j]
+        ahead[a] -= 1
+        ahead[b] -= 1
+        keep = j in sol
+        if not keep and all(kept[x] < k <= kept[x] + 1 + ahead[x] for x in (a, b)):
+            room = budget - spent
+            if room < 1:
+                return partial()
+            forced = [i for i, v in fixed.items() if v] + [j]
+            order = [i for i in tail if i > j]
+            probe = _search_maximum(g, k, min(_SEARCH_CAP, room), order, forced, optimum)
+            spent += probe.nodes
+            if probe.settled and probe.best is not None:
+                if len(probe.best) != optimum or program.off_condition(probe.best):
+                    raise InvariantViolation(
+                        f"probe search returned a leaf off the 0-or-{k} condition"
+                    )
+                keep, sol = True, frozenset(probe.best)
+            elif not probe.settled:
+                if spent + _SOLVE_EFFORT > budget:
+                    return partial()
+                spent += _SOLVE_EFFORT
+                attempt = program.solve({**fixed, j: 1})
+                if attempt is not None and attempt[0] == optimum:
+                    keep, sol = True, attempt[1]
+        fixed[j] = int(keep)
+        if keep:
             ones += 1
-            continue
-        if spent + _SOLVE_EFFORT > budget:
-            # sol is a genuine maximum, just not the canonical one.
-            partial = tuple(label_edges[i] for i in sorted(sol))
-            return report(optimum, partial, False, spent)
-        spent += _SOLVE_EFFORT
-        attempt = program.solve({**fixed, j: 1})
-        if attempt is not None and attempt[0] == optimum:
-            fixed[j] = 1
-            ones += 1
-            sol = attempt[1]
-        else:
-            fixed[j] = 0
+            kept[a] += 1
+            kept[b] += 1
     if ones != optimum:
         raise InvariantViolation(f"witness recovery kept {ones} of {optimum} edges")
     final = tuple(label_edges[j] for j, v in sorted(fixed.items()) if v == 1)

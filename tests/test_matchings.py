@@ -86,6 +86,9 @@ def test_oracle_escalation_path_on_a_hard_product():
     p = product(g, g, "lex").graph
     rep = max_k_matching(p, 3)
     assert rep.exhaustive and rep.nodes > _SEARCH_CAP
+    # recovering the canonical witness with one solve per probe spent
+    # 444,001; propagation and the probe search leave few solves.
+    assert rep.nodes < 150_000
     assert rep.size == 18 and rep.unmatched == 4
     ok, _ = validate_k_matching(p, rep.witness, 3)
     assert ok
@@ -141,6 +144,58 @@ def test_budget_exhaustion_degrades_not_raises():
     ok, _ = validate_k_matching(p, rep.witness, 3)
     assert ok  # the fallback is still a genuine 3-matching
     assert len(rep.witness) == rep.size <= 18
+
+
+def test_budget_exhaustion_during_witness_recovery():
+    # the search (4,001 nodes) and the optimum's solve (10,000) fit in
+    # every budget here; each one runs out somewhere in the recovery.
+    g = build_named("star", 3)
+    p = product(g, g, "lex").graph
+    full = max_k_matching(p, 3)
+    budgets = range(_SEARCH_CAP + 1 + 10_000, full.nodes, 5_000)
+    assert len(budgets) > 10
+    for budget in budgets:
+        rep = max_k_matching(p, 3, budget=budget)
+        assert not rep.exhaustive, budget
+        ok, _ = validate_k_matching(p, rep.witness, 3)
+        assert ok and len(rep.witness) == rep.size == 18, budget
+
+
+def test_probe_search_agrees_with_enumeration(sweep_corpus):
+    # each probe of the witness recovery: keep the canonical witness's
+    # edges before j, drop the others before j, add j, and ask whether a
+    # maximum remains. Enumeration answers the same question directly.
+    probes = kept = 0
+    for name, g in sweep_corpus:
+        for k in (1, 2, 3):
+            index = {e: i for i, e in enumerate(g.edges)}
+            every = bruteforce.all_k_matchings(g.vertices, g.edges, k)
+            optimum = max(len(m) for m in every)
+            tops = [sorted(index[e] for e in m) for m in every if len(m) == optimum]
+            canonical = min(tops)
+            for j in range(g.m):
+                before = [i for i in canonical if i < j]
+                want = any(j in m and [i for i in m if i < j] == before for m in tops)
+                out = _search_maximum(
+                    g, k, _SEARCH_CAP, list(range(j + 1, g.m)), before + [j], optimum
+                )
+                assert out.settled, (name, k, j)
+                assert (out.best is not None) == want, (name, k, j)
+                if want:
+                    assert out.best_size == len(out.best) == optimum, (name, k, j)
+                    assert out.best[: len(before) + 1] == before + [j], (name, k, j)
+                    ok, _ = validate_k_matching(g, [g.edges[i] for i in out.best], k)
+                    assert ok, (name, k, j)
+                probes += 1
+                kept += want
+    assert 0 < kept < probes
+
+
+def test_probe_search_refuses_an_overfull_start():
+    # two forced edges at one vertex exceed k = 1: no leaf, no node spent.
+    g = build_named("path", 3)
+    out = _search_maximum(g, 1, _SEARCH_CAP, [], [0, 1], 1)
+    assert out.settled and out.best is None and out.nodes == 0
 
 
 def test_search_depth_is_not_bounded_by_the_interpreter():

@@ -9,19 +9,26 @@ settles is hashed as well; it carries the witness and the `nodes`
 effort counter, which moves with any change to the visiting order or
 the pruning. Both digests were taken before the search was moved from
 recursion onto an explicit stack.
+
+The products whose canonical search does not settle go on to the
+integer program and to witness recovery. Their (size, witness,
+exhaustive) answers are hashed under corpus labels, without `nodes`:
+the digest was taken while every recovery probe was a solver call, so it
+checks that settling probes another way leaves each witness unchanged.
 """
 
 import hashlib
 from itertools import product as iproduct
 
 from kmatch.cli import canonical_json, main
-from kmatch.corpus import connected_graphs
+from kmatch.corpus import connected_graphs, corpus_names
 from kmatch.graphs import graph_to_json_obj
-from kmatch.matchings import _SEARCH_CAP, _degree_order, _search_maximum
+from kmatch.matchings import _SEARCH_CAP, _degree_order, _search_maximum, max_k_matching
 from kmatch.products import KINDS, product
 
 SEARCH_PIN = (864, "0daa01b6e05b661352a68489c453cca8b60310eae4891b49d9f602d6b8585203")
 SOLVE_PIN = (322, "dfd27c4a0f1f4db630d1074b370aa547de9d851a5365a743850561b793588f23")
+ESCALATED_PIN = (110, "e1102adf0256d67cef4f1a189812727c023a3d1476432bb31a754620109b12ae")
 
 
 def products():
@@ -58,3 +65,18 @@ def test_solve_payloads_are_pinned(tmp_path, capsys):
         digest.update(capsys.readouterr().out.encode())
         count += 1
     assert (count, digest.hexdigest()) == SOLVE_PIN
+
+
+def test_escalated_witnesses_are_pinned():
+    names = corpus_names(connected_graphs(4))
+    digest = hashlib.sha256()
+    count = 0
+    for where, p, k in products():
+        if _search_maximum(p, k, _SEARCH_CAP).settled:
+            continue
+        i, j, kind, _ = where.split()
+        rep = max_k_matching(p, k)
+        digest.update(f"{names[int(i)]} {names[int(j)]} {kind} {k}\n".encode())
+        digest.update(canonical_json([rep.size, rep.witness, rep.exhaustive]).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == ESCALATED_PIN
