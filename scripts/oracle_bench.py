@@ -3,9 +3,10 @@
 
 Each row is one maximum k-matching query on a product of two named
 graphs: the time to build the product, the query's wall time, search
-nodes, and whether the run was exhaustive. The last two rows (1,800
-edges) lie past the depth at which a recursive search would exceed
-Python's recursion limit.
+nodes, and whether the run was exhaustive. The two cycle(30) rows
+(1,800 edges) lie past the depth at which a recursive search would
+exceed Python's recursion limit; the two rows after them escalate to
+the solver stage at k = 2.
 The node counter is the budget currency (tree nodes plus a flat charge
 per solver escalation), so the column also shows how far beyond the
 plain search an instance had to go. --budget makes the degradation
@@ -31,6 +32,10 @@ INSTANCES = (
     ("complete(4)", "complete(4)", "strong", 3),
     ("cycle(30)", "cycle(30)", "cartesian", 1),
     ("cycle(30)", "cycle(30)", "cartesian", 2),
+    # escalations at k = 2: the relaxation's point settles the first, the
+    # second has a fractional relaxation and needs the integer program.
+    ("cycle(13)", "path(13)", "cartesian", 2),
+    ("cycle(13)", "path(13)", "strong", 2),
 )
 
 

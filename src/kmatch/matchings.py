@@ -13,13 +13,19 @@ lexicographically smallest one. A size-only query searches the edges in
 degree order (low-degree vertices first), which finds the optimum in far
 fewer nodes, and reports some maximum. Instances that outgrow the cap go
 to an integer program (one binary per edge, one per vertex, degree =
-k * matched) that proves the exact size; a witness query then recovers
-the canonical witness by lexicographic fixing. Each fixing probe is
-settled by propagation when it can be, else by the same search run as a
-capped probe toward the known size, and only else by the program. The
-budget caps total effort, counting search nodes (probe searches
-included) plus a flat charge per optimizer call; an exhausted budget
-degrades the report to exhaustive=False instead of raising.
+k * matched) that proves the exact size. Its continuous relaxation runs
+first: an upper bound computed exactly from the relaxation's duals, and
+the relaxation's point when it rounds to a k-matching that meets the
+bound, settle many of those calls without the integer program. A
+witness query then recovers the canonical witness by lexicographic
+fixing. Each fixing probe is settled by propagation when it can be, else
+by the same search run as a capped probe toward the known size, else by
+the relaxation (a bound below the size drops the edge, a point of that
+size keeps it), and only else by the program. The budget caps total
+effort, counting search nodes (probe searches included, a capped search
+charged its cap) plus a flat charge per relaxation or program solve; an
+exhausted budget degrades the report to exhaustive=False instead of
+raising.
 """
 
 from __future__ import annotations
@@ -388,6 +394,9 @@ class _SizeProgram:
     vertex says the chosen degree equals k times the matched flag, which
     is the condition verbatim. Decided edges are substituted out of the
     program (column dropped, forced degree moved to the right-hand side).
+    `solve` answers the integer program, `relax` its continuous
+    relaxation over the same substitution; the relaxation's bound is
+    exact whatever the solver's float error, see `relax`.
     Presolve stays off: the bundled solver's presolve mishandles these
     equality systems and can claim an infeasible instance is optimal.
     The relative gap is 0: at HiGHS's default of 1e-4 a solve may stop
@@ -421,20 +430,23 @@ class _SizeProgram:
             vals.append(-float(self.k))
         return sparse.csc_matrix((vals, (rows, cols)), shape=(self.n, len(free) + self.n))
 
+    def _substitute(self, fixed: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
+        """The undecided edges, the edges fixed in, and the right-hand
+        side of each degree row: minus the degree the fixed-in edges give."""
+        free = [j for j in range(self.m) if j not in fixed]
+        ones = [j for j, value in fixed.items() if value]
+        forced = [0] * self.n
+        for j in ones:
+            a, b = self.ends[j]
+            forced[a] += 1
+            forced[b] += 1
+        return free, ones, [-f for f in forced]
+
     def solve(self, fixed: dict[int, int]) -> tuple[int, frozenset[int]] | None:
         """Maximum size and one witness honoring `fixed`; None if infeasible."""
         from scipy.optimize import Bounds, LinearConstraint, milp
 
-        free = [j for j in range(self.m) if j not in fixed]
-        forced = [0] * self.n
-        ones = []
-        for j, value in fixed.items():
-            if value:
-                ones.append(j)
-                a, b = self.ends[j]
-                forced[a] += 1
-                forced[b] += 1
-        rhs = [-float(f) for f in forced]
+        free, ones, rhs = self._substitute(fixed)
         res = milp(
             c=[-1.0] * len(free) + [0.0] * self.n,
             constraints=LinearConstraint(self._degree_matrix(free), rhs, rhs),
@@ -466,24 +478,57 @@ class _SizeProgram:
             degrees[b] += 1
         return any(d != 0 and d != self.k for d in degrees)
 
-    def relaxation_bound(self) -> int:
-        """Floor of the continuous relaxation: an upper bound on the size."""
+    def relax(self, fixed: dict[int, int]) -> tuple[int, frozenset[int] | None] | None:
+        """The continuous relaxation of `solve(fixed)`; None if infeasible.
+
+        Otherwise returns (bound, point). `bound` is an upper bound on the
+        size of every k-matching honoring `fixed`, exact by construction:
+        for any multipliers lam on the degree rows, weak duality over the
+        [0, 1] box gives
+
+            size - ones <= -(lam . b + sum_j min(0, c_j - a_j . lam)),
+
+        and the right-hand side is evaluated in exact rational arithmetic
+        from the solver's equality duals, so float error can only make
+        the bound weaker, never wrong. `point` is the solver's point
+        rounded to 0/1, returned only when it has exactly `bound` edges
+        and passes `off_condition` (plain tests, so they run under -O):
+        it is then a k-matching that meets an upper bound, a maximum.
+        """
         from scipy.optimize import linprog
 
+        free, ones, rhs = self._substitute(fixed)
         res = linprog(
-            c=[-1.0] * self.m + [0.0] * self.n,
-            A_eq=self._degree_matrix(list(range(self.m))),
-            b_eq=[0.0] * self.n,
+            c=[-1.0] * len(free) + [0.0] * self.n,
+            A_eq=self._degree_matrix(free),
+            b_eq=rhs,
             bounds=(0.0, 1.0),
             method="highs",
             options={"presolve": False},
         )
+        if res.status == 2:
+            return None
         if res.status != 0:
             raise InvariantViolation(f"relaxation solve failed: {res.message}")
-        # a floor nudged up by epsilon can only overshoot, and an overshot
-        # bound can never be matched by a feasible matching, so this stays
-        # a safe optimality certificate.
-        return math.floor(-res.fun + 1e-6)
+        # the duals as integers over one power-of-two denominator: every
+        # finite float is a dyadic rational, and any multiplier is valid.
+        ratios = [x.as_integer_ratio() if math.isfinite(x) else (0, 1) for x in res.eqlin.marginals]
+        scale = max(d for _, d in ratios)
+        lam = [p * (scale // d) for p, d in ratios]
+        # scale * (-lam . b) + the box terms of the edge and flag columns
+        total = sum(-lam[i] * b for i, b in enumerate(rhs) if b)
+        for j in free:
+            a, b = self.ends[j]
+            total += max(0, scale + lam[a] + lam[b])
+        total += sum(max(0, -self.k * x) for x in lam)
+        bound = total // scale + len(ones)
+        taken = [j for col, j in enumerate(free) if res.x[col] > 0.5]
+        point = None
+        if len(ones) + len(taken) == bound:
+            chosen = frozenset(ones) | frozenset(taken)
+            if not self.off_condition(chosen):
+                point = chosen
+        return bound, point
 
 
 # effort accounting: one optimizer call is charged like this many search
@@ -500,22 +545,27 @@ def max_k_matching(
 
     A capped branch-and-bound settles most instances outright. With
     `witness` on it searches the canonical edge order, so its first
-    maximum is the lexicographically smallest one; when the search gives
-    up, the integer program proves the maximum size and the canonical
-    witness is recovered by fixing edges in canonical order, keeping an
-    edge exactly when some maximum matching still contains it. Each such
-    probe goes through three stages, and the first that decides it
+    maximum is the lexicographically smallest one. When the search gives
+    up, the relaxation runs: a point of the relaxation that rounds to a
+    k-matching meeting its exact bound is a maximum, and a size-only
+    call is also settled when the search's best meets the bound;
+    otherwise the integer program proves the maximum size. The canonical
+    witness is then recovered by fixing edges in canonical order, keeping
+    an edge exactly when some maximum matching still contains it. Each
+    such probe goes through four stages, and the first that decides it
     settles it: propagation (an endpoint of the edge already has degree k,
     or cannot reach k from the kept edges, the edge and the undecided
     ones), a search capped at `_SEARCH_CAP` nodes for a maximum over the
-    undecided edges in degree order, and a solve of the integer program.
-    With `witness` off the search runs in degree order, which settles far
-    more instances within the cap, and both the search and the solver
-    report just some maximum matching; size and unmatched counts are
-    exact either way. `budget` caps the total effort (search nodes, probe
-    searches included, plus a flat charge per optimizer call); when it
-    runs out the report degrades to exhaustive=False carrying the best
-    matching found so far.
+    undecided edges in degree order, the relaxation (its bound below the
+    maximum drops the edge, its point keeps it), and a solve of the
+    integer program. With `witness` off the search runs in degree order,
+    which settles far more instances within the cap, and every stage
+    reports just some maximum matching; size and unmatched counts are
+    exact either way. `budget` caps the total effort: search nodes,
+    probe searches included and a capped search charged its cap, plus a
+    flat charge per relaxation or integer-program solve, so `nodes`
+    never exceeds it. When it runs out the report degrades to
+    exhaustive=False carrying the best matching found so far.
     """
     check_k(k)
     if budget < 1:
@@ -541,28 +591,33 @@ def max_k_matching(
     # the canonical order makes the first maximum the canonical witness;
     # a size-only call is free to search in the faster degree order.
     order = None if witness else _degree_order(g)
-    search = _search_maximum(g, k, min(_SEARCH_CAP, budget), order)
+    cap = min(_SEARCH_CAP, budget)
+    search = _search_maximum(g, k, cap, order)
     if search.settled:
         found = tuple(label_edges[i] for i in search.best or [])
         return report(max(search.best_size, 0), found, True, search.nodes)
-    spent = search.nodes
+    # a capped search counts the node it stopped at; charge only the cap.
+    spent = cap
     fallback_size = max(search.best_size, 0)
     fallback = tuple(label_edges[i] for i in search.best or [])
 
     program = _SizeProgram(g, k)
-    if not witness and search.best is not None:
-        # cheap certificate: the best matching the search did reach may
-        # already meet the relaxation bound, which proves it maximum.
-        if spent + _SOLVE_EFFORT > budget:
-            return report(fallback_size, fallback, False, spent)
-        spent += _SOLVE_EFFORT
-        if search.best_size >= program.relaxation_bound():
-            return report(fallback_size, fallback, True, spent)
-
     if spent + _SOLVE_EFFORT > budget:
         return report(fallback_size, fallback, False, spent)
     spent += _SOLVE_EFFORT
-    optimum, sol = program.solve({})
+    # the empty matching is feasible, so an infeasible answer is not
+    # trusted: the edge count is a bound that needs no solver.
+    bound, sol = program.relax({}) or (g.m, None)
+    if not witness and search.best_size >= bound:
+        # the best matching the search did reach meets the bound.
+        return report(fallback_size, fallback, True, spent)
+    if sol is not None:
+        optimum = bound
+    else:
+        if spent + _SOLVE_EFFORT > budget:
+            return report(fallback_size, fallback, False, spent)
+        spent += _SOLVE_EFFORT
+        optimum, sol = program.solve({})
     if optimum == 0:
         return report(0, (), True, spent)
     if not witness:
@@ -572,8 +627,9 @@ def max_k_matching(
     # some maximum matching agrees with every decision so far and contains
     # it. `sol` always witnesses the decisions made up to this point, so
     # its members are kept for free. Any other edge j is a probe, settled
-    # by the first of three stages that can: propagation at j's endpoints,
-    # a capped search for a maximum over the edges after j, the solver.
+    # by the first stage that can: propagation at j's endpoints, a capped
+    # search for a maximum over the edges after j, the relaxation, the
+    # solver.
     ends = program.ends
     kept = [0] * g.n  # degree from the kept edges
     ahead = [0] * g.n  # incident edges after the current one
@@ -602,8 +658,9 @@ def max_k_matching(
                 return partial()
             forced = [i for i, v in fixed.items() if v] + [j]
             order = [i for i in tail if i > j]
-            probe = _search_maximum(g, k, min(_SEARCH_CAP, room), order, forced, optimum)
-            spent += probe.nodes
+            cap = min(_SEARCH_CAP, room)
+            probe = _search_maximum(g, k, cap, order, forced, optimum)
+            spent += min(probe.nodes, cap)
             if probe.settled and probe.best is not None:
                 if len(probe.best) != optimum or program.off_condition(probe.best):
                     raise InvariantViolation(
@@ -614,9 +671,20 @@ def max_k_matching(
                 if spent + _SOLVE_EFFORT > budget:
                     return partial()
                 spent += _SOLVE_EFFORT
-                attempt = program.solve({**fixed, j: 1})
-                if attempt is not None and attempt[0] == optimum:
-                    keep, sol = True, attempt[1]
+                # a bound below the optimum drops j. An infeasible answer
+                # decides nothing and goes on to the integer program.
+                bound, point = program.relax({**fixed, j: 1}) or (g.m, None)
+                if bound >= optimum and point is not None:
+                    # a k-matching with j of at most the optimum's size
+                    # that meets a bound of at least it: a maximum.
+                    keep, sol = True, point
+                elif bound >= optimum:
+                    if spent + _SOLVE_EFFORT > budget:
+                        return partial()
+                    spent += _SOLVE_EFFORT
+                    attempt = program.solve({**fixed, j: 1})
+                    if attempt is not None and attempt[0] == optimum:
+                        keep, sol = True, attempt[1]
         fixed[j] = int(keep)
         if keep:
             ones += 1

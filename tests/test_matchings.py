@@ -14,8 +14,10 @@ import kmatch
 from kmatch.errors import EdgeNotInHost, InvalidK, InvariantViolation, SizeLimitExceeded
 from kmatch.graphs import build_named, make_graph
 from kmatch.corpus import connected_graphs
+from kmatch import matchings
 from kmatch.matchings import (
     _SEARCH_CAP,
+    _SOLVE_EFFORT,
     _SizeProgram,
     _search_maximum,
     canonical_matching,
@@ -146,19 +148,150 @@ def test_budget_exhaustion_degrades_not_raises():
     assert len(rep.witness) == rep.size <= 18
 
 
+def record_optimizer_calls(monkeypatch):
+    """Log each relaxation and integer-program call of the oracle as
+    (method, fixed, answer)."""
+    calls = []
+    for name in ("relax", "solve"):
+
+        def call(self, fixed, _name=name, _method=getattr(_SizeProgram, name)):
+            out = _method(self, fixed)
+            calls.append((_name, dict(fixed), out))
+            return out
+
+        monkeypatch.setattr(_SizeProgram, name, call)
+    return calls
+
+
 def test_budget_exhaustion_during_witness_recovery():
-    # the search (4,001 nodes) and the optimum's solve (10,000) fit in
-    # every budget here; each one runs out somewhere in the recovery.
+    # the search (4,000 nodes), the root relaxation and the optimum's
+    # solve (10,000 each) fit in every budget here; each one runs out
+    # somewhere in the recovery. The grid spans whatever the recovery
+    # costs, so a cheaper recovery still leaves enough budgets inside it.
     g = build_named("star", 3)
     p = product(g, g, "lex").graph
     full = max_k_matching(p, 3)
-    budgets = range(_SEARCH_CAP + 1 + 10_000, full.nodes, 5_000)
-    assert len(budgets) > 10
+    start = _SEARCH_CAP + 2 * _SOLVE_EFFORT
+    budgets = range(start, full.nodes, max(1, (full.nodes - start) // 12))
+    assert len(budgets) >= 10
     for budget in budgets:
         rep = max_k_matching(p, 3, budget=budget)
         assert not rep.exhaustive, budget
+        assert rep.nodes <= budget, budget
         ok, _ = validate_k_matching(p, rep.witness, 3)
         assert ok and len(rep.witness) == rep.size == 18, budget
+
+
+def test_a_capped_search_charges_at_most_its_cap(monkeypatch):
+    g = build_named("star", 3)
+    p = product(g, g, "lex").graph
+    # the root search stops at its cap, which the budget sets
+    assert max_k_matching(p, 3, budget=500).nodes == 500
+
+    # replay the full query's charges up to its first probe search that
+    # hits the cap, then give it a budget that runs out 100 nodes into it
+    calls = record_optimizer_calls(monkeypatch)
+    real_search = matchings._search_maximum
+
+    def search_spy(g, k, cap, *rest):
+        out = real_search(g, k, cap, *rest)
+        calls.append(("search", cap, out))
+        return out
+
+    monkeypatch.setattr(matchings, "_search_maximum", search_spy)
+    max_k_matching(p, 3)
+    charged = searches = 0
+    for method, cap, out in calls:
+        if method != "search":
+            charged += _SOLVE_EFFORT
+            continue
+        searches += 1
+        if searches > 1 and not out.settled:
+            break
+        charged += min(out.nodes, cap)
+    calls.clear()
+    rep = max_k_matching(p, 3, budget=charged + 100)
+    method, cap, out = calls[-1]
+    assert len(calls) > 2 and method == "search" and cap == 100 and not out.settled
+    assert not rep.exhaustive and rep.nodes == charged + 100
+
+
+def test_relaxation_stage_settles_escalations_exactly(monkeypatch, small_corpus):
+    # with a one-node search every query with edges escalates, and every
+    # recovery probe that propagation leaves reaches the relaxation.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", 1)
+    calls = record_optimizer_calls(monkeypatch)
+    seen = set()
+    for name, g in small_corpus:
+        for k in (1, 2, 3):
+            optimum = bruteforce.maximum_size(g.vertices, g.edges, k)
+            calls.clear()
+            rep = max_k_matching(g, k)
+            index = {e: i for i, e in enumerate(g.edges)}
+            got = tuple(sorted(index[e] for e in rep.witness))
+            assert rep.exhaustive and got == bruteforce.lex_min_maximum(g.vertices, g.edges, k)
+            for method, fixed, out in calls:
+                if method == "solve":
+                    seen.add("integer program")
+                elif not fixed:
+                    seen.add("root point" if out[1] is not None else "root bound")
+                elif out is not None and out[0] < optimum:
+                    seen.add("probe dropped")
+                elif out is not None and out[1] is not None:
+                    assert len(out[1]) == optimum, (name, k)
+                    seen.add("probe kept")
+            slim = max_k_matching(g, k, witness=False)
+            assert slim.exhaustive and slim.size == optimum, (name, k)
+    assert {"root point", "probe dropped", "probe kept", "integer program"} <= seen
+
+
+def lying_linprog(c, A_eq, b_eq, **kwargs):
+    """A relaxation answer that claims an objective of 0 with all-zero
+    duals and takes every column at 1."""
+    return types.SimpleNamespace(
+        status=0,
+        fun=0.0,
+        x=[1.0] * len(c),
+        message="",
+        eqlin=types.SimpleNamespace(marginals=[0.0] * len(b_eq)),
+    )
+
+
+def infeasible_linprog(*args, **kwargs):
+    return types.SimpleNamespace(status=2, message="claimed infeasible")
+
+
+@pytest.mark.parametrize("fake", [lying_linprog, infeasible_linprog], ids=lambda f: f.__name__)
+def test_a_lying_relaxation_neither_drops_nor_keeps(monkeypatch, small_corpus, fake):
+    # the lying objective is below every optimum here, but the bound
+    # comes from the duals, and zero duals bound the size by the edge
+    # count; the all-ones point is off the 0-or-k condition in every
+    # probe. An infeasible claim decides nothing. So each probe falls
+    # through to the integer program.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", 1)
+    monkeypatch.setattr(scipy.optimize, "linprog", fake)
+    calls = record_optimizer_calls(monkeypatch)
+    probes = 0
+    for name, g in small_corpus:
+        for k in (1, 2, 3):
+            optimum = bruteforce.maximum_size(g.vertices, g.edges, k)
+            calls.clear()
+            rep = max_k_matching(g, k)
+            index = {e: i for i, e in enumerate(g.edges)}
+            got = tuple(sorted(index[e] for e in rep.witness))
+            assert rep.exhaustive and got == bruteforce.lex_min_maximum(g.vertices, g.edges, k)
+            for method, fixed, out in calls:
+                if method == "relax" and out is not None:
+                    bound, point = out
+                    assert bound >= optimum, (name, k)
+                    # the only point let through is a graph that is
+                    # itself a k-matching, and so its own maximum
+                    assert point is None or not fixed and len(point) == g.m == optimum, (name, k)
+                probes += method == "relax" and bool(fixed)
+            relaxed = sum(1 for method, fixed, _ in calls if method == "relax" and fixed)
+            solved = sum(1 for method, fixed, _ in calls if method == "solve" and fixed)
+            assert relaxed == solved, (name, k)
+    assert probes > 0
 
 
 def test_probe_search_agrees_with_enumeration(sweep_corpus):
@@ -299,6 +432,15 @@ except InvariantViolation:
     pass
 else:
     raise SystemExit("an off-condition solver point was accepted under -O")
+
+# zero duals bound path(3) at its 2 edges, and the all-ones point has 2
+# edges, but the middle vertex gets degree 2
+scipy.optimize.linprog = lambda c, A_eq, b_eq, **kw: types.SimpleNamespace(
+    status=0, x=[1.0] * 5, fun=-2.0, message="",
+    eqlin=types.SimpleNamespace(marginals=[0.0] * 3),
+)
+if _SizeProgram(build_named("path", 3), 1).relax({}) != (2, None):
+    raise SystemExit("an off-condition relaxation point was accepted under -O")
 """
 
 

@@ -26,3 +26,12 @@ def test_wb_census_that_checks_nothing_is_refused(capsys, option):
     assert census["main"](option) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_bench_prints_one_row_per_instance(capsys):
+    bench = runpy.run_path(str(SCRIPTS / "oracle_bench.py"), run_name="oracle_bench")
+    assert bench["main"](["--budget", "1"]) == 0
+    header, *rows, summary = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["instance", "k"]
+    assert len(rows) == len(bench["INSTANCES"])
+    assert summary.startswith("slowest query:")
