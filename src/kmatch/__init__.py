@@ -19,23 +19,19 @@ from .errors import (
     CorpusError,
     EdgeNotInFactor,
     EdgeNotInHost,
-    EdgeNotInProduct,
     IncompatibleProduct,
     InvalidK,
     InvalidParameter,
     InvariantViolation,
-    ItemNotInProduct,
     KmatchError,
     ParseError,
     ScenarioError,
     SizeLimitExceeded,
-    UnknownAnchor,
     UnsupportedKind,
 )
 from .graphs import (
     Graph,
     build_named,
-    is_bipartite,
     is_connected,
     make_graph,
     parse_graph,
@@ -46,12 +42,11 @@ from .matchings import (
     classify_matching,
     enumerate_k_matchings,
     max_k_matching,
-    maximum_k_matchings,
     validate_k_matching,
 )
-from .products import ProductGraph, classify_edge, layer, product, project
+from .products import ProductGraph, product
 from .scenarios import SCENARIOS, run_scenario
-from .weakhom import allowed_edges, is_whp
+from .weakhom import allowed_edges
 from .wellbehaved import (
     EquivalenceReport,
     WellBehavedReport,
@@ -83,38 +78,29 @@ __all__ = [
     "check_boxast",
     "check_circledast",
     "circledast",
-    "classify_edge",
     "classify_matching",
     "connected_graphs",
     "connected_graphs_upto",
     "corpus_names",
     "enumerate_k_matchings",
     "equivalence_suite",
-    "is_bipartite",
     "is_connected",
-    "is_whp",
-    "layer",
     "load_corpus_dir",
     "make_graph",
     "max_k_matching",
-    "maximum_k_matchings",
     "parse_graph",
     "product",
-    "project",
     "run_scenario",
     "validate_k_matching",
     "CorpusError",
     "EdgeNotInFactor",
     "EdgeNotInHost",
-    "EdgeNotInProduct",
     "IncompatibleProduct",
     "InvalidK",
     "InvalidParameter",
     "InvariantViolation",
-    "ItemNotInProduct",
     "ParseError",
     "ScenarioError",
     "SizeLimitExceeded",
-    "UnknownAnchor",
     "UnsupportedKind",
 ]

@@ -74,7 +74,7 @@ def load_corpus_dir(path: str | Path) -> tuple[tuple[str, Graph], ...]:
             continue
         try:
             out.append((file.name, parse_graph(file.read_text())))
-        except (OSError, KmatchError) as exc:
+        except (OSError, UnicodeDecodeError, KmatchError) as exc:
             raise CorpusError(f"{file}: {exc}") from exc
     if not out:
         raise CorpusError(f"{root} holds no graph files ({', '.join(CORPUS_SUFFIXES)})")

@@ -41,21 +41,9 @@ class EdgeNotInFactor(KmatchError):
     """A factor matching references an edge missing from that factor."""
 
 
-class EdgeNotInProduct(KmatchError):
-    """A product matching references an edge missing from the product."""
-
-
-class ItemNotInProduct(KmatchError):
-    """A vertex or edge does not belong to the product graph."""
-
-
 class UnsupportedKind(KmatchError):
-    """The operation is undefined for this product kind (e.g. layers of a
-    direct product)."""
-
-
-class UnknownAnchor(KmatchError):
-    """A layer was requested at a vertex the other factor does not have."""
+    """The operation is undefined for this product kind (e.g. the ast
+    flavor on the cartesian product)."""
 
 
 class IncompatibleProduct(KmatchError):

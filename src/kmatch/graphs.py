@@ -80,9 +80,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_vertex(self, v: Vertex) -> bool:
-        return v in self.index
-
     def edge_between(self, u: Vertex, v: Vertex) -> Edge | None:
         """The canonical form of the edge {u, v}, or None if absent."""
         idx = self.index
@@ -321,13 +318,19 @@ def label_text(v: Vertex) -> str:
     return json.dumps(_labels_to_json(v), separators=(",", ":"), sort_keys=True)
 
 
+def _dot_id(v: Vertex) -> str:
+    # A JSON label text never ends in a backslash, so escaping its quotes
+    # is enough to make a DOT quoted ID.
+    return '"' + label_text(v).replace('"', '\\"') + '"'
+
+
 def to_dot(g: Graph, name: str = "G") -> str:
     """Render as an undirected DOT graph in canonical order."""
     lines = [f"graph {name} {{"]
     for v in g.vertices:
-        lines.append(f'  "{label_text(v)}";')
+        lines.append(f"  {_dot_id(v)};")
     for u, v in g.edges:
-        lines.append(f'  "{label_text(u)}" -- "{label_text(v)}";')
+        lines.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -362,25 +365,6 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def is_bipartite(g: Graph) -> tuple[bool, dict[Vertex, int] | None]:
-    """Two-color if possible; returns (flag, coloring or None)."""
-    color: dict[Vertex, int] = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in g.adjacency[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return False, None
-    return True, color
-
-
 def _neighbor_degree_profile(g: Graph) -> dict[Vertex, tuple[int, tuple[int, ...]]]:
     return {
         v: (g.degree(v), tuple(sorted(g.degree(w) for w in g.adjacency[v])))
@@ -393,7 +377,7 @@ def are_isomorphic_small(g1: Graph, g2: Graph) -> bool:
 
     Candidate images are pruned by degree and neighbor-degree profiles;
     that plus the size bound keeps the search trivially fast for every use
-    in this package (layer checks, corpus dedup, double covers).
+    in this package (corpus dedup, the C6 scenario, double covers).
     """
     if g1.n > ISO_MAX_VERTICES or g2.n > ISO_MAX_VERTICES:
         raise SizeLimitExceeded(

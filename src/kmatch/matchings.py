@@ -750,10 +750,3 @@ def _walk_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
         rem[b] += 1
 
     yield from walk(0)
-
-
-def maximum_k_matchings(g: Graph, k: int) -> tuple[tuple[Edge, ...], ...]:
-    """Every maximum k-matching, by exhaustive enumeration (small graphs)."""
-    all_of_them = list(enumerate_k_matchings(g, k))
-    best = max(len(m) for m in all_of_them)
-    return tuple(m for m in all_of_them if len(m) == best)

@@ -20,9 +20,9 @@ from typing import Callable
 
 from .constructions import ast, boxast
 from .errors import KmatchError, ScenarioError
-from .graphs import build_named, are_isomorphic_small
-from .matchings import DEFAULT_NODE_BUDGET, classify_matching, max_k_matching
-from .products import product
+from .graphs import Graph, are_isomorphic_small, build_named
+from .matchings import DEFAULT_NODE_BUDGET, MatchingClass, classify_matching, max_k_matching
+from .products import ProductGraph, product
 from .wellbehaved import check_boxast
 
 
@@ -90,42 +90,35 @@ def _measure_triple_product(budget: int) -> dict:
     }
 
 
-def _measure_c6_direct(budget: int) -> dict:
+def _measure_ast_on_direct(h: Graph, budget: int) -> tuple[ProductGraph, MatchingClass, dict]:
+    """The diagonals of maximum factor 1-matchings on K2 x h, against the
+    product's maximum: the product, the diagonals' classification, and
+    the measurements both direct scenarios report."""
     k2 = build_named("complete", 2)
-    k3 = build_named("complete", 3)
-    p = product(k2, k3, "direct")
-    left = max_k_matching(k2, 1, budget=budget)
-    right = max_k_matching(k3, 1, budget=budget)
-    built = ast(p, left.witness, right.witness)
+    p = product(k2, h, "direct")
+    m_g = max_k_matching(k2, 1, budget=budget).witness
+    m_h = max_k_matching(h, 1, budget=budget).witness
+    built = ast(p, m_g, m_h)
     cls = classify_matching(p.graph, built.edges, 1, budget=budget)
     prod = max_k_matching(p.graph, 1, budget=budget)
-    return {
-        "is_c6": are_isomorphic_small(p.graph, build_named("cycle", 6)),
+    return p, cls, {
         "construction_size": len(built.edges),
         "construction_valid": cls.valid,
-        "construction_maximal": cls.maximal,
         "product_max_size": prod.size,
         "construction_maximum": len(built.edges) == prod.size,
         "exhaustive": prod.exhaustive,
     }
+
+
+def _measure_c6_direct(budget: int) -> dict:
+    p, cls, measured = _measure_ast_on_direct(build_named("complete", 3), budget)
+    measured["is_c6"] = are_isomorphic_small(p.graph, build_named("cycle", 6))
+    measured["construction_maximal"] = cls.maximal
+    return measured
 
 
 def _measure_k2p3_direct(budget: int) -> dict:
-    k2 = build_named("complete", 2)
-    p3 = build_named("path", 3)
-    p = product(k2, p3, "direct")
-    left = max_k_matching(k2, 1, budget=budget)
-    right = max_k_matching(p3, 1, budget=budget)
-    built = ast(p, left.witness, right.witness)
-    cls = classify_matching(p.graph, built.edges, 1, budget=budget)
-    prod = max_k_matching(p.graph, 1, budget=budget)
-    return {
-        "construction_size": len(built.edges),
-        "construction_valid": cls.valid,
-        "product_max_size": prod.size,
-        "construction_maximum": len(built.edges) == prod.size,
-        "exhaustive": prod.exhaustive,
-    }
+    return _measure_ast_on_direct(build_named("path", 3), budget)[2]
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {

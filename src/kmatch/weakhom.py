@@ -12,30 +12,17 @@ weak homomorphism of the ambient graphs; the membership rule does not
 care).
 
 Every W_k query is a plain k-matching query on the subgraph spanned by
-the allowed edges: membership filters edges, and the maximum and the
-bounded enumeration are `max_k_matching` and `enumerate_k_matchings` run
+the allowed edges: membership is a lookup in its edge set, and the
+maximum and the bounded enumeration are `max_k_matching` and `enumerate_k_matchings` run
 on `allowed_edges(...)`, built once per query.
 """
 
 from __future__ import annotations
 
-from .errors import EdgeNotInFactor, EdgeNotInProduct
-from .graphs import Edge, Graph
+from .errors import EdgeNotInFactor
+from .graphs import Graph
 from .matchings import canonical_matching
 from .products import ProductGraph
-
-
-def is_whp(p: ProductGraph, m, m_g, m_h) -> tuple[bool, Edge | None]:
-    """Does every edge of m project into the factor data?
-
-    Returns (True, None) or (False, first offending edge) in canonical
-    order.
-    """
-    allowed = allowed_edges(p, m_g, m_h).edge_set
-    for e in canonical_matching(p.graph, m, error=EdgeNotInProduct):
-        if e not in allowed:
-            return False, e
-    return True, None
 
 
 def allowed_edges(p: ProductGraph, m_g, m_h) -> Graph:

@@ -64,3 +64,49 @@ def is_maximal(vertices, edges, subset, k):
             if is_k_matching(vertices, list(chosen) + list(extra), k):
                 return False
     return True
+
+
+def project(factor_edges, a, b):
+    """Where one side of a product edge lands in its factor, given the two
+    coordinates a and b on that side: ("collapsed", a) when they are
+    equal, ("edge", e) when {a, b} is the factor edge e, and otherwise
+    ("non_edge", (a, b))."""
+    if a == b:
+        return ("collapsed", a)
+    for e in factor_edges:
+        if set(e) == {a, b}:
+            return ("edge", e)
+    return ("non_edge", (a, b))
+
+
+def preserving_edges(g_edges, h_edges, product_edges, m_g, m_h):
+    """The product edges that project, on each side, onto a factor matching
+    edge or onto a single vertex."""
+    kept = []
+    for (a, c), (b, d) in product_edges:
+        sides = (project(g_edges, a, b), m_g), (project(h_edges, c, d), m_h)
+        if all(tag == "collapsed" or (tag == "edge" and item in m) for (tag, item), m in sides):
+            kept.append(((a, c), (b, d)))
+    return kept
+
+
+def is_bipartite(vertices, edges):
+    """Two-colourable, by breadth-first search from every uncoloured vertex."""
+    colour = {}
+    for start in vertices:
+        if start in colour:
+            continue
+        colour[start] = 0
+        queue = [start]
+        while queue:
+            x = queue.pop(0)
+            for a, b in edges:
+                if x not in (a, b):
+                    continue
+                y = b if a == x else a
+                if y not in colour:
+                    colour[y] = 1 - colour[x]
+                    queue.append(y)
+                elif colour[y] == colour[x]:
+                    return False
+    return True

@@ -14,8 +14,9 @@ from itertools import product as iproduct
 
 import pytest
 
+import bruteforce
 from kmatch.constructions import ast, boxast, circledast
-from kmatch.graphs import are_isomorphic_small, build_named, connected_components, is_bipartite
+from kmatch.graphs import are_isomorphic_small, build_named, connected_components
 from kmatch.matchings import (
     classify_matching,
     degree_profile,
@@ -457,7 +458,9 @@ def test_criterion_08_one_matching_maximality(small_corpus, capsys):
 
 def test_criterion_09_double_cover(sweep_corpus, capsys):
     k2 = build_named("complete", 2)
-    bipartite = [(name, g) for name, g in sweep_corpus if is_bipartite(g)[0]]
+    bipartite = [
+        (name, g) for name, g in sweep_corpus if bruteforce.is_bipartite(g.vertices, g.edges)
+    ]
     assert len(bipartite) == 11
     for name, g in bipartite:
         p = product(g, k2, "direct")

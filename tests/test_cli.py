@@ -5,13 +5,17 @@ byte-identity checks shell out so they exercise the real entry point.
 """
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kmatch.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
+from kmatch.graphs import label_text, parse_graph
+from kmatch.products import product
 from kmatch.scenarios import SCENARIOS
 from kmatch.wellbehaved import CONDITIONS
 
@@ -77,6 +81,17 @@ def test_product_dot(capsys, files):
     )
     assert code == EXIT_OK
     assert out.startswith("graph") and "--" in out
+    # text labels are JSON strings, so each ID escapes the quotes inside it
+    lines = [line.strip().removesuffix(";") for line in out.splitlines()[1:-1]]
+    ids = [node for line in lines for node in line.split(" -- ")]
+    assert all(re.fullmatch(r'"(?:[^"\\]|\\.)*"', node) for node in ids)
+    text = {node: node[1:-1].replace('\\"', '"') for node in ids}
+    k2 = parse_graph(Path(files["k2"]).read_text())
+    p = product(k2, k2, "strong").graph
+    assert [text[line] for line in lines[: p.n]] == [label_text(v) for v in p.vertices]
+    assert [[text[node] for node in line.split(" -- ")] for line in lines[p.n :]] == [
+        [label_text(u), label_text(v)] for u, v in p.edges
+    ]
 
 
 def test_product_table(capsys, files):
@@ -355,11 +370,14 @@ def test_suite_runs_each_k_once_in_first_seen_order(capsys):
 
 @pytest.mark.parametrize("option", [
     ["--max-n", "0"], ["--max-n", "-3"], ["--k", ","], ["--corpus", "EMPTY"],
-    ["--k", "0", "--sample", "0"],
+    ["--k", "0", "--sample", "0"], ["--corpus", "NOT-UTF-8"],
 ], ids=" ".join)
 def test_suite_that_checks_nothing_is_refused(capsys, tmp_path, option):
     (tmp_path / "notes.md").write_text("not a graph\n")
-    option = [str(tmp_path) if token == "EMPTY" else token for token in option]
+    (tmp_path / "binary").mkdir()
+    (tmp_path / "binary" / "bad.txt").write_bytes(b"\xff\xfe")
+    dirs = {"EMPTY": str(tmp_path), "NOT-UTF-8": str(tmp_path / "binary")}
+    option = [dirs.get(token, token) for token in option]
     code, out, err = run_cli(capsys, ["suite", "--k", "1", *option])
     assert code == EXIT_INPUT and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -12,7 +12,6 @@ from kmatch.graphs import (
     build_named,
     connected_components,
     graph_to_json_obj,
-    is_bipartite,
     is_connected,
     make_graph,
     parse_edge_pairs,
@@ -153,13 +152,6 @@ def test_connected_components_and_connectivity():
     assert sorted(len(c) for c in comps) == [1, 2, 2]
     assert not is_connected(g)
     assert is_connected(build_named("cycle", 4))
-
-
-def test_bipartite_detection():
-    ok, sides = is_bipartite(build_named("cycle", 4))
-    assert ok and set(sides.values()) == {0, 1}
-    ok, sides = is_bipartite(build_named("cycle", 5))
-    assert not ok and sides is None
 
 
 def test_induced_subgraph():

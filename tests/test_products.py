@@ -1,4 +1,4 @@
-"""The four products: edge counts, containments, layers, projections."""
+"""The four products: edge counts, containments, layers, the reference build."""
 
 import random
 
@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmatch.corpus import connected_graphs_upto
-from kmatch.errors import ItemNotInProduct, UnknownAnchor, UnsupportedKind
+from kmatch.errors import UnsupportedKind
 from kmatch.graphs import are_isomorphic_small, build_named, make_graph
-from kmatch.products import (
-    KINDS,
-    classify_edge,
-    layer,
-    product,
-    project,
-)
+from kmatch.products import KINDS, product
 
 
 def edge_count(kind, g, h):
@@ -92,67 +86,17 @@ def test_k2_strong_k2_is_k4():
 
 
 def test_layers_are_factor_copies():
+    # a layer freezes one coordinate; the direct product has none
     g = build_named("path", 3)
     h = build_named("cycle", 4)
     for kind in ("cartesian", "strong", "lex"):
         p = product(g, h, kind)
         for anchor in h.vertices:
-            assert are_isomorphic_small(layer(p, "left", anchor), g)
+            assert are_isomorphic_small(p.graph.induced([(x, anchor) for x in g.vertices]), g)
     # right layers of the lex product are still factor copies
     p = product(g, h, "lex")
     for anchor in g.vertices:
-        assert are_isomorphic_small(layer(p, "right", anchor), h)
-
-
-def test_layer_errors():
-    p = product(build_named("path", 2), build_named("path", 3), "direct")
-    with pytest.raises(UnsupportedKind):
-        layer(p, "left", 0)
-    p = product(build_named("path", 2), build_named("path", 3), "cartesian")
-    with pytest.raises(UnknownAnchor):
-        layer(p, "left", 99)
-
-
-def test_project_vertex_and_edge():
-    p = product(build_named("path", 2), build_named("path", 3), "cartesian")
-    assert project(p, "left", (1, 2)) == ("vertex", 1)
-    assert project(p, "right", ((0, 0), (1, 0))) == ("collapsed", 0)
-    assert project(p, "left", ((0, 0), (1, 0))) == ("edge", (0, 1))
-    with pytest.raises(ItemNotInProduct):
-        project(p, "left", ((0, 0), (1, 2)))
-
-
-def test_project_lex_edges_onto_both_factors():
-    # the right coordinates of a lex edge may be two non-adjacent vertices
-    graphs = connected_graphs_upto(4)
-    non_edges = 0
-    for g in graphs:
-        for h in graphs:
-            p = product(g, h, "lex")
-            for e in p.graph.edges:
-                for side, coord, factor in (("left", 0, g), ("right", 1, h)):
-                    a, b = e[0][coord], e[1][coord]
-                    fe = factor.edge_between(a, b)
-                    if a == b:
-                        expected = ("collapsed", a)
-                    elif fe is not None:
-                        expected = ("edge", fe)
-                    else:
-                        assert side == "right", e
-                        pair = (a, b) if factor.index[a] < factor.index[b] else (b, a)
-                        expected = ("non_edge", pair)
-                        non_edges += 1
-                    assert project(p, side, e) == expected, (side, e)
-    assert non_edges > 0
-
-
-def test_classify_edge_split():
-    p = product(build_named("path", 2), build_named("path", 2), "strong")
-    kinds = {e: classify_edge(p, e) for e in p.graph.edges}
-    assert sorted(kinds.values()).count("cartesian") == 4
-    assert sorted(kinds.values()).count("non_cartesian") == 2
-    with pytest.raises(ItemNotInProduct):
-        classify_edge(p, ((0, 0), (9, 9)))
+        assert are_isomorphic_small(p.graph.induced([(anchor, y) for y in h.vertices]), h)
 
 
 def test_direct_product_of_bipartite_disconnects():

@@ -2,29 +2,48 @@
 
 import pytest
 
+import bruteforce
 from kmatch.constructions import ast, boxast, circledast
-from kmatch.errors import EdgeNotInProduct, SizeLimitExceeded
+from kmatch.errors import SizeLimitExceeded
 from kmatch.graphs import build_named
-from kmatch.matchings import enumerate_k_matchings, max_k_matching, maximum_k_matchings
-from kmatch.products import product
-from kmatch.weakhom import allowed_edges, is_whp
+from kmatch.matchings import enumerate_k_matchings, max_k_matching
+from kmatch.products import KINDS, product
+from kmatch.weakhom import allowed_edges
+from kmatch.wellbehaved import _maximum_k_matchings
 
 
 def test_membership_accepts_projections_into_the_matching():
     k2, p3 = build_named("complete", 2), build_named("path", 3)
     p = product(k2, p3, "cartesian")
-    m_g, m_h = [(0, 1)], [(0, 1)]
-    ok, bad = is_whp(p, [((0, 0), (1, 0))], m_g, m_h)  # collapses on the right
-    assert ok and bad is None
-    ok, bad = is_whp(p, [((0, 1), (0, 2))], m_g, m_h)  # projects to (1,2) not in m_h
-    assert not ok and bad == ((0, 1), (0, 2))
+    allowed = allowed_edges(p, [(0, 1)], [(0, 1)]).edge_set
+    assert ((0, 0), (1, 0)) in allowed  # collapses on the right
+    assert ((0, 1), (0, 2)) not in allowed  # projects to (1,2) not in m_h
 
 
-def test_membership_requires_product_edges():
-    k2, p3 = build_named("complete", 2), build_named("path", 3)
-    p = product(k2, p3, "cartesian")
-    with pytest.raises(EdgeNotInProduct):
-        is_whp(p, [((0, 0), (1, 2))], [], [])
+def test_allowed_edges_follow_the_literal_projection_rule(small_corpus):
+    graphs = [g for _, g in small_corpus]
+    universes = lex_non_edges = 0
+    for g in graphs:
+        g_matchings = bruteforce.all_k_matchings(g.vertices, g.edges, 1)
+        for h in graphs:
+            h_matchings = bruteforce.all_k_matchings(h.vertices, h.edges, 1)
+            for kind in KINDS:
+                p = product(g, h, kind)
+                if kind == "lex":
+                    lex_non_edges += sum(
+                        bruteforce.project(h.edges, c, d)[0] == "non_edge"
+                        for (_, c), (_, d) in p.graph.edges
+                    )
+                for m_g in g_matchings:
+                    for m_h in h_matchings:
+                        expected = bruteforce.preserving_edges(
+                            g.edges, h.edges, p.graph.edges, m_g, m_h
+                        )
+                        assert list(allowed_edges(p, m_g, m_h).edges) == expected
+                        universes += 1
+    assert universes == 10_000
+    # the right side of a lex edge may join two non-adjacent factor vertices
+    assert lex_non_edges > 0
 
 
 def test_constructions_stay_inside_their_universe():
@@ -33,12 +52,10 @@ def test_constructions_stay_inside_their_universe():
     for star, builder in (("cartesian", boxast), ("strong", circledast)):
         p = product(g, h, star)
         r = builder(p, m_g, m_h)
-        ok, bad = is_whp(p, r.edges, m_g, m_h)
-        assert ok, (star, bad)
+        assert set(r.edges) <= allowed_edges(p, m_g, m_h).edge_set, star
     p = product(g, h, "direct")
     r = ast(p, m_g, m_h)
-    ok, _ = is_whp(p, r.edges, m_g, m_h)
-    assert ok
+    assert set(r.edges) <= allowed_edges(p, m_g, m_h).edge_set
 
 
 def test_direct_universe_is_exactly_the_diagonals():
@@ -52,8 +69,8 @@ def test_direct_universe_is_exactly_the_diagonals():
 def test_every_direct_member_is_inside_the_diagonal_set():
     g, h = build_named("path", 4), build_named("complete", 3)
     p = product(g, h, "direct")
-    for m_g in maximum_k_matchings(g, 1):
-        for m_h in maximum_k_matchings(h, 1):
+    for m_g in _maximum_k_matchings(g, 1):
+        for m_h in _maximum_k_matchings(h, 1):
             diag = set(ast(p, m_g, m_h).edges)
             for member in enumerate_k_matchings(allowed_edges(p, m_g, m_h), 1):
                 assert set(member) <= diag
@@ -62,8 +79,8 @@ def test_every_direct_member_is_inside_the_diagonal_set():
 def test_boxast_dominates_every_preserving_matching():
     g, h = build_named("path", 3), build_named("complete", 2)
     p = product(g, h, "cartesian")
-    for m_g in maximum_k_matchings(g, 1):
-        for m_h in maximum_k_matchings(h, 1):
+    for m_g in _maximum_k_matchings(g, 1):
+        for m_h in _maximum_k_matchings(h, 1):
             built = boxast(p, m_g, m_h)
             assert built.classification.is_k_matching
             best = max(
@@ -76,8 +93,8 @@ def test_boxast_dominates_every_preserving_matching():
 def test_circledast_dominates_on_the_strong_product():
     g, h = build_named("path", 3), build_named("complete", 2)
     p = product(g, h, "strong")
-    for m_g in maximum_k_matchings(g, 1):
-        for m_h in maximum_k_matchings(h, 1):
+    for m_g in _maximum_k_matchings(g, 1):
+        for m_h in _maximum_k_matchings(h, 1):
             built = circledast(p, m_g, m_h)
             assert built.classification.is_k_matching
             universe = allowed_edges(p, m_g, m_h)
@@ -110,5 +127,5 @@ def test_max_whp_reports_like_the_oracle():
     p = product(k2, p3, "cartesian")
     rep = max_k_matching(allowed_edges(p, [(0, 1)], [(0, 1)]), 1)
     assert rep.exhaustive and rep.size == 3 and rep.unmatched == 0
-    ok, _ = is_whp(p, rep.witness, [(0, 1)], [(0, 1)])
-    assert ok
+    preserving = bruteforce.preserving_edges(k2.edges, p3.edges, p.graph.edges, [(0, 1)], [(0, 1)])
+    assert set(rep.witness) <= set(preserving)
