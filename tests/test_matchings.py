@@ -331,6 +331,42 @@ def test_probe_search_refuses_an_overfull_start():
     assert out.settled and out.best is None and out.nodes == 0
 
 
+@st.composite
+def ordered_connected_graphs(draw):
+    """A connected graph on at most 7 vertices (a random spanning tree plus
+    extra edges, at most 12 in all, so brute force stays cheap) and a
+    random order of its edges."""
+    n = draw(st.integers(2, 7))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True, max_size=12 - len(tree))) if others else []
+    g = make_graph(range(n), tree + extra)
+    return g, draw(st.permutations(range(g.m)))
+
+
+@given(ordered_connected_graphs(), st.integers(1, 3), st.integers(1, 40))
+@settings(max_examples=120, deadline=None)
+def test_search_in_a_random_order_agrees_with_bruteforce(data, k, small_cap):
+    g, order = data
+    optimum = bruteforce.maximum_size(g.vertices, g.edges, k)
+
+    def check(out):
+        assert out.best is not None and out.best == sorted(set(out.best))
+        assert out.best_size == len(out.best) <= optimum
+        assert bruteforce.is_k_matching(g.vertices, [g.edges[i] for i in out.best], k)
+
+    full = _search_maximum(g, k, _SEARCH_CAP, order)
+    check(full)
+    if full.settled:
+        assert full.best_size == optimum
+    capped = _search_maximum(g, k, small_cap, order)
+    assert capped.nodes <= small_cap + 1
+    if capped.settled:
+        assert (capped.best, capped.best_size, capped.nodes) == (full.best, full.best_size, full.nodes)
+    elif capped.best is not None:
+        check(capped)
+
+
 def test_search_depth_is_not_bounded_by_the_interpreter():
     # 2,000 edges: one frame per edge would pass Python's recursion limit.
     g = build_named("path", 2001)

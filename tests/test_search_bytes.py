@@ -15,11 +15,19 @@ integer program and to witness recovery. Their (size, witness,
 exhaustive) answers are hashed under corpus labels, without `nodes`:
 the digest was taken while every recovery probe was a solver call, so it
 checks that settling probes another way leaves each witness unchanged.
+The same queries also pin every search they make, the capped root
+search and each witness-recovery probe: the arguments of the call
+(k, cap, order, forced edges, target) and its outcome are hashed, so a
+change to the kernel that visits other nodes, or to the recovery that
+asks other probes, moves that digest. It was taken before the search's
+inner loop was rewritten for speed.
 """
 
 import hashlib
+from collections import Counter
 from itertools import product as iproduct
 
+from kmatch import matchings
 from kmatch.cli import canonical_json, main
 from kmatch.corpus import connected_graphs, corpus_names
 from kmatch.graphs import graph_to_json_obj
@@ -29,6 +37,12 @@ from kmatch.products import KINDS, product
 SEARCH_PIN = (864, "0daa01b6e05b661352a68489c453cca8b60310eae4891b49d9f602d6b8585203")
 SOLVE_PIN = (322, "dfd27c4a0f1f4db630d1074b370aa547de9d851a5365a743850561b793588f23")
 ESCALATED_PIN = (110, "e1102adf0256d67cef4f1a189812727c023a3d1476432bb31a754620109b12ae")
+# (calls, (capped roots, settled probes, capped probes), digest of every call)
+PROBE_PIN = (
+    2268,
+    (110, 1928, 230),
+    "ae4121adea6497b05bbc506d446fa94a34acd2b8991c5bfef8608eaf0c602703",
+)
 
 
 def products():
@@ -67,16 +81,38 @@ def test_solve_payloads_are_pinned(tmp_path, capsys):
     assert (count, digest.hexdigest()) == SOLVE_PIN
 
 
-def test_escalated_witnesses_are_pinned():
+def test_escalated_witnesses_are_pinned(monkeypatch):
+    calls = []
+
+    def spy(g, k, node_cap, order=None, forced=(), target=None):
+        out = _search_maximum(g, k, node_cap, order, forced, target)
+        calls.append(
+            [k, node_cap, order, list(forced), target, out.best, out.best_size, out.nodes, out.settled]
+        )
+        return out
+
+    # the oracle looks the search up on its module; the filter below
+    # calls the function imported here, which the spy does not record.
+    monkeypatch.setattr(matchings, "_search_maximum", spy)
     names = corpus_names(connected_graphs(4))
     digest = hashlib.sha256()
+    calls_digest = hashlib.sha256()
+    kinds = Counter()
     count = 0
     for where, p, k in products():
         if _search_maximum(p, k, _SEARCH_CAP).settled:
             continue
         i, j, kind, _ = where.split()
+        label = f"{names[int(i)]} {names[int(j)]} {kind} {k}\n".encode()
+        calls.clear()
         rep = max_k_matching(p, k)
-        digest.update(f"{names[int(i)]} {names[int(j)]} {kind} {k}\n".encode())
+        digest.update(label)
         digest.update(canonical_json([rep.size, rep.witness, rep.exhaustive]).encode())
+        calls_digest.update(label)
+        for call in calls:
+            calls_digest.update(canonical_json(call).encode())
+            kinds[bool(call[3]), call[-1]] += 1  # (probe, settled)
         count += 1
     assert (count, digest.hexdigest()) == ESCALATED_PIN
+    tally = (kinds[False, False], kinds[True, True], kinds[True, False])
+    assert (sum(kinds.values()), tally, calls_digest.hexdigest()) == PROBE_PIN
