@@ -6,7 +6,8 @@ graphs: the time to build the product, the query's wall time, search
 nodes, and whether the run was exhaustive. The two cycle(30) rows
 (1,800 edges) lie past the depth at which a recursive search would
 exceed Python's recursion limit; the two rows after them escalate to
-the solver stage at k = 2.
+the solver stage at k = 2. The last row is settled by the search's
+parity bound, which the relaxation lacks.
 The node counter is the budget currency (tree nodes plus a flat charge
 per solver escalation), so the column also shows how far beyond the
 plain search an instance had to go. --budget makes the degradation
@@ -33,9 +34,14 @@ INSTANCES = (
     ("cycle(30)", "cycle(30)", "cartesian", 1),
     ("cycle(30)", "cycle(30)", "cartesian", 2),
     # escalations at k = 2: the relaxation's point settles the first, the
-    # second has a fractional relaxation and needs the integer program.
+    # second has a fractional relaxation; a witness query needs the
+    # integer program there, and under --no-witness a restart settles it.
     ("cycle(13)", "path(13)", "cartesian", 2),
     ("cycle(13)", "path(13)", "strong", 2),
+    # 25 vertices at odd k: one stays unmatched, so 36 edges at most.
+    # Under --no-witness the search stops at this parity-corrected bound
+    # (the relaxation's is 37), the bound the restart stage aims at.
+    ("cycle(5)", "cycle(5)", "strong", 3),
 )
 
 

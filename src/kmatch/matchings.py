@@ -17,15 +17,20 @@ k * matched) that proves the exact size. Its continuous relaxation runs
 first: an upper bound computed exactly from the relaxation's duals, and
 the relaxation's point when it rounds to a k-matching that meets the
 bound, settle many of those calls without the integer program. A
-witness query then recovers the canonical witness by lexicographic
-fixing. Each fixing probe is settled by propagation when it can be, else
-by the same search run as a capped probe toward the known size, else by
-the relaxation (a bound below the size drops the edge, a point of that
-size keeps it), and only else by the program. The budget caps total
-effort, counting search nodes (probe searches included, a capped search
-charged its cap) plus a flat charge per relaxation or program solve; an
-exhausted budget degrades the report to exhaustive=False instead of
-raising.
+size-only query that is still open restarts the search: up to four
+capped searches, in degree order with the tie-break rotated, look for a
+matching that meets the smaller of the relaxation's bound and the
+search's own parity-corrected root bound. The first one found is a
+maximum; a restart that ends without one proves the optimum smaller,
+and the program finds it. A witness query recovers the canonical
+witness by lexicographic fixing. Each fixing probe is settled by
+propagation when it can be, else by the same search run as a capped
+probe toward the known size, else by the relaxation (a bound below the
+size drops the edge, a point of that size keeps it), and only else by
+the program. The budget caps total effort, counting search nodes
+(restarts and probe searches included, a capped search charged its cap)
+plus a flat charge per relaxation or program solve; an exhausted budget
+degrades the report to exhaustive=False instead of raising.
 """
 
 from __future__ import annotations
@@ -188,9 +193,9 @@ class OracleReport:
     the lexicographically smallest maximum under the canonical edge order.
     A size-only query (witness=False) reports some maximum instead, in
     canonical edge order but not the canonical one. `nodes` is the effort
-    spent against the budget: search nodes, those of the witness
-    recovery's probe searches included, plus a flat charge per optimizer
-    call.
+    spent against the budget: search nodes, those of the size-only
+    restarts and the witness recovery's probe searches included, plus a
+    flat charge per optimizer call.
     """
 
     k: int
@@ -207,24 +212,41 @@ class _SearchOutcome:
     best: list[int] | None
     nodes: int
     settled: bool
+    # an upper bound on every leaf, taken at the root; -1 when there is none
+    root_bound: int
 
 
-def _degree_order(g: Graph) -> list[int]:
+def _degrees(g: Graph) -> list[int]:
+    """The degree of each vertex, by canonical index."""
+    idx = g.index
+    degree = [0] * g.n
+    for u, v in g.edges:
+        degree[idx[u]] += 1
+        degree[idx[v]] += 1
+    return degree
+
+
+def _degree_order(g: Graph, degree: Sequence[int], rotate: int = 0) -> list[int]:
     """Canonical edge indices in degree order.
 
-    Vertices are ranked by ascending degree, ties broken by canonical
-    index, and edges sorted by their ranked endpoint pair. Low-degree
-    vertices have the fewest ways to reach degree k, so deciding their
-    edges first settles forced choices early; on the corpus products the
-    search then finds the optimum in far fewer nodes than in canonical
-    order.
+    Vertices are ranked by ascending `degree` (from `_degrees`), ties
+    broken by canonical index, and edges sorted by their ranked endpoint
+    pair. Low-degree vertices have the fewest ways to reach degree k, so
+    deciding their edges first settles forced choices early; on the
+    corpus products the search then finds the optimum in far fewer nodes
+    than in canonical order. A restart passes `rotate`: the tie-break
+    then starts at that canonical index and wraps around.
     """
     idx = g.index
-    by_degree = sorted(range(g.n), key=lambda i: (g.degree(g.vertices[i]), i))
-    rank = [0] * g.n
+    n = g.n
+    by_degree = sorted(range(n), key=lambda i: (degree[i], (i - rotate) % n))
+    rank = [0] * n
     for r, i in enumerate(by_degree):
         rank[i] = r
-    pairs = [sorted((rank[idx[u]], rank[idx[v]])) for u, v in g.edges]
+    pairs = []
+    for u, v in g.edges:
+        a, b = rank[idx[u]], rank[idx[v]]
+        pairs.append((a, b) if a < b else (b, a))
     return sorted(range(g.m), key=pairs.__getitem__)
 
 
@@ -262,7 +284,8 @@ def _search_maximum(
     prune: size + slack // 2 (every further edge eats two units of slack)
     and a parity-corrected k * t // 2 over the t candidates (only
     candidates can end matched, and k odd forces an even number of
-    matched vertices).
+    matched vertices). The outcome's `root_bound` is the smaller of the
+    two at the root; it does not depend on `order`.
 
     Every decision moves a vertex's term of `slack` by at most one, and
     which way depends on its reach alone: including an edge takes one
@@ -303,16 +326,17 @@ def _search_maximum(
     size = len(forced)
     best_size = -1 if target is None else target - 1
     if any(d > k or 0 < d and r < k for d, r in zip(deg, reach)):
-        return _SearchOutcome(best_size=best_size, best=None, nodes=0, settled=True)
+        return _SearchOutcome(best_size, None, nodes=0, settled=True, root_bound=-1)
     stop = m + size + 1 if target is None else target
     slack = sum(r - d if r < k else k - d for d, r in zip(deg, reach))
     cand = sum(1 for r in reach if r >= k)
     # the parity-corrected candidate bound, by number of candidates
     odd = k & 1
     vertex_bound = [k * (c - (c & odd)) // 2 for c in range(g.n + 1)]
-    if m and not (size + slack // 2 > best_size and vertex_bound[cand] > best_size):
+    root_bound = min(size + slack // 2, vertex_bound[cand])
+    if m and root_bound <= best_size:
         # the bound prunes both branches of the root: the walk ends there.
-        return _SearchOutcome(best_size=best_size, best=None, nodes=1, settled=node_cap >= 1)
+        return _SearchOutcome(best_size, None, nodes=1, settled=node_cap >= 1, root_bound=root_bound)
     best: list[int] | None = None
     nodes = 0
     settled = True
@@ -415,7 +439,7 @@ def _search_maximum(
 
     if order is not None and best is not None:
         best = sorted([*forced, *(order[t] for t in best)])
-    return _SearchOutcome(best_size=best_size, best=best, nodes=nodes, settled=settled)
+    return _SearchOutcome(best_size, best, nodes, settled, root_bound)
 
 
 class _SizeProgram:
@@ -570,6 +594,9 @@ class _SizeProgram:
 _SOLVE_EFFORT = 10_000
 # the plain search gives up and hands over to the optimizer at this depth.
 _SEARCH_CAP = 4_000
+# a size-only escalation tries this many capped searches toward its best
+# bound, in rotated tie-breaks of the degree order, before the program.
+_RESTARTS = 4
 
 
 def max_k_matching(
@@ -581,9 +608,14 @@ def max_k_matching(
     `witness` on it searches the canonical edge order, so its first
     maximum is the lexicographically smallest one. When the search gives
     up, the relaxation runs: a point of the relaxation that rounds to a
-    k-matching meeting its exact bound is a maximum, and a size-only
-    call is also settled when the search's best meets the bound;
-    otherwise the integer program proves the maximum size. The canonical
+    k-matching meeting its exact bound is a maximum. A size-only call
+    takes the smaller of that bound and the search's parity-corrected
+    root bound; it is settled when the search's best meets it, or else
+    by the first of up to `_RESTARTS` searches capped at `_SEARCH_CAP`
+    nodes (degree order, tie-break rotated by a quarter of the vertices
+    per restart) that reaches it. A restart that settles without
+    reaching it proves the bound too high and ends the restarts.
+    Otherwise the integer program proves the maximum size. The canonical
     witness is then recovered by fixing edges in canonical order, keeping
     an edge exactly when some maximum matching still contains it. Each
     such probe goes through four stages, and the first that decides it
@@ -596,16 +628,16 @@ def max_k_matching(
     which settles far more instances within the cap, and every stage
     reports just some maximum matching; size and unmatched counts are
     exact either way. `budget` caps the total effort: search nodes,
-    probe searches included and a capped search charged its cap, plus a
-    flat charge per relaxation or integer-program solve, so `nodes`
-    never exceeds it. When it runs out the report degrades to
+    restarts and probe searches included and a capped search charged
+    its cap, plus a flat charge per relaxation or integer-program solve,
+    so `nodes` never exceeds it. When it runs out the report degrades to
     exhaustive=False carrying the best matching found so far.
     """
     check_k(k)
     if budget < 1:
         raise InvalidParameter(f"budget must be at least 1, got {budget}")
-    max_deg = max((g.degree(v) for v in g.vertices), default=0)
-    if k > max_deg:
+    degree = _degrees(g)
+    if k > max(degree, default=0):
         # no vertex can reach degree k, so the empty matching is the maximum.
         return OracleReport(k=k, size=0, unmatched=g.n, witness=(), exhaustive=True, nodes=0)
 
@@ -624,7 +656,7 @@ def max_k_matching(
     label_edges = g.edges
     # the canonical order makes the first maximum the canonical witness;
     # a size-only call is free to search in the faster degree order.
-    order = None if witness else _degree_order(g)
+    order = None if witness else _degree_order(g, degree)
     cap = min(_SEARCH_CAP, budget)
     search = _search_maximum(g, k, cap, order)
     if search.settled:
@@ -642,9 +674,33 @@ def max_k_matching(
     # the empty matching is feasible, so an infeasible answer is not
     # trusted: the edge count is a bound that needs no solver.
     bound, sol = program.relax({}) or (g.m, None)
-    if not witness and search.best_size >= bound:
-        # the best matching the search did reach meets the bound.
-        return report(fallback_size, fallback, True, spent)
+    if not witness:
+        # for odd k the search's root bound also counts parity, which the
+        # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.
+        bound = min(bound, search.root_bound)
+        if search.best_size >= bound:
+            # the best matching the search did reach meets the bound.
+            return report(fallback_size, fallback, True, spent)
+    if not witness and sol is None:
+        # restarts in rotated degree orders, each looking for a leaf of
+        # the bound's size: the first one found is a maximum.
+        for r in range(_RESTARTS):
+            room = budget - spent
+            if room < 1:
+                return report(fallback_size, fallback, False, spent)
+            cap = min(_SEARCH_CAP, room)
+            order = _degree_order(g, degree, r * (g.n // 4))
+            rerun = _search_maximum(g, k, cap, order, (), bound)
+            spent += min(rerun.nodes, cap)
+            if rerun.best is not None:
+                if len(rerun.best) != bound or program.off_condition(rerun.best):
+                    raise InvariantViolation(
+                        f"restart search returned a leaf off the 0-or-{k} condition"
+                    )
+                return report(bound, tuple(label_edges[i] for i in rerun.best), True, spent)
+            if rerun.settled:
+                # no k-matching meets the bound; the program finds the optimum.
+                break
     if sol is not None:
         optimum = bound
     else:
@@ -671,7 +727,7 @@ def max_k_matching(
         ahead[a] += 1
         ahead[b] += 1
     # the search's best edge order; a yes/no probe may decide in any order.
-    tail = _degree_order(g)
+    tail = _degree_order(g, degree)
 
     def partial() -> OracleReport:
         # sol is a genuine maximum, just not the canonical one.

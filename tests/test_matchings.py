@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 
 import pytest
 import scipy.optimize
@@ -19,6 +20,8 @@ from kmatch.matchings import (
     _SEARCH_CAP,
     _SOLVE_EFFORT,
     _SizeProgram,
+    _degree_order,
+    _degrees,
     _search_maximum,
     canonical_matching,
     classify_matching,
@@ -135,6 +138,84 @@ def test_size_search_agrees_with_the_integer_program():
                     assert ok and len(slim.witness) == slim.size, where
                     cases += 1
     assert cases == 432
+
+
+# the 5-cycle as the corpus labels it: in this labelling the degree-ordered
+# search of its strong and lex squares gives up at the cap for k = 3.
+CORPUS_C5 = make_graph(range(5), [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
+
+
+@pytest.mark.parametrize("kind", ["strong", "lex"])
+def test_restarts_settle_odd_cycle_squares_without_the_program(monkeypatch, kind):
+    # 25 vertices and k = 3: parity leaves a vertex unmatched, so at most
+    # 36 edges. The relaxation bounds the size by 37 only; the search's
+    # parity-corrected root bound says 36, and a restart finds 36.
+    p = product(CORPUS_C5, CORPUS_C5, kind).graph
+    first = _search_maximum(p, 3, _SEARCH_CAP, _degree_order(p, _degrees(p)))
+    assert not first.settled and first.root_bound == 36
+    assert _SizeProgram(p, 3).relax({})[0] == 37
+
+    def refuse(self, fixed):
+        raise AssertionError("the integer program ran")
+
+    monkeypatch.setattr(_SizeProgram, "solve", refuse)
+    slim = max_k_matching(p, 3, witness=False)
+    assert slim.exhaustive and (slim.size, slim.unmatched) == (36, 1)
+    ok, _ = validate_k_matching(p, slim.witness, 3)
+    assert ok and len(slim.witness) == 36
+
+
+def test_restart_stage_is_exact_and_keeps_to_the_budget(monkeypatch, small_corpus):
+    # a 50-node search cap sends many size-only queries on to the
+    # restarts, which must find only true maxima, prove only true gaps,
+    # and stop where the budget does.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", 50)
+    restarts = []
+    real_search = matchings._search_maximum
+
+    def search_spy(g, k, cap, order=None, forced=(), target=None):
+        out = real_search(g, k, cap, order, forced, target)
+        if target is not None:  # a size-only query passes one to restarts only
+            restarts.append(out)
+        return out
+
+    monkeypatch.setattr(matchings, "_search_maximum", search_spy)
+    cases = [(name, g, k, bruteforce.maximum_size(g.vertices, g.edges, k))
+             for name, g in small_corpus for k in (1, 2, 3)]
+    graphs = connected_graphs(4)
+    for g in graphs:
+        for h in graphs:
+            for kind in ("cartesian", "strong", "direct", "lex"):
+                p = product(g, h, kind).graph
+                for k in (1, 2, 3):
+                    optimum, _ = _SizeProgram(p, k).solve({})
+                    cases.append(((g.edges, h.edges, kind), p, k, optimum))
+    outcomes = Counter()
+    restarted = []
+    for where, p, k, optimum in cases:
+        restarts.clear()
+        slim = max_k_matching(p, k, witness=False)
+        assert slim.exhaustive and slim.size == optimum, (where, k)
+        ok, _ = validate_k_matching(p, slim.witness, k)
+        assert ok and len(slim.witness) == slim.size, (where, k)
+        for out in restarts:
+            outcomes["leaf" if out.best else "gap" if out.settled else "capped"] += 1
+        if restarts:
+            restarted.append((p, k, slim.nodes))
+    assert outcomes["leaf"] and outcomes["gap"] and outcomes["capped"], outcomes
+
+    # budgets that run out in the restarts or before the program that
+    # follows them; the root search and relaxation fit in every one.
+    start = 50 + _SOLVE_EFFORT + 1
+    budgets = 0
+    for p, k, full in restarted[:: max(1, len(restarted) // 8)]:
+        for budget in range(start, full, max(1, (full - start) // 6)):
+            rep = max_k_matching(p, k, budget=budget, witness=False)
+            assert not rep.exhaustive and rep.nodes <= budget, (k, budget)
+            ok, _ = validate_k_matching(p, rep.witness, k)
+            assert ok and len(rep.witness) == rep.size, (k, budget)
+            budgets += 1
+    assert budgets >= 20
 
 
 def test_budget_exhaustion_degrades_not_raises():
