@@ -1,7 +1,7 @@
 """The three matching constructions on graph products.
 
 Given factor edge sets M_G and M_H, the package builds product edge sets
-out of four primitive parts:
+out of three primitive parts:
 
 * layer copies: M_G replayed in every left-factor layer (one copy per
   right vertex), or M_H replayed per left vertex. Cartesian edges.
@@ -18,6 +18,16 @@ The constructions are then:
 * ast: the diagonals alone. Defined on strong, direct, and lex products.
 * circledast: diagonals plus both fills. Defined on strong and lex.
 
+The parts are built in index space. A factor matching enters in index
+form: its edges as index pairs plus the indices of its unmatched
+vertices. A product vertex (x, y) has index i_G(x) * n_H + i_H(y), the
+left-major order `products.product` fixes, so a part is a list of product
+index pairs, lower index first, and sorting them gives the canonical edge
+order. `boxast_parts` is the boxast edge rule; the well-behavedness layer
+runs it directly over all maximum factor pairs. Every built set passes
+`checked_degrees`: each pair must be a product edge and occur once, else
+the construction has a bug and InvariantViolation is raised.
+
 Each result carries a classification: a prediction, computed from the
 factor sides only, of whether the produced set is a k-matching and for
 which k. The prediction is exact (the test suite compares it against
@@ -29,6 +39,8 @@ closed-form size: k/2 edges per product vertex pair it covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import AbstractSet, Sequence
 
 from .errors import (
     EdgeNotInFactor,
@@ -37,7 +49,7 @@ from .errors import (
     InvariantViolation,
 )
 from .graphs import Edge, Graph
-from .matchings import DegreeProfile, degree_profile
+from .matchings import DegreeProfile, edge_keys, index_degrees, keyed_profile
 from .products import ProductGraph
 
 # the product kinds each construction is defined on
@@ -99,49 +111,70 @@ def _require_kind(kind: str, p: ProductGraph) -> None:
         )
 
 
-def _factor_profiles(p: ProductGraph, m_g, m_h) -> tuple[DegreeProfile, DegreeProfile]:
-    return (
-        degree_profile(p.left, m_g, error=EdgeNotInFactor),
-        degree_profile(p.right, m_h, error=EdgeNotInFactor),
-    )
+# index space -----------------------------------------------------------------
+
+Index = tuple[int, int]
+# a factor edge set in index form: its edge index pairs, ascending, and the
+# indices of the vertices it leaves unmatched
+FactorForm = tuple[list[Index], list[int]]
 
 
-def _split_by_shape(edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], ...]:
-    """(edges moving only the left coordinate, only the right one, both),
-    each in canonical order: every part has exactly one of these shapes."""
-    left, right, diagonal = [], [], []
-    for e in edges:
-        (x1, y1), (x2, y2) = e
-        (left if y1 == y2 else right if x1 == x2 else diagonal).append(e)
-    return tuple(left), tuple(right), tuple(diagonal)
+def index_form(g: Graph, m) -> tuple[DegreeProfile, FactorForm]:
+    """The factor edge set m in canonical form with its degree profile, and
+    in index form. Edges not in g raise EdgeNotInFactor."""
+    keys = edge_keys(g, m, error=EdgeNotInFactor)
+    deg, uniform = index_degrees(g.n, keys)
+    unmatched = [i for i, d in enumerate(deg) if d == 0]
+    return keyed_profile(g, keys, deg, uniform), (keys, unmatched)
 
 
-# the four primitive parts ---------------------------------------------------
+def _moving_left(keys_g: list[Index], columns, n_h: int) -> list[Index]:
+    """((a, w), (b, w)) for each left pair {a, b} and column w."""
+    return [(a * n_h + w, b * n_h + w) for w in columns for a, b in keys_g]
 
 
-def copies_in_left_layers(m_g, h: Graph):
-    return [((a, y), (b, y)) for (a, b) in m_g for y in h.vertices]
+def _moving_right(keys_h: list[Index], rows, n_h: int) -> list[Index]:
+    """((u, c), (u, d)) for each row u and right pair {c, d}."""
+    return [(u * n_h + c, u * n_h + d) for u in rows for c, d in keys_h]
 
 
-def copies_in_right_layers(m_h, g: Graph):
-    return [((x, c), (x, d)) for (c, d) in m_h for x in g.vertices]
-
-
-def fill_over_left_unmatched(unmatched_g, m_h):
-    return [((u, c), (u, d)) for u in unmatched_g for (c, d) in m_h]
-
-
-def fill_over_right_unmatched(unmatched_h, m_g):
-    return [((a, w), (b, w)) for w in unmatched_h for (a, b) in m_g]
-
-
-def diagonals(m_g, m_h):
+def _diagonals(keys_g: list[Index], keys_h: list[Index], n_h: int) -> list[Index]:
+    """((a, c), (b, d)) and ((a, d), (b, c)) for each left pair {a, b} and
+    right pair {c, d}."""
     out = []
-    for a, b in m_g:
-        for c, d in m_h:
-            out.append(((a, c), (b, d)))
-            out.append(((a, d), (b, c)))
+    for a, b in keys_g:
+        row_a, row_b = a * n_h, b * n_h
+        for c, d in keys_h:
+            out.append((row_a + c, row_b + d))
+            out.append((row_a + d, row_b + c))
     return out
+
+
+def boxast_parts(
+    p: ProductGraph, form_g: FactorForm, form_h: FactorForm, orientation: str
+) -> tuple[list[Index], list[Index]]:
+    """The boxast edge rule: (layer copies, unmatched fill) as product index
+    pairs, unsorted. A perfect primary matching leaves no fill."""
+    (keys_g, open_g), (keys_h, open_h) = form_g, form_h
+    n_h = p.right.n
+    if orientation == "gh":
+        return _moving_left(keys_g, range(n_h), n_h), _moving_right(keys_h, open_g, n_h)
+    return _moving_right(keys_h, range(p.left.n), n_h), _moving_left(keys_g, open_h, n_h)
+
+
+def checked_degrees(
+    n: int, members: AbstractSet[Index], keys: Sequence[Index]
+) -> tuple[list[int], int | None]:
+    """The `index_degrees` of constructed product index pairs, once each
+    pair is checked to be in `members` (the product's edge pairs) and to
+    occur only once. A failed check is a construction bug, raised as
+    InvariantViolation by a plain test that still runs under -O."""
+    if not members.issuperset(keys):
+        bad = next(key for key in keys if key not in members)
+        raise InvariantViolation(f"constructed pair {bad} is not an edge of the product")
+    if len(set(keys)) != len(keys):
+        raise InvariantViolation("constructed parts share an edge")
+    return index_degrees(n, keys)
 
 
 # classification from the factor profiles -------------------------------------
@@ -191,10 +224,39 @@ def _classify_circledast(gs: DegreeProfile, hs: DegreeProfile) -> Classification
 
 # the constructions ----------------------------------------------------------
 #
-# Each one profiles its factor sets once and profiles the union of its raw
-# parts in the product once; the parts are then read back out by edge shape.
-# The parts are Cartesian or doubly-moving edges that exist in every
-# supported kind, so a part missing from the product is a bug.
+# Each one takes its factor sets to index form once, builds its parts as
+# product index pairs, and hands them to `_assemble`, which checks and
+# labels them once. The parts are Cartesian or doubly-moving edges that
+# exist in every supported kind, and they touch disjoint sets of product
+# vertices, so a part missing from the product or two parts sharing an
+# edge is a bug.
+
+
+def _assemble(
+    p: ProductGraph,
+    kind: str,
+    orientation: str,
+    recorded: tuple[tuple[Edge, ...], tuple[Edge, ...]],
+    parts: dict[str, list[Index]],
+    cls: Classification,
+    covered: int,
+) -> ConstructionResult:
+    graph = p.graph
+    parts = {name: sorted(part) for name, part in parts.items()}
+    keys = sorted(chain.from_iterable(parts.values()))
+    deg, uniform = checked_degrees(graph.n, set(graph.pairs), keys)
+    vs = graph.vertices
+    return ConstructionResult(
+        kind=kind,
+        orientation=orientation,
+        product=p,
+        m_g=recorded[0],
+        m_h=recorded[1],
+        profile=keyed_profile(graph, keys, deg, uniform),
+        parts={name: tuple([(vs[a], vs[b]) for a, b in part]) for name, part in parts.items()},
+        classification=cls,
+        predicted_size=cls.k * covered // 2 if cls.is_k_matching else None,
+    )
 
 
 def boxast(p: ProductGraph, m_g, m_h, orientation: str = "gh") -> ConstructionResult:
@@ -208,93 +270,49 @@ def boxast(p: ProductGraph, m_g, m_h, orientation: str = "gh") -> ConstructionRe
     _require_kind("boxast", p)
     if orientation not in ("gh", "hg"):
         raise InvalidParameter(f"orientation must be gh or hg, got {orientation!r}")
-    gs, hs = _factor_profiles(p, m_g, m_h)
+    (gs, form_g), (hs, form_h) = index_form(p.left, m_g), index_form(p.right, m_h)
     mg, mh = gs.edges, hs.edges
-    if orientation == "gh":
-        if gs.perfect:
-            mh = ()
-        copies = copies_in_left_layers(mg, p.right)
-        fill = fill_over_left_unmatched(gs.unmatched, mh)
-    else:
-        if hs.perfect:
-            mg = ()
-        copies = copies_in_right_layers(mh, p.left)
-        fill = fill_over_right_unmatched(hs.unmatched, mg)
-    profile = degree_profile(p.graph, copies + fill, error=InvariantViolation)
-    edges = profile.edges
-    # the copies saturate every matched column, the fill lives over the
-    # unmatched ones: the parts can never share a vertex.
-    assert len(edges) == len(copies) + len(fill)
-    moves_left, moves_right, _ = _split_by_shape(edges)
-    if orientation == "gh":
-        copies, fill = moves_left, moves_right
-    else:
-        copies, fill = moves_right, moves_left
+    if orientation == "gh" and gs.perfect:
+        mh = ()
+    if orientation == "hg" and hs.perfect:
+        mg = ()
+    copies, fill = boxast_parts(p, form_g, form_h, orientation)
     cls = _classify_boxast(gs, hs, orientation)
     # a pair stays uncovered only when both of its coordinates are unmatched
     covered = p.left.n * p.right.n - len(gs.unmatched) * len(hs.unmatched)
-    return ConstructionResult(
-        kind="boxast",
-        orientation=orientation,
-        product=p,
-        m_g=mg,
-        m_h=mh,
-        profile=profile,
-        parts={"layer_copies": copies, "unmatched_fill": fill},
-        classification=cls,
-        predicted_size=cls.k * covered // 2 if cls.is_k_matching else None,
-    )
+    parts = {"layer_copies": copies, "unmatched_fill": fill}
+    return _assemble(p, "boxast", orientation, (mg, mh), parts, cls, covered)
 
 
 def ast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     """The two diagonals of every matched pair of factor edges."""
     _require_kind("ast", p)
-    gs, hs = _factor_profiles(p, m_g, m_h)
-    profile = degree_profile(p.graph, diagonals(gs.edges, hs.edges), error=InvariantViolation)
-    edges = profile.edges
-    assert len(edges) == 2 * len(gs.edges) * len(hs.edges)
+    (gs, (keys_g, _)), (hs, (keys_h, _)) = index_form(p.left, m_g), index_form(p.right, m_h)
     cls = _classify_ast(gs, hs)
     # a pair is covered only when both of its coordinates are matched
     covered = (p.left.n - len(gs.unmatched)) * (p.right.n - len(hs.unmatched))
-    return ConstructionResult(
-        kind="ast",
-        orientation="gh",
-        product=p,
-        m_g=gs.edges,
-        m_h=hs.edges,
-        profile=profile,
-        parts={"diagonals": edges},
-        classification=cls,
-        predicted_size=cls.k * covered // 2 if cls.is_k_matching else None,
-    )
+    parts = {"diagonals": _diagonals(keys_g, keys_h, p.right.n)}
+    return _assemble(p, "ast", "gh", (gs.edges, hs.edges), parts, cls, covered)
 
 
 def circledast(p: ProductGraph, m_g, m_h) -> ConstructionResult:
     """Diagonals plus both unmatched fills."""
     _require_kind("circledast", p)
-    gs, hs = _factor_profiles(p, m_g, m_h)
-    core = diagonals(gs.edges, hs.edges)
-    left_fill = fill_over_left_unmatched(gs.unmatched, hs.edges)
-    right_fill = fill_over_right_unmatched(hs.unmatched, gs.edges)
-    profile = degree_profile(p.graph, core + left_fill + right_fill, error=InvariantViolation)
-    edges = profile.edges
-    # diagonals touch doubly-matched pairs, each fill touches pairs with
-    # exactly one unmatched coordinate on its own side: pairwise disjoint.
-    assert len(edges) == len(core) + len(left_fill) + len(right_fill)
-    right_fill, left_fill, core = _split_by_shape(edges)
-    cls = _classify_circledast(gs, hs)
-    covered = p.left.n * p.right.n - len(gs.unmatched) * len(hs.unmatched)
-    return ConstructionResult(
-        kind="circledast",
-        orientation="gh",
-        product=p,
-        m_g=gs.edges,
-        m_h=hs.edges,
-        profile=profile,
-        parts={"diagonals": core, "left_fill": left_fill, "right_fill": right_fill},
-        classification=cls,
-        predicted_size=cls.k * covered // 2 if cls.is_k_matching else None,
+    (gs, (keys_g, open_g)), (hs, (keys_h, open_h)) = (
+        index_form(p.left, m_g),
+        index_form(p.right, m_h),
     )
+    n_h = p.right.n
+    cls = _classify_circledast(gs, hs)
+    covered = p.left.n * n_h - len(gs.unmatched) * len(hs.unmatched)
+    # diagonals touch doubly-matched pairs, each fill touches pairs with
+    # exactly one unmatched coordinate on its own side.
+    parts = {
+        "diagonals": _diagonals(keys_g, keys_h, n_h),
+        "left_fill": _moving_right(keys_h, open_g, n_h),
+        "right_fill": _moving_left(keys_g, open_h, n_h),
+    }
+    return _assemble(p, "circledast", "gh", (gs.edges, hs.edges), parts, cls, covered)
 
 
 CONSTRUCTORS = {"boxast": boxast, "ast": ast, "circledast": circledast}

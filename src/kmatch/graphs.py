@@ -60,6 +60,12 @@ class Graph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The edges as index pairs (u before v), in edge order."""
+        idx = self.index
+        return tuple([(idx[u], idx[v]) for u, v in self.edges])
+
+    @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 

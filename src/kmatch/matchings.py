@@ -59,15 +59,15 @@ def check_k(k: int) -> None:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
 
 
-def canonical_matching(
+def edge_keys(
     g: Graph, m: Iterable[tuple[Vertex, Vertex]], error: type[KmatchError] = EdgeNotInHost
-) -> tuple[Edge, ...]:
-    """Canonicalize an edge set against its host graph.
+) -> list[tuple[int, int]]:
+    """An edge set as the distinct index pairs of its edges in g, ascending.
 
-    Endpoint order and list order are normalized; duplicates collapse
-    (inputs are sets). Unknown edges raise the given error type.
+    Endpoint order is normalized and duplicates collapse (inputs are
+    sets). Unknown edges raise the given error type.
     """
-    keyed = {}
+    keys = set()
     idx = g.index
     for pair in m:
         try:
@@ -77,8 +77,16 @@ def canonical_matching(
         e = g.edge_between(u, v)
         if e is None:
             raise error(f"({u!r}, {v!r}) is not an edge of the host graph")
-        keyed[(idx[e[0]], idx[e[1]])] = e
-    return tuple(e for _, e in sorted(keyed.items()))
+        keys.add((idx[e[0]], idx[e[1]]))
+    return sorted(keys)
+
+
+def canonical_matching(
+    g: Graph, m: Iterable[tuple[Vertex, Vertex]], error: type[KmatchError] = EdgeNotInHost
+) -> tuple[Edge, ...]:
+    """Canonicalize an edge set against its host graph (see `edge_keys`)."""
+    vs = g.vertices
+    return tuple((vs[a], vs[b]) for a, b in edge_keys(g, m, error))
 
 
 @dataclass(frozen=True)
@@ -108,19 +116,38 @@ class DegreeProfile:
         return self.uniform is not None and self.uniform >= 1 and not self.unmatched
 
 
+def index_degrees(n: int, keys: Iterable[tuple[int, int]]) -> tuple[list[int], int | None]:
+    """The degree of each of n vertices under the index pairs `keys`,
+    and their uniform degree as in `DegreeProfile`."""
+    deg = [0] * n
+    for a, b in keys:
+        deg[a] += 1
+        deg[b] += 1
+    positive = set(deg)
+    positive.discard(0)
+    return deg, None if len(positive) > 1 else max(positive, default=0)
+
+
+def keyed_profile(
+    g: Graph, keys: Sequence[tuple[int, int]], deg: Sequence[int], uniform: int | None
+) -> DegreeProfile:
+    """The degree profile of distinct index pairs of edges of g, ascending,
+    labelled; `deg` and `uniform` are their `index_degrees`."""
+    vs = g.vertices
+    return DegreeProfile(
+        edges=tuple([(vs[a], vs[b]) for a, b in keys]),
+        degrees=dict(zip(vs, deg)),
+        unmatched=tuple([v for v, d in zip(vs, deg) if d == 0]),
+        uniform=uniform,
+    )
+
+
 def degree_profile(
     g: Graph, m: Iterable[tuple[Vertex, Vertex]], error: type[KmatchError] = EdgeNotInHost
 ) -> DegreeProfile:
     """Canonicalize an edge set once and derive its degree facts."""
-    edges = canonical_matching(g, m, error=error)
-    deg = {v: 0 for v in g.vertices}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    positive = {d for d in deg.values() if d > 0}
-    uniform = None if len(positive) > 1 else max(positive, default=0)
-    unmatched = tuple(v for v in g.vertices if deg[v] == 0)
-    return DegreeProfile(edges=edges, degrees=deg, unmatched=unmatched, uniform=uniform)
+    keys = edge_keys(g, m, error)
+    return keyed_profile(g, keys, *index_degrees(g.n, keys))
 
 
 def validate_k_matching(
@@ -218,11 +245,10 @@ class _SearchOutcome:
 
 def _degrees(g: Graph) -> list[int]:
     """The degree of each vertex, by canonical index."""
-    idx = g.index
     degree = [0] * g.n
-    for u, v in g.edges:
-        degree[idx[u]] += 1
-        degree[idx[v]] += 1
+    for a, b in g.pairs:
+        degree[a] += 1
+        degree[b] += 1
     return degree
 
 
@@ -237,17 +263,16 @@ def _degree_order(g: Graph, degree: Sequence[int], rotate: int = 0) -> list[int]
     than in canonical order. A restart passes `rotate`: the tie-break
     then starts at that canonical index and wraps around.
     """
-    idx = g.index
     n = g.n
     by_degree = sorted(range(n), key=lambda i: (degree[i], (i - rotate) % n))
     rank = [0] * n
     for r, i in enumerate(by_degree):
         rank[i] = r
-    pairs = []
-    for u, v in g.edges:
-        a, b = rank[idx[u]], rank[idx[v]]
-        pairs.append((a, b) if a < b else (b, a))
-    return sorted(range(g.m), key=pairs.__getitem__)
+    ranked = []
+    for i, j in g.pairs:
+        a, b = rank[i], rank[j]
+        ranked.append((a, b) if a < b else (b, a))
+    return sorted(range(g.m), key=ranked.__getitem__)
 
 
 def _search_maximum(
@@ -311,8 +336,7 @@ def _search_maximum(
     recursion would give. At the cap the loop stops where it is: the
     outcome is then unsettled and the bookkeeping is dropped.
     """
-    idx = g.index
-    canonical = [(idx[u], idx[v]) for u, v in g.edges]
+    canonical = g.pairs
     ends = canonical if order is None else [canonical[j] for j in order]
     m = len(ends)
     deg = [0] * g.n
@@ -461,10 +485,9 @@ class _SizeProgram:
     """
 
     def __init__(self, g: Graph, k: int):
-        idx = g.index
         self.k = k
         self.m, self.n = g.m, g.n
-        self.ends = [(idx[u], idx[v]) for u, v in g.edges]
+        self.ends = g.pairs
 
     def _degree_matrix(self, free: list[int]):
         """Sparse rows "chosen degree - k * matched flag", one per vertex,
@@ -804,8 +827,7 @@ def enumerate_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
 
 
 def _walk_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
-    idx = g.index
-    edges = [(idx[u], idx[v]) for u, v in g.edges]
+    edges = g.pairs
     label_edges = g.edges
     rem = [0] * g.n
     for a, b in edges:

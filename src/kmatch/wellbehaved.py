@@ -22,7 +22,9 @@ enumerations are exact and guarded by size limits.
 The equivalence suite evaluates the seven characterizations of the boxast
 flavor independently, each by its own route, and reports whether they
 agree; the acceptance suite demands agreement on the whole small-graph
-corpus.
+corpus. Its all-max-pairs conditions build every pair's boxast set with
+the constructions' own edge rule, in product index space, and check it
+with the constructions' own validation, but build no ConstructionResult.
 
 The sweeps repeat factor and product queries, so the immutable oracle
 reports and enumerations live in one bounded memo of 1,024 entries
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .constructions import PRODUCT_KINDS, boxast
+from .constructions import PRODUCT_KINDS, boxast, boxast_parts, checked_degrees, index_form
 from .errors import UnsupportedKind
 from .graphs import Graph
 from .matchings import (
@@ -267,7 +269,12 @@ def equivalence_suite(
        quantified over the achievable unmatched-count pairs).
     2./3. all-max-pairs: for every pair of maximum factor k-matchings the
        constructed boxast (gh resp. hg) is a valid k-matching of the
-       product of maximum size. Every set is built and validated explicitly.
+       product of maximum size. Each maximum factor matching is converted
+       to index form once per call; every pair's set is then built as
+       product index pairs by `boxast_parts` and validated explicitly:
+       each pair is a product edge and occurs once (else
+       InvariantViolation), every positive degree is k, and the count is
+       the product's maximum size.
     4./5. size formulas anchored on one factor's maximum.
     6. the product size formula in n and u.
     7. the unmatched-count identity.
@@ -287,13 +294,17 @@ def equivalence_suite(
 
     us_g, us_h = achievable_unmatched(g, k), achievable_unmatched(h, k)
     definition = any(k * (g.n * h.n - u_g * u_h) == 2 * rp.size for u_g in us_g for u_h in us_h)
-    max_g, max_h = _maximum_k_matchings(g, k), _maximum_k_matchings(h, k)
+    forms_g = [index_form(g, m)[1] for m in _maximum_k_matchings(g, k)]
+    forms_h = [index_form(h, m)[1] for m in _maximum_k_matchings(h, k)]
+    n, members = p.graph.n, set(p.graph.pairs)
 
     def all_max_pairs(orientation: str) -> bool:
-        for m_g in max_g:
-            for m_h in max_h:
-                built = boxast(p, m_g, m_h, orientation=orientation)
-                if built.profile.uniform not in (0, k) or len(built.edges) != rp.size:
+        for form_g in forms_g:
+            for form_h in forms_h:
+                copies, fill = boxast_parts(p, form_g, form_h, orientation)
+                keys = copies + fill
+                _, uniform = checked_degrees(n, members, keys)
+                if uniform not in (0, k) or len(keys) != rp.size:
                     return False
         return True
 

@@ -3,10 +3,14 @@
 Everything here recomputes from first principles over plain vertex and
 edge sequences, deliberately sharing no code with the package, so the
 package's oracles and enumerators are checked by an independent route.
-Exponential in the edge count; callers keep instances small.
+Exponential in the edge count; callers keep instances small. The one
+exception is `all_max_pairs`, which keeps the label-level route of the
+package's public API as the reference for its index-space one.
 """
 
 from itertools import combinations
+
+from kmatch import constructions, matchings
 
 
 def degree_profile(vertices, subset):
@@ -109,4 +113,18 @@ def is_bipartite(vertices, edges):
                     queue.append(y)
                 elif colour[y] == colour[x]:
                     return False
+    return True
+
+
+def all_max_pairs(p, max_g, max_h, k, size, orientation):
+    """Conditions 2 and 3 of the equivalence suite by the public route:
+    the boxast of every pair of maximum factor k-matchings, built with
+    `boxast` and validated with `degree_profile`, is a k-matching of the
+    product with `size` edges."""
+    for m_g in max_g:
+        for m_h in max_h:
+            built = constructions.boxast(p, m_g, m_h, orientation=orientation)
+            profile = matchings.degree_profile(p.graph, built.edges)
+            if profile.uniform not in (0, k) or len(built.edges) != size:
+                return False
     return True

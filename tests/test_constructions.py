@@ -1,7 +1,12 @@
 """The three product-matching constructions and their characterizations."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import kmatch
 from kmatch.constructions import ast, boxast, circledast
 from kmatch.errors import EdgeNotInFactor, IncompatibleProduct, InvalidParameter
 from kmatch.graphs import build_named
@@ -243,3 +248,42 @@ def test_predicted_size_for_invalid_construction_is_none():
     r = boxast(p, [(0, 1)], [(0, 1), (1, 2)])  # secondary not a matching
     assert not r.classification.is_k_matching
     assert r.predicted_size is None
+
+
+# K2 cartesian P2 is the 4-cycle 0-1-3-2 in index space. The bad sets are
+# a diagonal, which is no product edge, a repeated pair, and two positive
+# degrees (vertex 0 at 2, vertices 1 and 2 at 1).
+CHECKED_DEGREES_PROBE = """
+from kmatch.constructions import checked_degrees
+from kmatch.errors import InvariantViolation
+from kmatch.graphs import build_named
+from kmatch.products import product
+
+p = product(build_named("complete", 2), build_named("path", 2), "cartesian")
+members = set(p.graph.pairs)
+assert members == {(0, 1), (0, 2), (1, 3), (2, 3)}, members
+for keys in ([(0, 1), (0, 3)], [(0, 1), (2, 3), (0, 1)]):
+    try:
+        checked_degrees(p.graph.n, members, keys)
+    except InvariantViolation:
+        pass
+    else:
+        raise SystemExit(f"checked_degrees accepted {keys}")
+if checked_degrees(p.graph.n, members, [(0, 1), (0, 2)]) != ([2, 1, 1, 0], None):
+    raise SystemExit("two positive degrees were not refused")
+if checked_degrees(p.graph.n, members, [(0, 1), (2, 3)]) != ([1, 1, 1, 1], 1):
+    raise SystemExit("a perfect matching was refused")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_checked_degrees_refuses_bad_sets(flags):
+    # the corpus never builds a bad set, so the acceptance suite never
+    # reaches these branches; they must hold under -O as well.
+    src = os.path.dirname(os.path.dirname(kmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", CHECKED_DEGREES_PROBE],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -153,3 +153,21 @@ def test_product_matches_the_pairwise_reference():
             p = product(g, h, kind).graph
             assert (p.vertices, p.edges) == pairwise_product(g, h, kind), (g, h, kind)
     assert len(pairs) * len(KINDS) == 5404
+
+
+def test_product_index_is_left_major():
+    # the constructions build product edges as index pairs i_G * n_H + i_H
+    rng = random.Random(11)
+    corpus = list(connected_graphs_upto(4))
+    factors = corpus + [relabeled(g, rng) for g in corpus]
+    factors.append(make_graph(["b", "a", "c"], [("a", "b"), ("c", "a")]))
+    for g, h in [(g, h) for g in factors for h in factors[::4]]:
+        gi, hi = g.index, h.index
+        for kind in KINDS:
+            p = product(g, h, kind)
+            for x in g.vertices:
+                for y in h.vertices:
+                    assert p.graph.index[(x, y)] == gi[x] * h.n + hi[y], (g, h, kind)
+            assert p.graph.pairs == tuple(
+                (gi[a] * h.n + hi[c], gi[b] * h.n + hi[d]) for (a, c), (b, d) in p.graph.edges
+            )

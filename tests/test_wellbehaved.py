@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import bruteforce
 from kmatch.errors import InvalidK, UnsupportedKind
 from kmatch.graphs import build_named
 from kmatch.matchings import max_k_matching
@@ -162,3 +163,29 @@ def test_memo_is_bounded_and_clears(named):
     assert cached_query.cache_info().currsize > 0
     cached_query.cache_clear()
     assert cached_query.cache_info().currsize == 0
+
+
+def test_all_max_pairs_equals_the_public_route(small_corpus):
+    # conditions 2 and 3 run the boxast edge rule in index space; the
+    # reference builds every pair through the public boxast and validates
+    # it with degree_profile.
+    def maxima(g, k):
+        best = bruteforce.maximum_size(g.vertices, g.edges, k)
+        return [m for m in bruteforce.all_k_matchings(g.vertices, g.edges, k) if len(m) == best]
+
+    cells, outcomes = 0, set()
+    for _, g in small_corpus:
+        for _, h in small_corpus:
+            for k in (1, 2, 3):
+                max_g, max_h = maxima(g, k), maxima(h, k)
+                for star in ("cartesian", "strong", "lex"):
+                    rep = equivalence_suite(g, h, star, k)
+                    assert rep.exhaustive
+                    p = product(g, h, star)
+                    size = rep.numbers["product"]["size"]
+                    for orientation in ("gh", "hg"):
+                        want = bruteforce.all_max_pairs(p, max_g, max_h, k, size, orientation)
+                        assert rep.conditions[f"all-max-pairs-{orientation}"] is want
+                        outcomes.add(want)
+                    cells += 1
+    assert cells == 900 and outcomes == {True, False}
