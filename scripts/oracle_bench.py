@@ -20,6 +20,7 @@ import argparse
 import sys
 import time
 
+from kmatch.errors import KmatchError
 from kmatch.graphs import build_named
 from kmatch.matchings import DEFAULT_NODE_BUDGET, max_k_matching
 from kmatch.products import product
@@ -85,7 +86,13 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=1,
                         help="run each query this many times, keep the fastest")
     args = parser.parse_args(argv)
-    return bench(args.budget, not args.no_witness, max(1, args.repeat))
+    # bad input, such as a budget below 1, exits 2 with one line, as in
+    # `kmatch solve`.
+    try:
+        return bench(args.budget, not args.no_witness, max(1, args.repeat))
+    except KmatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -107,6 +107,12 @@ def _cmd_product(args) -> int:
     if args.out == "dot":
         _print(to_dot(p.graph, name="product"))
         return EXIT_OK
+    if args.out == "table":
+        _print(
+            f"{p.kind} product: {p.graph.n} vertices, {p.graph.m} edges "
+            f"(left {g.n}/{g.m}, right {h.n}/{h.m})\n"
+        )
+        return EXIT_OK
     payload = {
         "kind": p.kind,
         "left": graph_to_json_obj(g),
@@ -114,12 +120,6 @@ def _cmd_product(args) -> int:
         "product": graph_to_json_obj(p.graph),
         "counts": {"vertices": p.graph.n, "edges": p.graph.m},
     }
-    if args.out == "table":
-        _print(
-            f"{p.kind} product: {p.graph.n} vertices, {p.graph.m} edges "
-            f"(left {g.n}/{g.m}, right {h.n}/{h.m})\n"
-        )
-        return EXIT_OK
     _print(canonical_json(payload))
     return EXIT_OK
 

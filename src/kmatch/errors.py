@@ -21,8 +21,10 @@ class ParseError(KmatchError):
 
 
 class InvariantViolation(KmatchError):
-    """Input data breaks a structural invariant: loop, duplicate edge,
-    dangling endpoint, repeated vertex label."""
+    """A structural invariant is broken. In input data: a loop, duplicate
+    edge, dangling endpoint or repeated vertex label. In the library: a
+    solver answer, search leaf or construction that breaks what it must
+    satisfy (e.g. a point off the 0-or-k degree condition)."""
 
 
 class SizeLimitExceeded(KmatchError):

@@ -27,10 +27,11 @@ witness by lexicographic fixing. Each fixing probe is settled by
 propagation when it can be, else by the same search run as a capped
 probe toward the known size, else by the relaxation (a bound below the
 size drops the edge, a point of that size keeps it), and only else by
-the program. The budget caps total effort, counting search nodes
-(restarts and probe searches included, a capped search charged its cap)
-plus a flat charge per relaxation or program solve; an exhausted budget
-degrades the report to exhaustive=False instead of raising.
+the program. One budget rule covers every stage: a search is capped at
+the budget left and charged the nodes it visits, a relaxation or program
+solve is charged a flat amount and runs only if that fits, and a stage
+that does not fit ends the query with exhaustive=False and the best
+matching found so far instead of raising.
 """
 
 from __future__ import annotations
@@ -243,19 +244,10 @@ class _SearchOutcome:
     root_bound: int
 
 
-def _degrees(g: Graph) -> list[int]:
-    """The degree of each vertex, by canonical index."""
-    degree = [0] * g.n
-    for a, b in g.pairs:
-        degree[a] += 1
-        degree[b] += 1
-    return degree
-
-
 def _degree_order(g: Graph, degree: Sequence[int], rotate: int = 0) -> list[int]:
     """Canonical edge indices in degree order.
 
-    Vertices are ranked by ascending `degree` (from `_degrees`), ties
+    Vertices are ranked by ascending `degree` (from `index_degrees`), ties
     broken by canonical index, and edges sorted by their ranked endpoint
     pair. Low-degree vertices have the fewest ways to reach degree k, so
     deciding their edges first settles forced choices early; on the
@@ -513,11 +505,7 @@ class _SizeProgram:
         side of each degree row: minus the degree the fixed-in edges give."""
         free = [j for j in range(self.m) if j not in fixed]
         ones = [j for j, value in fixed.items() if value]
-        forced = [0] * self.n
-        for j in ones:
-            a, b = self.ends[j]
-            forced[a] += 1
-            forced[b] += 1
+        forced, _ = index_degrees(self.n, [self.ends[j] for j in ones])
         return free, ones, [-f for f in forced]
 
     def solve(self, fixed: dict[int, int]) -> tuple[int, frozenset[int]] | None:
@@ -549,12 +537,8 @@ class _SizeProgram:
     def off_condition(self, chosen: Iterable[int]) -> bool:
         """True when the edges `chosen` leave a vertex at a degree other
         than 0 or k. A plain test, not an assert, so it runs under -O."""
-        degrees = [0] * self.n
-        for j in chosen:
-            a, b = self.ends[j]
-            degrees[a] += 1
-            degrees[b] += 1
-        return any(d != 0 and d != self.k for d in degrees)
+        _, uniform = index_degrees(self.n, [self.ends[j] for j in chosen])
+        return uniform not in (0, self.k)
 
     def relax(self, fixed: dict[int, int]) -> tuple[int, frozenset[int] | None] | None:
         """The continuous relaxation of `solve(fixed)`; None if infeasible.
@@ -622,6 +606,10 @@ _SEARCH_CAP = 4_000
 _RESTARTS = 4
 
 
+class _OutOfBudget(Exception):
+    """The next stage of `max_k_matching` does not fit in the budget left."""
+
+
 def max_k_matching(
     g: Graph, k: int, budget: int = DEFAULT_NODE_BUDGET, witness: bool = True
 ) -> OracleReport:
@@ -634,179 +622,162 @@ def max_k_matching(
     k-matching meeting its exact bound is a maximum. A size-only call
     takes the smaller of that bound and the search's parity-corrected
     root bound; it is settled when the search's best meets it, or else
-    by the first of up to `_RESTARTS` searches capped at `_SEARCH_CAP`
-    nodes (degree order, tie-break rotated by a quarter of the vertices
-    per restart) that reaches it. A restart that settles without
-    reaching it proves the bound too high and ends the restarts.
-    Otherwise the integer program proves the maximum size. The canonical
-    witness is then recovered by fixing edges in canonical order, keeping
-    an edge exactly when some maximum matching still contains it. Each
-    such probe goes through four stages, and the first that decides it
-    settles it: propagation (an endpoint of the edge already has degree k,
-    or cannot reach k from the kept edges, the edge and the undecided
-    ones), a search capped at `_SEARCH_CAP` nodes for a maximum over the
-    undecided edges in degree order, the relaxation (its bound below the
-    maximum drops the edge, its point keeps it), and a solve of the
-    integer program. With `witness` off the search runs in degree order,
-    which settles far more instances within the cap, and every stage
-    reports just some maximum matching; size and unmatched counts are
-    exact either way. `budget` caps the total effort: search nodes,
-    restarts and probe searches included and a capped search charged
-    its cap, plus a flat charge per relaxation or integer-program solve,
-    so `nodes` never exceeds it. When it runs out the report degrades to
-    exhaustive=False carrying the best matching found so far.
+    by the first of up to `_RESTARTS` capped searches (degree order,
+    tie-break rotated by a quarter of the vertices per restart) that
+    reaches it. A restart that settles without reaching it proves the
+    bound too high and ends the restarts. Otherwise the integer program
+    proves the maximum size. The canonical witness is then recovered by
+    fixing edges in canonical order, keeping an edge exactly when some
+    maximum matching still contains it. Each such probe goes through four
+    stages, and the first that decides it settles it: propagation (an
+    endpoint of the edge already has degree k, or cannot reach k from the
+    kept edges, the edge and the undecided ones), a capped search for a
+    maximum over the undecided edges in degree order, the relaxation (its
+    bound below the maximum drops the edge, its point keeps it), and a
+    solve of the integer program. With `witness` off the search runs in
+    degree order, which settles far more instances within the cap, and
+    every stage reports just some maximum matching; size and unmatched
+    counts are exact either way.
+
+    One budget rule covers every stage. A search is capped at the smaller
+    of `_SEARCH_CAP` and the budget left and charged the nodes it visits,
+    at most that cap; a relaxation or integer-program solve is charged a
+    flat `_SOLVE_EFFORT` and runs only if that fits. `nodes` is the total
+    charge, so it never exceeds `budget`. When the next stage does not
+    fit, the report degrades to exhaustive=False and carries the best
+    matching found so far.
     """
     check_k(k)
     if budget < 1:
         raise InvalidParameter(f"budget must be at least 1, got {budget}")
-    degree = _degrees(g)
+    degree, _ = index_degrees(g.n, g.pairs)
     if k > max(degree, default=0):
         # no vertex can reach degree k, so the empty matching is the maximum.
         return OracleReport(k=k, size=0, unmatched=g.n, witness=(), exhaustive=True, nodes=0)
+    program = _SizeProgram(g, k)
+    spent = 0
 
-    def report(size: int, edges: tuple[Edge, ...], exhaustive: bool, spent: int) -> OracleReport:
+    def report(edges: Iterable[int], exhaustive: bool) -> OracleReport:
+        found = tuple(g.edges[i] for i in edges)
+        size = len(found)
         if (2 * size) % k:
             raise InvariantViolation(f"a {k}-matching cannot have {size} edges")
         return OracleReport(
             k=k,
             size=size,
             unmatched=g.n - (2 * size) // k,
-            witness=edges,
+            witness=found,
             exhaustive=exhaustive,
             nodes=spent,
         )
 
-    label_edges = g.edges
+    def search(order: list[int] | None, *probe) -> _SearchOutcome:
+        # a probe is (forced edges, target size); its leaf must be a
+        # k-matching of exactly the target size.
+        nonlocal spent
+        cap = min(_SEARCH_CAP, budget - spent)
+        if cap < 1:
+            raise _OutOfBudget
+        out = _search_maximum(g, k, cap, order, *probe)
+        # a capped search counts the node it stopped at; charge only the cap.
+        spent += min(out.nodes, cap)
+        if probe and out.best is not None:
+            if len(out.best) != probe[1] or program.off_condition(out.best):
+                raise InvariantViolation(f"a search returned a leaf off the 0-or-{k} condition")
+        return out
+
+    def optimize(method, fixed: dict[int, int]):
+        # `program.relax` or `program.solve`, for a flat charge.
+        nonlocal spent
+        if spent + _SOLVE_EFFORT > budget:
+            raise _OutOfBudget
+        spent += _SOLVE_EFFORT
+        return method(fixed)
+
     # the canonical order makes the first maximum the canonical witness;
     # a size-only call is free to search in the faster degree order.
-    order = None if witness else _degree_order(g, degree)
-    cap = min(_SEARCH_CAP, budget)
-    search = _search_maximum(g, k, cap, order)
-    if search.settled:
-        found = tuple(label_edges[i] for i in search.best or [])
-        return report(max(search.best_size, 0), found, True, search.nodes)
-    # a capped search counts the node it stopped at; charge only the cap.
-    spent = cap
-    fallback_size = max(search.best_size, 0)
-    fallback = tuple(label_edges[i] for i in search.best or [])
-
-    program = _SizeProgram(g, k)
-    if spent + _SOLVE_EFFORT > budget:
-        return report(fallback_size, fallback, False, spent)
-    spent += _SOLVE_EFFORT
-    # the empty matching is feasible, so an infeasible answer is not
-    # trusted: the edge count is a bound that needs no solver.
-    bound, sol = program.relax({}) or (g.m, None)
-    if not witness:
-        # for odd k the search's root bound also counts parity, which the
-        # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.
-        bound = min(bound, search.root_bound)
-        if search.best_size >= bound:
-            # the best matching the search did reach meets the bound.
-            return report(fallback_size, fallback, True, spent)
-    if not witness and sol is None:
-        # restarts in rotated degree orders, each looking for a leaf of
-        # the bound's size: the first one found is a maximum.
-        for r in range(_RESTARTS):
-            room = budget - spent
-            if room < 1:
-                return report(fallback_size, fallback, False, spent)
-            cap = min(_SEARCH_CAP, room)
-            order = _degree_order(g, degree, r * (g.n // 4))
-            rerun = _search_maximum(g, k, cap, order, (), bound)
-            spent += min(rerun.nodes, cap)
-            if rerun.best is not None:
-                if len(rerun.best) != bound or program.off_condition(rerun.best):
-                    raise InvariantViolation(
-                        f"restart search returned a leaf off the 0-or-{k} condition"
-                    )
-                return report(bound, tuple(label_edges[i] for i in rerun.best), True, spent)
-            if rerun.settled:
-                # no k-matching meets the bound; the program finds the optimum.
-                break
-    if sol is not None:
+    first = search(None if witness else _degree_order(g, degree))
+    if first.settled:
+        return report(first.best or (), True)
+    sol: frozenset[int] | None = None  # a maximum, once one is known
+    try:
+        # the empty matching is feasible, so an infeasible answer is not
+        # trusted: the edge count is a bound that needs no solver.
+        bound, sol = optimize(program.relax, {}) or (g.m, None)
+        if not witness:
+            # for odd k the search's root bound also counts parity, which the
+            # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.
+            bound = min(bound, first.root_bound)
+            if first.best_size >= bound:
+                # the best matching the search did reach meets the bound.
+                return report(first.best or (), True)
+        if not witness and sol is None:
+            # restarts in rotated degree orders, each looking for a leaf of
+            # the bound's size: the first one found is a maximum.
+            for r in range(_RESTARTS):
+                rerun = search(_degree_order(g, degree, r * (g.n // 4)), (), bound)
+                if rerun.best is not None:
+                    return report(rerun.best, True)
+                if rerun.settled:
+                    # no k-matching meets the bound; the program finds the optimum.
+                    break
         optimum = bound
-    else:
-        if spent + _SOLVE_EFFORT > budget:
-            return report(fallback_size, fallback, False, spent)
-        spent += _SOLVE_EFFORT
-        optimum, sol = program.solve({})
-    if optimum == 0:
-        return report(0, (), True, spent)
-    if not witness:
-        return report(optimum, tuple(label_edges[i] for i in sorted(sol)), True, spent)
+        if sol is None:
+            solved = optimize(program.solve, {})
+            if solved is None:
+                raise InvariantViolation("the size program calls the empty matching infeasible")
+            optimum, sol = solved
+        if optimum == 0 or not witness:
+            return report(sorted(sol), True)
 
-    # lexicographic recovery: walk the canonical order and keep an edge iff
-    # some maximum matching agrees with every decision so far and contains
-    # it. `sol` always witnesses the decisions made up to this point, so
-    # its members are kept for free. Any other edge j is a probe, settled
-    # by the first stage that can: propagation at j's endpoints, a capped
-    # search for a maximum over the edges after j, the relaxation, the
-    # solver.
-    ends = program.ends
-    kept = [0] * g.n  # degree from the kept edges
-    ahead = [0] * g.n  # incident edges after the current one
-    for a, b in ends:
-        ahead[a] += 1
-        ahead[b] += 1
-    # the search's best edge order; a yes/no probe may decide in any order.
-    tail = _degree_order(g, degree)
-
-    def partial() -> OracleReport:
-        # sol is a genuine maximum, just not the canonical one.
-        return report(optimum, tuple(label_edges[i] for i in sorted(sol)), False, spent)
-
-    fixed: dict[int, int] = {}
-    ones = 0
-    for j in range(g.m):
-        if ones == optimum:
-            break
-        a, b = ends[j]
-        ahead[a] -= 1
-        ahead[b] -= 1
-        keep = j in sol
-        if not keep and all(kept[x] < k <= kept[x] + 1 + ahead[x] for x in (a, b)):
-            room = budget - spent
-            if room < 1:
-                return partial()
-            forced = [i for i, v in fixed.items() if v] + [j]
-            order = [i for i in tail if i > j]
-            cap = min(_SEARCH_CAP, room)
-            probe = _search_maximum(g, k, cap, order, forced, optimum)
-            spent += min(probe.nodes, cap)
-            if probe.settled and probe.best is not None:
-                if len(probe.best) != optimum or program.off_condition(probe.best):
-                    raise InvariantViolation(
-                        f"probe search returned a leaf off the 0-or-{k} condition"
-                    )
-                keep, sol = True, frozenset(probe.best)
-            elif not probe.settled:
-                if spent + _SOLVE_EFFORT > budget:
-                    return partial()
-                spent += _SOLVE_EFFORT
-                # a bound below the optimum drops j. An infeasible answer
-                # decides nothing and goes on to the integer program.
-                bound, point = program.relax({**fixed, j: 1}) or (g.m, None)
-                if bound >= optimum and point is not None:
-                    # a k-matching with j of at most the optimum's size
-                    # that meets a bound of at least it: a maximum.
-                    keep, sol = True, point
-                elif bound >= optimum:
-                    if spent + _SOLVE_EFFORT > budget:
-                        return partial()
-                    spent += _SOLVE_EFFORT
-                    attempt = program.solve({**fixed, j: 1})
-                    if attempt is not None and attempt[0] == optimum:
-                        keep, sol = True, attempt[1]
-        fixed[j] = int(keep)
-        if keep:
-            ones += 1
-            kept[a] += 1
-            kept[b] += 1
-    if ones != optimum:
-        raise InvariantViolation(f"witness recovery kept {ones} of {optimum} edges")
-    final = tuple(label_edges[j] for j, v in sorted(fixed.items()) if v == 1)
-    return report(optimum, final, True, spent)
+        # lexicographic recovery: walk the canonical order and keep an edge
+        # iff some maximum matching agrees with every decision so far and
+        # contains it. `sol` always witnesses the decisions made up to this
+        # point, so its members are kept for free. Any other edge j is a
+        # probe, settled by the first stage that can: propagation at j's
+        # endpoints, a capped search for a maximum over the edges after j,
+        # the relaxation, the solver.
+        kept = [0] * g.n  # degree from the kept edges
+        ahead = degree.copy()  # incident edges after the current one
+        # the search's best edge order; a yes/no probe may decide in any order.
+        tail = _degree_order(g, degree)
+        fixed: dict[int, int] = {}
+        ones = 0
+        for j in range(g.m):
+            if ones == optimum:
+                break
+            a, b = program.ends[j]
+            ahead[a] -= 1
+            ahead[b] -= 1
+            keep = j in sol
+            if not keep and all(kept[x] < k <= kept[x] + 1 + ahead[x] for x in (a, b)):
+                forced = [i for i, v in fixed.items() if v] + [j]
+                probe = search([i for i in tail if i > j], forced, optimum)
+                if probe.best is not None:
+                    keep, sol = True, frozenset(probe.best)
+                elif not probe.settled:
+                    # a bound below the optimum drops j. An infeasible answer
+                    # decides nothing and goes on to the integer program.
+                    bound, point = optimize(program.relax, {**fixed, j: 1}) or (g.m, None)
+                    if bound >= optimum and point is not None:
+                        # a k-matching with j of at most the optimum's size
+                        # that meets a bound of at least it: a maximum.
+                        keep, sol = True, point
+                    elif bound >= optimum:
+                        attempt = optimize(program.solve, {**fixed, j: 1})
+                        if attempt is not None and attempt[0] == optimum:
+                            keep, sol = True, attempt[1]
+            fixed[j] = int(keep)
+            if keep:
+                ones += 1
+                kept[a] += 1
+                kept[b] += 1
+        if ones != optimum:
+            raise InvariantViolation(f"witness recovery kept {ones} of {optimum} edges")
+        return report([j for j, v in fixed.items() if v], True)
+    except _OutOfBudget:
+        # the search's best, or a genuine maximum that is not the canonical one.
+        return report((first.best or ()) if sol is None else sorted(sol), False)
 
 
 def enumerate_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
@@ -829,10 +800,7 @@ def enumerate_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
 def _walk_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:
     edges = g.pairs
     label_edges = g.edges
-    rem = [0] * g.n
-    for a, b in edges:
-        rem[a] += 1
-        rem[b] += 1
+    rem, _ = index_degrees(g.n, edges)
     deg = [0] * g.n
     chosen: list[int] = []
 

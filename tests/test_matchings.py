@@ -21,12 +21,12 @@ from kmatch.matchings import (
     _SOLVE_EFFORT,
     _SizeProgram,
     _degree_order,
-    _degrees,
     _search_maximum,
     canonical_matching,
     classify_matching,
     degree_profile,
     enumerate_k_matchings,
+    index_degrees,
     max_k_matching,
     validate_k_matching,
 )
@@ -151,7 +151,7 @@ def test_restarts_settle_odd_cycle_squares_without_the_program(monkeypatch, kind
     # 36 edges. The relaxation bounds the size by 37 only; the search's
     # parity-corrected root bound says 36, and a restart finds 36.
     p = product(CORPUS_C5, CORPUS_C5, kind).graph
-    first = _search_maximum(p, 3, _SEARCH_CAP, _degree_order(p, _degrees(p)))
+    first = _search_maximum(p, 3, _SEARCH_CAP, _degree_order(p, index_degrees(p.n, p.pairs)[0]))
     assert not first.settled and first.root_bound == 36
     assert _SizeProgram(p, 3).relax({})[0] == 37
 
@@ -373,6 +373,17 @@ def test_a_lying_relaxation_neither_drops_nor_keeps(monkeypatch, small_corpus, f
             solved = sum(1 for method, fixed, _ in calls if method == "solve" and fixed)
             assert relaxed == solved, (name, k)
     assert probes > 0
+
+
+@pytest.mark.parametrize("witness", [True, False], ids=["witness", "size-only"])
+def test_a_root_solve_that_claims_infeasible_is_a_fault(monkeypatch, witness):
+    # the empty matching is feasible, so the integer program at the root
+    # always has an optimum; a solver that calls it infeasible is at fault.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", 1)
+    monkeypatch.setattr(scipy.optimize, "linprog", infeasible_linprog)
+    monkeypatch.setattr(scipy.optimize, "milp", infeasible_linprog)  # the same status 2
+    with pytest.raises(InvariantViolation):
+        max_k_matching(build_named("cycle", 6), 1, witness=witness)
 
 
 def test_probe_search_agrees_with_enumeration(sweep_corpus):

@@ -28,6 +28,14 @@ def test_wb_census_that_checks_nothing_is_refused(capsys, option):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oracle_bench_refuses_a_budget_below_one(capsys):
+    bench = runpy.run_path(str(SCRIPTS / "oracle_bench.py"), run_name="oracle_bench")
+    assert bench["main"](["--budget", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and out.split()[:2] == ["instance", "k"]  # no row
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_oracle_bench_prints_one_row_per_instance(capsys):
     bench = runpy.run_path(str(SCRIPTS / "oracle_bench.py"), run_name="oracle_bench")
     assert bench["main"](["--budget", "1"]) == 0

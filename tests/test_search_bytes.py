@@ -21,6 +21,14 @@ search and each witness-recovery probe: the arguments of the call
 change to the kernel that visits other nodes, or to the recovery that
 asks other probes, moves that digest. It was taken before the search's
 inner loop was rewritten for speed.
+
+The budget pin runs the escalating queries again under budgets from 1
+up to each query's full effort: every fifth witness query (canonical
+search capped) and every size-only query (degree-ordered search capped),
+at eight budgets each. It hashes (budget, size, witness, exhaustive,
+nodes), so it covers the degraded reports and the effort counter of
+every stage the budget can stop in. It was taken before the oracle's
+budget checks were folded into one place.
 """
 
 import hashlib
@@ -34,8 +42,8 @@ from kmatch.graphs import graph_to_json_obj
 from kmatch.matchings import (
     _SEARCH_CAP,
     _degree_order,
-    _degrees,
     _search_maximum,
+    index_degrees,
     max_k_matching,
 )
 from kmatch.products import KINDS, product
@@ -49,6 +57,7 @@ PROBE_PIN = (
     (110, 1928, 230),
     "ae4121adea6497b05bbc506d446fa94a34acd2b8991c5bfef8608eaf0c602703",
 )
+BUDGET_PIN = (304, "3303f8cf9b2f724351bd16e85cfb2278a7ba51a934596759f9e8840c937ff0eb")
 
 
 def products():
@@ -60,11 +69,15 @@ def products():
                 yield f"{i} {j} {kind} {k}", p, k
 
 
+def degree_order(p):
+    return _degree_order(p, index_degrees(p.n, p.pairs)[0])
+
+
 def test_search_outcomes_are_pinned():
     digest = hashlib.sha256()
     count = 0
     for where, p, k in products():
-        for name, order in (("canonical", None), ("degree", _degree_order(p, _degrees(p)))):
+        for name, order in (("canonical", None), ("degree", degree_order(p))):
             out = _search_maximum(p, k, _SEARCH_CAP, order)
             digest.update(f"{where} {name}\n".encode())
             digest.update(canonical_json([out.best, out.best_size, out.nodes, out.settled]).encode())
@@ -122,3 +135,29 @@ def test_escalated_witnesses_are_pinned(monkeypatch):
     assert (count, digest.hexdigest()) == ESCALATED_PIN
     tally = (kinds[False, False], kinds[True, True], kinds[True, False])
     assert (sum(kinds.values()), tally, calls_digest.hexdigest()) == PROBE_PIN
+
+
+def test_budgeted_reports_are_pinned():
+    names = corpus_names(connected_graphs(4))
+    witness_queries, size_queries = [], []
+    for where, p, k in products():
+        if not _search_maximum(p, k, _SEARCH_CAP).settled:
+            witness_queries.append((where, p, k))
+        if not _search_maximum(p, k, _SEARCH_CAP, degree_order(p)).settled:
+            size_queries.append((where, p, k))
+    digest = hashlib.sha256()
+    runs = 0
+    for witness, queries in ((True, witness_queries[::5]), (False, size_queries)):
+        for where, p, k in queries:
+            i, j, kind, _ = where.split()
+            digest.update(f"{names[int(i)]} {names[int(j)]} {kind} {k} {witness}\n".encode())
+            full = max_k_matching(p, k, witness=witness).nodes
+            for budget in sorted({1 + (full - 1) * step // 7 for step in range(8)}):
+                rep = max_k_matching(p, k, budget=budget, witness=witness)
+                digest.update(
+                    canonical_json(
+                        [budget, rep.size, rep.witness, rep.exhaustive, rep.nodes]
+                    ).encode()
+                )
+                runs += 1
+    assert (runs, digest.hexdigest()) == BUDGET_PIN
