@@ -22,12 +22,16 @@ capped searches, in degree order with the tie-break rotated, look for a
 matching that meets the smaller of the relaxation's bound and the
 search's own parity-corrected root bound. The first one found is a
 maximum; a restart that ends without one proves the optimum smaller,
-and the program finds it. A witness query recovers the canonical
+and the program finds it. A witness query whose canonical search gives
+up learns the size through these same stages, from the degree-ordered
+search on. If the canonical search's best already has that size, it is
+the canonical witness; otherwise the query recovers the canonical
 witness by lexicographic fixing. Each fixing probe is settled by
 propagation when it can be, else by the same search run as a capped
 probe toward the known size, else by the relaxation (a bound below the
 size drops the edge, a point of that size keeps it), and only else by
-the program. One budget rule covers every stage: a search is capped at
+the program; once a relaxation decides nothing, the later probes skip
+it. One budget rule covers every stage: a search is capped at
 the budget left and charged the nodes it visits, a relaxation or program
 solve is charged a flat amount and runs only if that fits, and a stage
 that does not fit ends the query with exhaustive=False and the best
@@ -221,9 +225,9 @@ class OracleReport:
     the lexicographically smallest maximum under the canonical edge order.
     A size-only query (witness=False) reports some maximum instead, in
     canonical edge order but not the canonical one. `nodes` is the effort
-    spent against the budget: search nodes, those of the size-only
-    restarts and the witness recovery's probe searches included, plus a
-    flat charge per optimizer call.
+    spent against the budget: search nodes, those of the restarts, of a
+    witness query's degree-ordered search and of the witness recovery's
+    probe searches included, plus a flat charge per optimizer call.
     """
 
     k: int
@@ -617,27 +621,35 @@ def max_k_matching(
 
     A capped branch-and-bound settles most instances outright. With
     `witness` on it searches the canonical edge order, so its first
-    maximum is the lexicographically smallest one. When the search gives
-    up, the relaxation runs: a point of the relaxation that rounds to a
-    k-matching meeting its exact bound is a maximum. A size-only call
-    takes the smaller of that bound and the search's parity-corrected
-    root bound; it is settled when the search's best meets it, or else
-    by the first of up to `_RESTARTS` capped searches (degree order,
-    tie-break rotated by a quarter of the vertices per restart) that
-    reaches it. A restart that settles without reaching it proves the
-    bound too high and ends the restarts. Otherwise the integer program
-    proves the maximum size. The canonical witness is then recovered by
-    fixing edges in canonical order, keeping an edge exactly when some
-    maximum matching still contains it. Each such probe goes through four
+    maximum is the lexicographically smallest one. With `witness` off it
+    searches in degree order, which settles far more instances within
+    the cap; a witness query that the canonical search leaves open runs
+    that degree-ordered search next. The size stages follow the
+    degree-ordered search when it gives up. First the relaxation runs: a
+    point of the relaxation that rounds to a k-matching meeting its exact
+    bound is a maximum. The bound is lowered to the search's
+    parity-corrected root bound when that is smaller; the call is settled
+    when the search's best meets it, else by that point, else by the
+    first of up to `_RESTARTS` capped searches (degree order, tie-break
+    rotated by a quarter of the vertices per restart) that reaches it. A
+    restart that settles without reaching it proves the bound too high
+    and ends the restarts. Otherwise the integer program proves the
+    maximum size. A size-only call reports the maximum these stages
+    found. A witness call whose canonical search's best already has the
+    maximum size reports that best: in include-first order no branch
+    toward the first maximum leaf is pruned while the incumbent is
+    smaller. Otherwise the canonical witness is recovered by fixing edges
+    in canonical order, keeping an edge exactly when some maximum
+    matching still contains it. Each such probe goes through four
     stages, and the first that decides it settles it: propagation (an
     endpoint of the edge already has degree k, or cannot reach k from the
     kept edges, the edge and the undecided ones), a capped search for a
     maximum over the undecided edges in degree order, the relaxation (its
     bound below the maximum drops the edge, its point keeps it), and a
-    solve of the integer program. With `witness` off the search runs in
-    degree order, which settles far more instances within the cap, and
-    every stage reports just some maximum matching; size and unmatched
-    counts are exact either way.
+    solve of the integer program. After the first relaxation that decides
+    nothing (a bound of at least the maximum without a point, or a claim
+    of infeasibility), the later probes skip the relaxation. Size and
+    unmatched counts are exact either way.
 
     One budget rule covers every stage. A search is capped at the smaller
     of `_SEARCH_CAP` and the budget left and charged the nodes it visits,
@@ -645,7 +657,8 @@ def max_k_matching(
     flat `_SOLVE_EFFORT` and runs only if that fits. `nodes` is the total
     charge, so it never exceeds `budget`. When the next stage does not
     fit, the report degrades to exhaustive=False and carries the best
-    matching found so far.
+    matching found so far: a maximum once one is known, else the larger
+    incumbent of the root searches.
     """
     check_k(k)
     if budget < 1:
@@ -694,41 +707,61 @@ def max_k_matching(
         spent += _SOLVE_EFFORT
         return method(fixed)
 
-    # the canonical order makes the first maximum the canonical witness;
-    # a size-only call is free to search in the faster degree order.
-    first = search(None if witness else _degree_order(g, degree))
-    if first.settled:
-        return report(first.best or (), True)
-    sol: frozenset[int] | None = None  # a maximum, once one is known
-    try:
+    def maximum(sized: _SearchOutcome) -> tuple[int, Iterable[int]]:
+        # the size stages from a degree-ordered search on: the maximum size
+        # and one maximum matching.
+        if sized.settled:
+            return sized.best_size, sized.best or ()
         # the empty matching is feasible, so an infeasible answer is not
         # trusted: the edge count is a bound that needs no solver.
-        bound, sol = optimize(program.relax, {}) or (g.m, None)
-        if not witness:
-            # for odd k the search's root bound also counts parity, which the
-            # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.
-            bound = min(bound, first.root_bound)
-            if first.best_size >= bound:
-                # the best matching the search did reach meets the bound.
-                return report(first.best or (), True)
-        if not witness and sol is None:
-            # restarts in rotated degree orders, each looking for a leaf of
-            # the bound's size: the first one found is a maximum.
-            for r in range(_RESTARTS):
-                rerun = search(_degree_order(g, degree, r * (g.n // 4)), (), bound)
-                if rerun.best is not None:
-                    return report(rerun.best, True)
-                if rerun.settled:
-                    # no k-matching meets the bound; the program finds the optimum.
-                    break
-        optimum = bound
-        if sol is None:
-            solved = optimize(program.solve, {})
-            if solved is None:
-                raise InvariantViolation("the size program calls the empty matching infeasible")
-            optimum, sol = solved
+        bound, point = optimize(program.relax, {}) or (g.m, None)
+        # for odd k the search's root bound also counts parity, which the
+        # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.
+        bound = min(bound, sized.root_bound)
+        if sized.best_size >= bound:
+            # the best matching the search did reach meets the bound.
+            return bound, sized.best or ()
+        if point is not None:
+            return bound, point
+        # restarts in rotated degree orders, each looking for a leaf of the
+        # bound's size: the first one found is a maximum.
+        for r in range(_RESTARTS):
+            rerun = search(_degree_order(g, degree, r * (g.n // 4)), (), bound)
+            if rerun.best is not None:
+                return bound, rerun.best
+            if rerun.settled:
+                # no k-matching meets the bound; the program finds the optimum.
+                break
+        solved = optimize(program.solve, {})
+        if solved is None:
+            raise InvariantViolation("the size program calls the empty matching infeasible")
+        return solved
+
+    # the canonical order makes the first maximum the canonical witness;
+    # a size-only call is free to search in the faster degree order.
+    order = None if witness else _degree_order(g, degree)
+    first = search(order)
+    if first.settled:
+        return report(first.best or (), True)
+    top = first  # the larger incumbent of the root searches
+    sol: frozenset[int] | None = None  # a maximum, once one is known
+    try:
+        sized = first
+        if witness:
+            # learn the size the way a size-only call does.
+            order = _degree_order(g, degree)
+            sized = search(order)
+            if sized.best_size > top.best_size:
+                top = sized
+        optimum, found = maximum(sized)
+        sol = frozenset(found)
         if optimum == 0 or not witness:
             return report(sorted(sol), True)
+        if first.best_size == optimum:
+            # no branch toward the first maximum leaf in include-first
+            # order is pruned while the incumbent is below the optimum,
+            # so the canonical search's best is the canonical witness.
+            return report(first.best or (), True)
 
         # lexicographic recovery: walk the canonical order and keep an edge
         # iff some maximum matching agrees with every decision so far and
@@ -736,13 +769,13 @@ def max_k_matching(
         # point, so its members are kept for free. Any other edge j is a
         # probe, settled by the first stage that can: propagation at j's
         # endpoints, a capped search for a maximum over the edges after j,
-        # the relaxation, the solver.
+        # the relaxation, the solver. Once a relaxation leaves a probe
+        # undecided, later probes go straight to the solver.
         kept = [0] * g.n  # degree from the kept edges
         ahead = degree.copy()  # incident edges after the current one
-        # the search's best edge order; a yes/no probe may decide in any order.
-        tail = _degree_order(g, degree)
         fixed: dict[int, int] = {}
         ones = 0
+        relaxing = True
         for j in range(g.m):
             if ones == optimum:
                 break
@@ -752,13 +785,17 @@ def max_k_matching(
             keep = j in sol
             if not keep and all(kept[x] < k <= kept[x] + 1 + ahead[x] for x in (a, b)):
                 forced = [i for i, v in fixed.items() if v] + [j]
-                probe = search([i for i in tail if i > j], forced, optimum)
+                # a yes/no probe may decide in any order; degree order is the search's best.
+                probe = search([i for i in order if i > j], forced, optimum)
                 if probe.best is not None:
                     keep, sol = True, frozenset(probe.best)
                 elif not probe.settled:
-                    # a bound below the optimum drops j. An infeasible answer
-                    # decides nothing and goes on to the integer program.
-                    bound, point = optimize(program.relax, {**fixed, j: 1}) or (g.m, None)
+                    bound, point = optimum, None
+                    if relaxing:
+                        # a bound below the optimum drops j. An infeasible
+                        # answer decides nothing, like a bound without a point.
+                        bound, point = optimize(program.relax, {**fixed, j: 1}) or (g.m, None)
+                        relaxing = bound < optimum or point is not None
                     if bound >= optimum and point is not None:
                         # a k-matching with j of at most the optimum's size
                         # that meets a bound of at least it: a maximum.
@@ -776,8 +813,9 @@ def max_k_matching(
             raise InvariantViolation(f"witness recovery kept {ones} of {optimum} edges")
         return report([j for j, v in fixed.items() if v], True)
     except _OutOfBudget:
-        # the search's best, or a genuine maximum that is not the canonical one.
-        return report((first.best or ()) if sol is None else sorted(sol), False)
+        # the larger root incumbent, or a genuine maximum that is not the
+        # canonical one.
+        return report((top.best or ()) if sol is None else sorted(sol), False)
 
 
 def enumerate_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:

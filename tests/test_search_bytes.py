@@ -15,20 +15,25 @@ integer program and to witness recovery. Their (size, witness,
 exhaustive) answers are hashed under corpus labels, without `nodes`:
 the digest was taken while every recovery probe was a solver call, so it
 checks that settling probes another way leaves each witness unchanged.
-The same queries also pin every search they make, the capped root
-search and each witness-recovery probe: the arguments of the call
-(k, cap, order, forced edges, target) and its outcome are hashed, so a
-change to the kernel that visits other nodes, or to the recovery that
-asks other probes, moves that digest. It was taken before the search's
-inner loop was rewritten for speed.
+The same queries also pin every search they make: the capped canonical
+root search, the size stages' degree-ordered search and restarts, and
+each witness-recovery probe. The arguments of the call (k, cap, order,
+forced edges, target) and its outcome are hashed, so a change to the
+kernel that visits other nodes, or to the recovery that asks other
+probes, moves that digest. It was taken when witness queries began to
+learn their size through the size-only stages (2,268 calls before, with
+the 110 canonical root searches the only capped ones without forced
+edges; 2,330 after).
 
 The budget pin runs the escalating queries again under budgets from 1
 up to each query's full effort: every fifth witness query (canonical
 search capped) and every size-only query (degree-ordered search capped),
 at eight budgets each. It hashes (budget, size, witness, exhaustive,
 nodes), so it covers the degraded reports and the effort counter of
-every stage the budget can stop in. It was taken before the oracle's
-budget checks were folded into one place.
+every stage the budget can stop in. It was first taken before the
+oracle's budget checks were folded into one place, and retaken when
+witness queries began to learn their size through the size-only stages;
+the 128 size-only runs hash the same before and after that change.
 """
 
 import hashlib
@@ -51,13 +56,15 @@ from kmatch.products import KINDS, product
 SEARCH_PIN = (864, "0daa01b6e05b661352a68489c453cca8b60310eae4891b49d9f602d6b8585203")
 SOLVE_PIN = (322, "dfd27c4a0f1f4db630d1074b370aa547de9d851a5365a743850561b793588f23")
 ESCALATED_PIN = (110, "e1102adf0256d67cef4f1a189812727c023a3d1476432bb31a754620109b12ae")
-# (calls, (capped roots, settled probes, capped probes), digest of every call)
+# (calls, (capped searches without forced edges: the canonical and
+# degree-ordered root searches and the restarts, settled probes, capped
+# probes), digest of every call)
 PROBE_PIN = (
-    2268,
-    (110, 1928, 230),
-    "ae4121adea6497b05bbc506d446fa94a34acd2b8991c5bfef8608eaf0c602703",
+    2330,
+    (133, 1874, 228),
+    "268393e165df66b10119932eda35962ebdb624812d8086a47cbd1dafa4069365",
 )
-BUDGET_PIN = (304, "3303f8cf9b2f724351bd16e85cfb2278a7ba51a934596759f9e8840c937ff0eb")
+BUDGET_PIN = (304, "a3d8b8f54e7dfe949628e5e9350e3b17b89831faa6f1a4bdf5ac666165bc2ee2")
 
 
 def products():
