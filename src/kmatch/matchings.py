@@ -9,33 +9,36 @@ maximum k-matchings of a graph strand the same number of vertices.
 The oracle is staged. A capped include-first branch-and-bound settles
 most instances outright. A witness query searches the canonical edge
 order and reports the first maximum it visits, which is the
-lexicographically smallest one. A size-only query searches the edges in
-degree order (low-degree vertices first), which finds the optimum in far
-fewer nodes, and reports some maximum. Instances that outgrow the cap go
-to an integer program (one binary per edge, one per vertex, degree =
-k * matched) that proves the exact size. Its continuous relaxation runs
-first: an upper bound computed exactly from the relaxation's duals, and
-the relaxation's point when it rounds to a k-matching that meets the
-bound, settle many of those calls without the integer program. A
-size-only query that is still open restarts the search: up to four
-capped searches, in degree order with the tie-break rotated, look for a
-matching that meets the smaller of the relaxation's bound and the
-search's own parity-corrected root bound. The first one found is a
-maximum; a restart that ends without one proves the optimum smaller,
-and the program finds it. A witness query whose canonical search gives
+lexicographically smallest one; this first try is capped short, at m
+plus an eighth of the cap, since a leaf sits at depth m. A size-only
+query searches the edges in degree order (low-degree vertices first),
+which finds the optimum in far fewer nodes, and reports some maximum.
+Instances that outgrow the cap go to an integer program (one binary per
+edge, one per vertex, degree = k * matched) that proves the exact size.
+Its continuous relaxation runs first: an upper bound computed exactly
+from the relaxation's duals, and the relaxation's point when it rounds
+to a k-matching that meets the bound, settle many of those calls without
+the integer program. A size-only query that is still open restarts the
+search: up to four capped searches, in degree order with the tie-break
+rotated, look for a matching that meets the smaller of the relaxation's
+bound and the search's own parity-corrected root bound. The first one
+found is a maximum; a restart that ends without one proves the optimum
+smaller, and the program finds it. A witness query whose first try gives
 up learns the size through these same stages, from the degree-ordered
-search on. If the canonical search's best already has that size, it is
-the canonical witness; otherwise the query recovers the canonical
+search on. If the first try's best already has that size, it is the
+canonical witness; otherwise a canonical search toward that size, at the
+full cap, stops at its first leaf, which is the canonical witness too.
+Only when that search is capped does the query recover the canonical
 witness by lexicographic fixing. Each fixing probe is settled by
 propagation when it can be, else by the same search run as a capped
-probe toward the known size, else by the relaxation (a bound below the
-size drops the edge, a point of that size keeps it), and only else by
-the program; once a relaxation decides nothing, the later probes skip
-it. One budget rule covers every stage: a search is capped at
-the budget left and charged the nodes it visits, a relaxation or program
-solve is charged a flat amount and runs only if that fits, and a stage
-that does not fit ends the query with exhaustive=False and the best
-matching found so far instead of raising.
+probe toward the known size over the undecided edges in degree order,
+else by the relaxation (a bound below the size drops the edge, a point
+of that size keeps it), and only else by the program; once a relaxation
+decides nothing, the later probes skip it. One budget rule covers every
+stage: a search is capped at the budget left and charged the nodes it
+visits, a relaxation or program solve is charged a flat amount and runs
+only if that fits, and a stage that does not fit ends the query with
+exhaustive=False and the best matching found so far instead of raising.
 """
 
 from __future__ import annotations
@@ -226,8 +229,9 @@ class OracleReport:
     A size-only query (witness=False) reports some maximum instead, in
     canonical edge order but not the canonical one. `nodes` is the effort
     spent against the budget: search nodes, those of the restarts, of a
-    witness query's degree-ordered search and of the witness recovery's
-    probe searches included, plus a flat charge per optimizer call.
+    witness query's degree-ordered search, of its canonical search toward
+    the optimum and of the witness recovery's probe searches included,
+    plus a flat charge per optimizer call.
     """
 
     k: int
@@ -621,10 +625,12 @@ def max_k_matching(
 
     A capped branch-and-bound settles most instances outright. With
     `witness` on it searches the canonical edge order, so its first
-    maximum is the lexicographically smallest one. With `witness` off it
-    searches in degree order, which settles far more instances within
-    the cap; a witness query that the canonical search leaves open runs
-    that degree-ordered search next. The size stages follow the
+    maximum is the lexicographically smallest one; this first try is
+    capped at m + `_SEARCH_CAP` // 8 nodes (a leaf sits at depth m), or
+    `_SEARCH_CAP` if that is smaller. With `witness` off it searches in
+    degree order, which settles far more instances within the cap; a
+    witness query that the first try leaves open runs that
+    degree-ordered search next. The size stages follow the
     degree-ordered search when it gives up. First the relaxation runs: a
     point of the relaxation that rounds to a k-matching meeting its exact
     bound is a maximum. The bound is lowered to the search's
@@ -635,26 +641,30 @@ def max_k_matching(
     restart that settles without reaching it proves the bound too high
     and ends the restarts. Otherwise the integer program proves the
     maximum size. A size-only call reports the maximum these stages
-    found. A witness call whose canonical search's best already has the
-    maximum size reports that best: in include-first order no branch
-    toward the first maximum leaf is pruned while the incumbent is
-    smaller. Otherwise the canonical witness is recovered by fixing edges
-    in canonical order, keeping an edge exactly when some maximum
-    matching still contains it. Each such probe goes through four
-    stages, and the first that decides it settles it: propagation (an
-    endpoint of the edge already has degree k, or cannot reach k from the
-    kept edges, the edge and the undecided ones), a capped search for a
-    maximum over the undecided edges in degree order, the relaxation (its
-    bound below the maximum drops the edge, its point keeps it), and a
-    solve of the integer program. After the first relaxation that decides
+    found. A witness call whose first try's best already has the maximum
+    size reports that best: in include-first order no branch toward the
+    first maximum leaf is pruned while the incumbent is smaller. Else a
+    canonical search toward the maximum size runs at the full cap; it
+    prunes only branches that hold no maximum, so its first leaf is the
+    canonical witness. Only if it is capped is the canonical witness
+    recovered by fixing edges in canonical order, keeping an edge
+    exactly when some maximum matching still contains it. Each such
+    probe goes through four stages, and the first that decides it
+    settles it: propagation (an endpoint of the edge already has degree
+    k, or cannot reach k from the kept edges, the edge and the undecided
+    ones), a capped search for a maximum over the undecided edges in
+    degree order by the degrees they leave, the relaxation (its bound
+    below the maximum drops the edge, its point keeps it), and a solve
+    of the integer program. After the first relaxation that decides
     nothing (a bound of at least the maximum without a point, or a claim
     of infeasibility), the later probes skip the relaxation. Size and
     unmatched counts are exact either way.
 
     One budget rule covers every stage. A search is capped at the smaller
-    of `_SEARCH_CAP` and the budget left and charged the nodes it visits,
-    at most that cap; a relaxation or integer-program solve is charged a
-    flat `_SOLVE_EFFORT` and runs only if that fits. `nodes` is the total
+    of its cap (`_SEARCH_CAP`, or the first witness try's shorter one)
+    and the budget left and charged the nodes it visits, at most that
+    cap; a relaxation or integer-program solve is charged a flat
+    `_SOLVE_EFFORT` and runs only if that fits. `nodes` is the total
     charge, so it never exceeds `budget`. When the next stage does not
     fit, the report degrades to exhaustive=False and carries the best
     matching found so far: a maximum once one is known, else the larger
@@ -684,11 +694,11 @@ def max_k_matching(
             nodes=spent,
         )
 
-    def search(order: list[int] | None, *probe) -> _SearchOutcome:
+    def search(order: list[int] | None, *probe, cap: int = _SEARCH_CAP) -> _SearchOutcome:
         # a probe is (forced edges, target size); its leaf must be a
         # k-matching of exactly the target size.
         nonlocal spent
-        cap = min(_SEARCH_CAP, budget - spent)
+        cap = min(cap, budget - spent)
         if cap < 1:
             raise _OutOfBudget
         out = _search_maximum(g, k, cap, order, *probe)
@@ -737,10 +747,14 @@ def max_k_matching(
             raise InvariantViolation("the size program calls the empty matching infeasible")
         return solved
 
-    # the canonical order makes the first maximum the canonical witness;
-    # a size-only call is free to search in the faster degree order.
-    order = None if witness else _degree_order(g, degree)
-    first = search(order)
+    if witness:
+        # a short first try in the canonical order, whose first maximum is
+        # the canonical witness. A leaf sits at depth m, so the cap grows
+        # with the edge count.
+        first = search(None, cap=min(_SEARCH_CAP, g.m + _SEARCH_CAP // 8))
+    else:
+        # a size-only call is free to search in the faster degree order.
+        first = search(_degree_order(g, degree))
     if first.settled:
         return report(first.best or (), True)
     top = first  # the larger incumbent of the root searches
@@ -749,8 +763,7 @@ def max_k_matching(
         sized = first
         if witness:
             # learn the size the way a size-only call does.
-            order = _degree_order(g, degree)
-            sized = search(order)
+            sized = search(_degree_order(g, degree))
             if sized.best_size > top.best_size:
                 top = sized
         optimum, found = maximum(sized)
@@ -760,16 +773,26 @@ def max_k_matching(
         if first.best_size == optimum:
             # no branch toward the first maximum leaf in include-first
             # order is pruned while the incumbent is below the optimum,
-            # so the canonical search's best is the canonical witness.
+            # so the first try's best is the canonical witness.
             return report(first.best or (), True)
+        # the same holds for a canonical search toward the optimum, which
+        # prunes only branches without a maximum and stops at its first leaf.
+        aimed = search(None, (), optimum)
+        if aimed.best is not None:
+            return report(aimed.best, True)
+        if aimed.settled:
+            raise InvariantViolation(
+                f"a settled search found no {k}-matching of the known size {optimum}"
+            )
 
         # lexicographic recovery: walk the canonical order and keep an edge
         # iff some maximum matching agrees with every decision so far and
         # contains it. `sol` always witnesses the decisions made up to this
         # point, so its members are kept for free. Any other edge j is a
         # probe, settled by the first stage that can: propagation at j's
-        # endpoints, a capped search for a maximum over the edges after j,
-        # the relaxation, the solver. Once a relaxation leaves a probe
+        # endpoints, a capped search for a maximum over the edges after j
+        # (in degree order by `ahead`, the degrees those edges give), the
+        # relaxation, the solver. Once a relaxation leaves a probe
         # undecided, later probes go straight to the solver.
         kept = [0] * g.n  # degree from the kept edges
         ahead = degree.copy()  # incident edges after the current one
@@ -785,8 +808,8 @@ def max_k_matching(
             keep = j in sol
             if not keep and all(kept[x] < k <= kept[x] + 1 + ahead[x] for x in (a, b)):
                 forced = [i for i, v in fixed.items() if v] + [j]
-                # a yes/no probe may decide in any order; degree order is the search's best.
-                probe = search([i for i in order if i > j], forced, optimum)
+                # a yes/no probe may decide in any order.
+                probe = search([i for i in _degree_order(g, ahead) if i > j], forced, optimum)
                 if probe.best is not None:
                     keep, sol = True, frozenset(probe.best)
                 elif not probe.settled:

@@ -422,6 +422,95 @@ def test_a_small_search_cap_keeps_the_canonical_witness(monkeypatch, small_corpu
         assert rep.size == max_k_matching(g, k, witness=False).size, where
 
 
+def spy_searches(monkeypatch):
+    """Record (cap, order, forced, target, outcome) of every search the
+    oracle makes."""
+    calls = []
+    real = matchings._search_maximum
+
+    def spy(g, k, cap, order=None, forced=(), target=None):
+        out = real(g, k, cap, order, forced, target)
+        calls.append((cap, order, list(forced), target, out))
+        return out
+
+    monkeypatch.setattr(matchings, "_search_maximum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+def test_the_first_canonical_try_keeps_to_the_cap(monkeypatch, small_corpus, cap):
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
+    calls = spy_searches(monkeypatch)
+    for name, g in small_corpus:
+        for k in (1, 2, 3):
+            calls.clear()
+            rep = max_k_matching(g, k)
+            if calls:
+                first_cap, order, _, _, _ = calls[0]
+                assert order is None and first_cap <= cap, (name, k)
+            assert rep.exhaustive, (name, k)
+
+
+def test_a_first_try_at_depth_m_still_settles():
+    # cycle(30) cartesian cycle(30) has 1,800 edges and its first leaf
+    # sits at depth 1,800: the short first try must still reach it.
+    c30 = build_named("cycle", 30)
+    p = product(c30, c30, "cartesian").graph
+    rep = max_k_matching(p, 1)
+    assert rep.exhaustive and rep.nodes == 1801 and rep.size == 450
+
+
+def test_a_canonical_search_toward_the_optimum_settles_what_the_first_try_left(
+    monkeypatch, small_corpus
+):
+    # at a cap of 10 the first try on four vertices gets at most m + 1
+    # nodes; on a few queries it gives up short of the optimum, and the
+    # canonical search toward the optimum, with the whole cap, settles
+    # them before any recovery probe.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", 10)
+    calls = spy_searches(monkeypatch)
+    aimed = 0
+    for name, g in small_corpus:
+        for k in (1, 2, 3):
+            calls.clear()
+            rep = max_k_matching(g, k)
+            index = {e: i for i, e in enumerate(g.edges)}
+            got = tuple(sorted(index[e] for e in rep.witness))
+            assert rep.exhaustive and got == bruteforce.lex_min_maximum(g.vertices, g.edges, k)
+            toward = [
+                at
+                for at, (_, order, forced, target, _) in enumerate(calls)
+                if order is None and not forced and target is not None
+            ]
+            if toward:
+                (at,) = toward
+                out = calls[at][-1]
+                assert not calls[0][-1].settled and calls[0][-1].best_size < rep.size, (name, k)
+                assert out.settled and tuple(out.best) == got, (name, k)
+                assert at == len(calls) - 1, (name, k)  # no probe follows
+                aimed += 1
+    assert aimed >= 3
+
+
+def test_a_search_toward_the_optimum_without_a_leaf_is_a_fault(monkeypatch, small_corpus):
+    # the size stages found a matching of the optimum's size, so a
+    # settled canonical search toward it must reach a leaf. At a cap of
+    # 10 the first try on the paw (n4e4#0) gives up, and the search toward
+    # the optimum runs.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", 10)
+    real = matchings._search_maximum
+
+    def no_leaf(g, k, cap, order=None, forced=(), target=None):
+        out = real(g, k, cap, order, forced, target)
+        if order is None and target is not None:
+            return matchings._SearchOutcome(target - 1, None, out.nodes, True, out.root_bound)
+        return out
+
+    monkeypatch.setattr(matchings, "_search_maximum", no_leaf)
+    with pytest.raises(InvariantViolation):
+        max_k_matching(dict(small_corpus)["n4e4#0"], 1)
+
+
 def test_a_recovery_stops_asking_a_relaxation_that_failed(monkeypatch):
     # star(3) lex star(3) at k = 3: the first probe that reaches the
     # relaxation gets a bound of 20 against the optimum 18 and no point,
@@ -519,6 +608,22 @@ def test_search_in_a_random_order_agrees_with_bruteforce(data, k, small_cap):
         assert (capped.best, capped.best_size, capped.nodes) == (full.best, full.best_size, full.nodes)
     elif capped.best is not None:
         check(capped)
+
+
+@given(ordered_connected_graphs(), st.integers(1, 3), st.integers(1, 40))
+@settings(max_examples=120, deadline=None)
+def test_a_canonical_search_toward_the_optimum_finds_the_canonical_witness(data, k, cap):
+    # a search toward the optimum prunes only branches without a maximum,
+    # so its first leaf is the lexicographically smallest maximum; capped
+    # before that leaf, it has none.
+    g, _ = data
+    optimum = bruteforce.maximum_size(g.vertices, g.edges, k)
+    out = _search_maximum(g, k, cap, None, (), optimum)
+    if out.settled:
+        assert tuple(out.best) == bruteforce.lex_min_maximum(g.vertices, g.edges, k)
+        assert out.best_size == optimum
+    else:
+        assert out.best is None
 
 
 def test_search_depth_is_not_bounded_by_the_interpreter():

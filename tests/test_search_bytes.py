@@ -8,22 +8,28 @@ The `kmatch solve` payload of every product whose canonical search
 settles is hashed as well; it carries the witness and the `nodes`
 effort counter, which moves with any change to the visiting order or
 the pruning. Both digests were taken before the search was moved from
-recursion onto an explicit stack.
+recursion onto an explicit stack. The payload digest was retaken when
+witness queries got a short first try: a product that the canonical
+search settles only past that try pays for the later stages, so its
+`nodes` moves, while the payloads without `nodes` hash the same before
+and after.
 
 The products whose canonical search does not settle go on to the
 integer program and to witness recovery. Their (size, witness,
 exhaustive) answers are hashed under corpus labels, without `nodes`:
 the digest was taken while every recovery probe was a solver call, so it
 checks that settling probes another way leaves each witness unchanged.
-The same queries also pin every search they make: the capped canonical
-root search, the size stages' degree-ordered search and restarts, and
-each witness-recovery probe. The arguments of the call (k, cap, order,
-forced edges, target) and its outcome are hashed, so a change to the
-kernel that visits other nodes, or to the recovery that asks other
-probes, moves that digest. It was taken when witness queries began to
-learn their size through the size-only stages (2,268 calls before, with
-the 110 canonical root searches the only capped ones without forced
-edges; 2,330 after).
+The same queries also pin every search they make: the canonical first
+try, the size stages' degree-ordered search and restarts, the canonical
+search toward the optimum, and each witness-recovery probe. The
+arguments of the call (k, cap, order, forced edges, target) and its
+outcome are hashed, so a change to the kernel that visits other nodes,
+or to the recovery that asks other probes, moves that digest. It was
+taken when witness queries began to learn their size through the
+size-only stages (2,268 calls before, with the 110 canonical root
+searches the only capped ones without forced edges; 2,330 after), and
+retaken when they got a short first try, a canonical search toward the
+optimum and probes in the degree order of the edges left (1,589 calls).
 
 The budget pin runs the escalating queries again under budgets from 1
 up to each query's full effort: every fifth witness query (canonical
@@ -32,8 +38,9 @@ at eight budgets each. It hashes (budget, size, witness, exhaustive,
 nodes), so it covers the degraded reports and the effort counter of
 every stage the budget can stop in. It was first taken before the
 oracle's budget checks were folded into one place, and retaken when
-witness queries began to learn their size through the size-only stages;
-the 128 size-only runs hash the same before and after that change.
+witness queries began to learn their size through the size-only stages
+and again when they got a short first try; the 128 size-only runs hash
+the same across both changes.
 """
 
 import hashlib
@@ -54,17 +61,17 @@ from kmatch.matchings import (
 from kmatch.products import KINDS, product
 
 SEARCH_PIN = (864, "0daa01b6e05b661352a68489c453cca8b60310eae4891b49d9f602d6b8585203")
-SOLVE_PIN = (322, "dfd27c4a0f1f4db630d1074b370aa547de9d851a5365a743850561b793588f23")
+SOLVE_PIN = (322, "9b9accb957e6fa951b9c7f8ebc021496434a9345f9556f6d91bdd0ae6445bb25")
 ESCALATED_PIN = (110, "e1102adf0256d67cef4f1a189812727c023a3d1476432bb31a754620109b12ae")
-# (calls, (capped searches without forced edges: the canonical and
-# degree-ordered root searches and the restarts, settled probes, capped
-# probes), digest of every call)
+# (calls, (capped searches without forced edges: the canonical first
+# try, the degree-ordered search, the restarts and the canonical search
+# toward the optimum, settled probes, capped probes), digest of every call)
 PROBE_PIN = (
-    2330,
-    (133, 1874, 228),
-    "268393e165df66b10119932eda35962ebdb624812d8086a47cbd1dafa4069365",
+    1589,
+    (197, 1164, 95),
+    "7b992bd45ff9bb2b8dcb540d6a0c9c756e025abed6eb1719a0352f3a5d8ede07",
 )
-BUDGET_PIN = (304, "a3d8b8f54e7dfe949628e5e9350e3b17b89831faa6f1a4bdf5ac666165bc2ee2")
+BUDGET_PIN = (304, "af1a44bbfe33167dcb966916c41543d23ea8253fb34987e991ee2eb3374ae8b4")
 
 
 def products():
