@@ -59,20 +59,14 @@ def _print_report(payload: dict, exhaustive: bool, strict: bool) -> int:
     return EXIT_BUDGET if strict and not exhaustive else EXIT_OK
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, factor: Graph | None = None):
+    """The graph file at `path`, or given its `factor` a matching file."""
+    what = "graph" if factor is None else "matching"
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise KmatchError(f"cannot read graph file {path}: {exc}") from exc
-    return parse_graph(text)
-
-
-def _load_matching(path: str, factor: Graph):
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise KmatchError(f"cannot read matching file {path}: {exc}") from exc
-    return parse_edge_pairs(text, factor)
+        raise KmatchError(f"cannot read {what} file {path}: {exc}") from exc
+    return parse_graph(text) if factor is None else parse_edge_pairs(text, factor)
 
 
 def _refuse_unread(args, dests: tuple[str, ...], mode: str) -> None:
@@ -101,8 +95,8 @@ def parse_k_list(text: str) -> list[int]:
 
 
 def _cmd_product(args) -> int:
-    g = _load_graph(args.left)
-    h = _load_graph(args.right)
+    g = _load(args.left)
+    h = _load(args.right)
     p = product(g, h, args.kind)
     if args.out == "dot":
         _print(to_dot(p.graph, name="product"))
@@ -130,10 +124,10 @@ def _cmd_construct(args) -> int:
         options = {"orientation": args.orientation or "gh"}
     else:
         _refuse_unread(args, ("orientation",), f"with --kind {args.kind}")
-    g = _load_graph(args.left)
-    h = _load_graph(args.right)
+    g = _load(args.left)
+    h = _load(args.right)
     p = product(g, h, args.product)
-    m_g, m_h = _load_matching(args.mg, g), _load_matching(args.mh, h)
+    m_g, m_h = _load(args.mg, g), _load(args.mh, h)
     result = CONSTRUCTORS[args.kind](p, m_g, m_h, **options)
     cls = result.classification
     validated = result.profile.uniform in (0, cls.k) if cls.is_k_matching else None
@@ -154,7 +148,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     report = max_k_matching(g, args.k, budget=args.budget)
     payload = {"oracle": asdict(report)}
     if args.enumerate:
@@ -167,18 +161,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_wellbehaved(args) -> int:
-    g = _load_graph(args.left)
-    h = _load_graph(args.right)
+    g = _load(args.left)
+    h = _load(args.right)
     rep = DECIDERS[args.flavor](g, h, args.star, args.k, budget=args.budget)
     return _print_report(asdict(rep), rep.exhaustive, args.strict)
 
 
 def _cmd_whp(args) -> int:
-    g = _load_graph(args.left)
-    h = _load_graph(args.right)
+    g = _load(args.left)
+    h = _load(args.right)
     p = product(g, h, args.product)
-    m_g = _load_matching(args.mg, g)
-    m_h = _load_matching(args.mh, h)
+    m_g = _load(args.mg, g)
+    m_h = _load(args.mh, h)
     universe = allowed_edges(p, m_g, m_h)
     report = max_k_matching(universe, args.k, budget=args.budget)
     payload = {

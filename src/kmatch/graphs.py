@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .errors import InvalidParameter, InvariantViolation, ParseError, SizeLimitExceeded
 
@@ -237,6 +237,15 @@ def _labels_to_json(obj: Any) -> Any:
     return obj
 
 
+def _edge_list_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, body, fields) per line of an edge-list document that
+    is not blank once its '#' comment is cut off."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body, body.split()
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list or JSON graph document (see module docstring)."""
     stripped = text.lstrip()
@@ -266,11 +275,7 @@ def parse_graph(text: str) -> Graph:
             vertices.append(label)
             seen.add(label)
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
+    for lineno, body, parts in _edge_list_lines(text):
         if parts[0] == "v":
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: vertex lines are 'v <label>'")
@@ -301,11 +306,7 @@ def parse_edge_pairs(text: str, host: Graph | None = None) -> tuple[tuple[Vertex
         _check_labels([*(host.vertices if host else ()), *(x for e in edges for x in e)])
         return tuple(edges)
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
+    for lineno, body, parts in _edge_list_lines(text):
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'a b', got {body!r}")
         out.append((parts[0], parts[1]))

@@ -329,12 +329,16 @@ def _search_maximum(
     the interpreter's recursion limit. The path from the root is one flag
     per decided position, `taken`: True while the position's include
     branch is open, False while its exclude branch is; the taken
-    positions are the chosen edges. Backtracking walks the flags back to
-    the deepest include branch whose exclude branch beats the incumbent.
-    Nodes are visited in exactly the order of the include-first
-    recursion, so `best`, `best_size` and `nodes` are the ones that
-    recursion would give. At the cap the loop stops where it is: the
-    outcome is then unsettled and the bookkeeping is dropped.
+    positions are the chosen edges. The walk has four moves, each written
+    once: include, exclude, undo-include and undo-exclude. A node whose
+    edge cannot be included is excluded at once. From a leaf, or from an
+    exclude whose bound does not beat the incumbent, the walk undoes
+    excludes back to the deepest open include, undoes it and excludes
+    that edge by the same step, so the exclude's test is the walk's one
+    bound test. Nodes are visited in exactly the order of the
+    include-first recursion, so `best`, `best_size` and `nodes` are the
+    ones that recursion would give. At the cap the loop stops where it
+    is: the outcome is then unsettled and the bookkeeping is dropped.
     """
     canonical = g.pairs
     ends = canonical if order is None else [canonical[j] for j in order]
@@ -376,6 +380,7 @@ def _search_maximum(
         if t < m:
             a, b = ends[t]
             if deg[a] < k and deg[b] < k and reach[a] >= k and reach[b] >= k:
+                # include t
                 deg[a] += 1
                 deg[b] += 1
                 slack -= 2
@@ -383,80 +388,65 @@ def _search_maximum(
                 taken[t] = True
                 t += 1
                 continue
-            # the edge is not included: go straight to the exclude branch.
-            taken[t] = False
-            ra = reach[a] - 1
-            reach[a] = ra
-            if ra < k:
-                slack -= 1
-                if ra == short:
-                    cand -= 1
-            rb = reach[b] - 1
-            reach[b] = rb
-            if rb < k:
-                slack -= 1
-                if rb == short:
-                    cand -= 1
-            if (
-                (ra >= k or deg[a] == 0)
-                and (rb >= k or deg[b] == 0)
-                and size + slack // 2 > best_size
-                and vertex_bound[cand] > best_size
-            ):
-                t += 1
-                continue
-        else:
-            if size > best_size:
-                best_size = size
-                best = list(compress(range(m), taken))
-                if best_size >= stop:
-                    break
-            t = m - 1
-        # backtrack from position t to the deepest open include branch
-        # whose exclude branch is still worth a visit.
+        elif size > best_size:
+            best_size = size
+            best = list(compress(range(m), taken))
+            if best_size >= stop:
+                break
+        # Exclude t, or walk back from the leaf at t == m. On the way down
+        # every position at or past t has `taken` False (walking back
+        # clears the flag of each include it undoes), so excluding t never
+        # writes it.
         while t >= 0:
-            a, b = ends[t]
-            if taken[t]:
-                # leave the include branch of t for its exclude branch
-                taken[t] = False
-                da = deg[a] - 1
-                deg[a] = da
-                db = deg[b] - 1
-                deg[b] = db
-                size -= 1
+            if t < m:
+                # exclude t
                 ra = reach[a] - 1
                 reach[a] = ra
-                if ra >= k:
-                    slack += 1
-                elif ra == short:
-                    cand -= 1
+                if ra < k:
+                    slack -= 1
+                    if ra == short:
+                        cand -= 1
                 rb = reach[b] - 1
                 reach[b] = rb
-                if rb >= k:
-                    slack += 1
-                elif rb == short:
-                    cand -= 1
+                if rb < k:
+                    slack -= 1
+                    if rb == short:
+                        cand -= 1
                 if (
-                    (ra >= k or da == 0)
-                    and (rb >= k or db == 0)
+                    (ra >= k or deg[a] == 0)
+                    and (rb >= k or deg[b] == 0)
                     and size + slack // 2 > best_size
                     and vertex_bound[cand] > best_size
                 ):
                     break
-            # leave the exclude branch of t: t is undecided again
-            ra = reach[a] + 1
-            reach[a] = ra
-            if ra <= k:
-                slack += 1
-                if ra == k:
-                    cand += 1
-            rb = reach[b] + 1
-            reach[b] = rb
-            if rb <= k:
-                slack += 1
-                if rb == k:
-                    cand += 1
-            t -= 1
+            else:
+                t -= 1
+            # walk back to the deepest open include branch and switch it
+            # to its exclude branch at the top of this loop.
+            while t >= 0:
+                a, b = ends[t]
+                if taken[t]:
+                    # undo the include of t
+                    taken[t] = False
+                    deg[a] -= 1
+                    deg[b] -= 1
+                    slack += 2
+                    size -= 1
+                    break
+                # undo the exclude of t: t is undecided again
+                ra = reach[a] + 1
+                reach[a] = ra
+                if ra <= k:
+                    slack += 1
+                    if ra == k:
+                        cand += 1
+                rb = reach[b] + 1
+                reach[b] = rb
+                if rb <= k:
+                    slack += 1
+                    if rb == k:
+                        cand += 1
+                t -= 1
         else:
             break
         t += 1
@@ -548,13 +538,12 @@ class _SizeProgram:
         _, uniform = index_degrees(self.n, [self.ends[j] for j in chosen])
         return uniform not in (0, self.k)
 
-    def relax(self, fixed: dict[int, int]) -> tuple[int, frozenset[int] | None] | None:
-        """The continuous relaxation of `solve(fixed)`; None if infeasible.
+    def relax(self, fixed: dict[int, int]) -> tuple[int, frozenset[int] | None]:
+        """The continuous relaxation of `solve(fixed)`, as (bound, point).
 
-        Otherwise returns (bound, point). `bound` is an upper bound on the
-        size of every k-matching honoring `fixed`, exact by construction:
-        for any multipliers lam on the degree rows, weak duality over the
-        [0, 1] box gives
+        `bound` is an upper bound on the size of every k-matching
+        honoring `fixed`, exact by construction: for any multipliers lam
+        on the degree rows, weak duality over the [0, 1] box gives
 
             size - ones <= -(lam . b + sum_j min(0, c_j - a_j . lam)),
 
@@ -564,6 +553,11 @@ class _SizeProgram:
         rounded to 0/1, returned only when it has exactly `bound` edges
         and passes `off_condition` (plain tests, so they run under -O):
         it is then a k-matching that meets an upper bound, a maximum.
+
+        The answer is never None: a claim of infeasibility is not trusted
+        (without `fixed` the empty matching is feasible, so there it is
+        wrong) and gives (m, None), the edge count being a bound that
+        needs no solver.
         """
         from scipy.optimize import linprog
 
@@ -577,7 +571,7 @@ class _SizeProgram:
             options={"presolve": False},
         )
         if res.status == 2:
-            return None
+            return self.m, None
         if res.status != 0:
             raise InvariantViolation(f"relaxation solve failed: {res.message}")
         # the duals as integers over one power-of-two denominator: every
@@ -722,9 +716,7 @@ def max_k_matching(
         # and one maximum matching.
         if sized.settled:
             return sized.best_size, sized.best or ()
-        # the empty matching is feasible, so an infeasible answer is not
-        # trusted: the edge count is a bound that needs no solver.
-        bound, point = optimize(program.relax, {}) or (g.m, None)
+        bound, point = optimize(program.relax, {})
         # for odd k the search's root bound also counts parity, which the
         # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.
         bound = min(bound, sized.root_bound)
@@ -815,9 +807,8 @@ def max_k_matching(
                 elif not probe.settled:
                     bound, point = optimum, None
                     if relaxing:
-                        # a bound below the optimum drops j. An infeasible
-                        # answer decides nothing, like a bound without a point.
-                        bound, point = optimize(program.relax, {**fixed, j: 1}) or (g.m, None)
+                        # a bound below the optimum drops j.
+                        bound, point = optimize(program.relax, {**fixed, j: 1})
                         relaxing = bound < optimum or point is not None
                     if bound >= optimum and point is not None:
                         # a k-matching with j of at most the optimum's size

@@ -404,6 +404,16 @@ def test_missing_graph_file(capsys):
     assert err.startswith("error: cannot read graph file")
 
 
+def test_missing_matching_file(capsys, files):
+    code, out, err = run_cli(
+        capsys,
+        ["whp", "--product", "direct", "--k", "1", "--left", files["k2"], "--right", files["p3"],
+         "--mg", "/no/such/file", "--mh", files["m01"]],
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: cannot read matching file /no/such/file")
+
+
 def test_malformed_graph_file(capsys, files):
     # the last two hold labels Python calls equal (true == 1, 1.0 == 1);
     # merging them would solve three vertices where the file has four.

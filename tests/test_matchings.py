@@ -574,6 +574,24 @@ def test_probe_search_refuses_an_overfull_start():
     assert out.settled and out.best is None and out.nodes == 0
 
 
+@pytest.mark.parametrize(
+    "graph, order, forced, target, best",
+    [
+        (build_named("path", 3), [], [0], 1, [0]),  # the forced edge meets the target
+        (build_named("path", 3), [], [0], 2, None),  # it misses the target
+        (make_graph(range(3), []), None, (), None, []),  # edgeless, no target
+    ],
+    ids=["forced-meets-target", "forced-misses-target", "edgeless"],
+)
+def test_a_search_with_no_edge_to_decide(graph, order, forced, target, best):
+    # the root is the only node: a leaf, which either meets the incumbent
+    # or not; the walk then ends without a position to walk back through.
+    out = _search_maximum(graph, 1, _SEARCH_CAP, order, forced, target)
+    assert out.nodes == 1 and out.settled
+    assert out.best == best
+    assert out.best_size == (len(best) if best is not None else target - 1)
+
+
 @st.composite
 def ordered_connected_graphs(draw):
     """A connected graph on at most 7 vertices (a random spanning tree plus
