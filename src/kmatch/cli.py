@@ -50,12 +50,8 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def _print_report(payload: dict, exhaustive: bool, strict: bool) -> int:
-    _print(canonical_json(payload))
+    sys.stdout.write(canonical_json(payload))
     return EXIT_BUDGET if strict and not exhaustive else EXIT_OK
 
 
@@ -99,10 +95,10 @@ def _cmd_product(args) -> int:
     h = _load(args.right)
     p = product(g, h, args.kind)
     if args.out == "dot":
-        _print(to_dot(p.graph, name="product"))
+        sys.stdout.write(to_dot(p.graph, name="product"))
         return EXIT_OK
     if args.out == "table":
-        _print(
+        sys.stdout.write(
             f"{p.kind} product: {p.graph.n} vertices, {p.graph.m} edges "
             f"(left {g.n}/{g.m}, right {h.n}/{h.m})\n"
         )
@@ -114,7 +110,7 @@ def _cmd_product(args) -> int:
         "product": graph_to_json_obj(p.graph),
         "counts": {"vertices": p.graph.n, "edges": p.graph.m},
     }
-    _print(canonical_json(payload))
+    sys.stdout.write(canonical_json(payload))
     return EXIT_OK
 
 
@@ -143,7 +139,7 @@ def _cmd_construct(args) -> int:
         "size": {"actual": len(result.edges), "predicted": result.predicted_size},
         "validated_k_matching": validated,
     }
-    _print(canonical_json(payload))
+    sys.stdout.write(canonical_json(payload))
     return EXIT_OK
 
 
@@ -190,7 +186,7 @@ def _cmd_scenario(args) -> int:
     if args.name is None:
         if args.out == "table":
             for name, spec in sorted(SCENARIOS.items()):
-                _print(f"{name:<16} {spec.description}\n")
+                sys.stdout.write(f"{name:<16} {spec.description}\n")
             return EXIT_OK
         payload = {
             name: {
@@ -202,17 +198,17 @@ def _cmd_scenario(args) -> int:
             }
             for name, spec in sorted(SCENARIOS.items())
         }
-        _print(canonical_json(payload))
+        sys.stdout.write(canonical_json(payload))
         return EXIT_OK
     names = sorted(SCENARIOS) if args.name == "all" else [args.name]
     reports = [run_scenario(name, budget=args.budget) for name in names]
     if args.out == "table":
         for rep in reports:
             state = "pass" if rep.passed else "FAIL"
-            _print(f"{rep.name:<16} {state}  ({rep.seconds:.2f}s)\n")
+            sys.stdout.write(f"{rep.name:<16} {state}  ({rep.seconds:.2f}s)\n")
             for check in rep.checks:
                 mark = "ok " if check["ok"] else "BAD"
-                _print(
+                sys.stdout.write(
                     f"  {mark} {check['label']} = {check['actual']!r} "
                     f"(expected {check['expected']!r}, {check['provenance']})\n"
                 )
@@ -222,7 +218,7 @@ def _cmd_scenario(args) -> int:
             {key: value for key, value in asdict(r).items() if key != "seconds"}
             for r in reports
         ]}
-        _print(canonical_json(payload))
+        sys.stdout.write(canonical_json(payload))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILURE
 
 
@@ -311,12 +307,12 @@ def _cmd_suite(args) -> int:
                 for star in ("cartesian", "strong", "lex")
             )
             state = "FAIL" if r["failed"] else ("?" if r["unknown"] else "ok")
-            _print(f"{r['left']:<10} {r['right']:<10} k={r['k']} {cells} {state}\n")
-        _print(
+            sys.stdout.write(f"{r['left']:<10} {r['right']:<10} k={r['k']} {cells} {state}\n")
+        sys.stdout.write(
             f"tasks={len(rows)} failures={failures} unknown={unknown}\n"
         )
     else:
-        _print(canonical_json(payload))
+        sys.stdout.write(canonical_json(payload))
     if failures:
         return EXIT_FAILURE
     if unknown and args.strict:

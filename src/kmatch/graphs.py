@@ -3,10 +3,10 @@
 Conventions used throughout the package:
 
 * Vertex labels are arbitrary hashable values; product graphs use ordered
-  pairs as labels. Every graph fixes a vertex order, edges are stored as
-  ``(u, v)`` with ``u`` before ``v`` in that order, and the edge list is
-  sorted by position. This canonical form is what makes witnesses and JSON
-  reports reproducible byte for byte.
+  pairs as labels. Every graph fixes a vertex order and stores its edges
+  once, as sorted index pairs ``(a, b)`` with ``a < b``; ``Graph.edges``
+  derives the label pairs for output. This canonical form is what makes
+  witnesses and JSON reports reproducible byte for byte.
 * Family names count vertices: ``path(3)`` has three vertices, ``cycle(n)``
   needs ``n >= 3``, ``complete(n)`` is K_n. The exception is ``star(n)``,
   the star with ``n`` leaves (so ``n + 1`` vertices), matching the usual
@@ -43,27 +43,24 @@ class Graph:
     """
 
     vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        assert len(pos) == len(self.vertices), "duplicate vertex labels"
-        last = (-1, -1)
-        for u, v in self.edges:
-            key = (pos[u], pos[v])
-            assert key[0] < key[1], "edge endpoints out of canonical order"
-            assert last < key, "edge list out of canonical order"
-            last = key
+        n = len(self.vertices)
+        assert len(set(self.vertices)) == n, "duplicate vertex labels"
+        pairs = self.pairs
+        assert all(0 <= a < b < n for a, b in pairs), "edge endpoints out of canonical order"
+        assert all(p < q for p, q in zip(pairs, pairs[1:])), "edge list out of canonical order"
 
     @cached_property
     def index(self) -> dict[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The edges as index pairs (u before v), in edge order."""
-        idx = self.index
-        return tuple([(idx[u], idx[v]) for u, v in self.edges])
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as label pairs (u before v), in the order of `pairs`."""
+        vs = self.vertices
+        return tuple([(vs[a], vs[b]) for a, b in self.pairs])
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -71,12 +68,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        nbrs: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        idx = self.index
-        return {v: tuple(sorted(ns, key=idx.__getitem__)) for v, ns in nbrs.items()}
+        # pairs are sorted, so every neighbour list fills in vertex order.
+        vs = self.vertices
+        nbrs: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
+        for a, b in self.pairs:
+            nbrs[vs[a]].append(vs[b])
+            nbrs[vs[b]].append(vs[a])
+        return {v: tuple(ns) for v, ns in nbrs.items()}
 
     @property
     def n(self) -> int:
@@ -84,7 +82,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     def edge_between(self, u: Vertex, v: Vertex) -> Edge | None:
         """The canonical form of the edge {u, v}, or None if absent."""
@@ -101,9 +99,10 @@ class Graph:
         """Induced subgraph; vertex order is inherited from this graph."""
         kept = set(keep)
         assert kept <= set(self.vertices)
-        vs = tuple(v for v in self.vertices if v in kept)
-        es = tuple(e for e in self.edges if e[0] in kept and e[1] in kept)
-        return Graph(vs, es)
+        old = [i for i, v in enumerate(self.vertices) if v in kept]
+        at = {i: t for t, i in enumerate(old)}  # old index -> new index
+        pairs = tuple([(at[a], at[b]) for a, b in self.pairs if a in at and b in at])
+        return Graph(tuple(self.vertices[i] for i in old), pairs)
 
 
 def make_graph(vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]) -> Graph:
@@ -118,19 +117,17 @@ def make_graph(vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]
         if v in pos:
             raise InvariantViolation(f"repeated vertex label {v!r}")
         pos[v] = len(pos)
-    # position key -> edge with its endpoints in vertex order
-    by_key: dict[tuple[int, int], Edge] = {}
+    keys: set[tuple[int, int]] = set()
     for u, v in edges:
         if u not in pos or v not in pos:
             raise InvariantViolation(f"edge ({u!r}, {v!r}) has a dangling endpoint")
         if u == v:
             raise InvariantViolation(f"loop at {u!r}")
-        iu, iv = pos[u], pos[v]
-        key, e = ((iu, iv), (u, v)) if iu < iv else ((iv, iu), (v, u))
-        if key in by_key:
+        key = (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+        if key in keys:
             raise InvariantViolation(f"duplicate edge ({u!r}, {v!r})")
-        by_key[key] = e
-    return Graph(vs, tuple(by_key[key] for key in sorted(by_key)))
+        keys.add(key)
+    return Graph(vs, tuple(sorted(keys)))
 
 
 def build_named(family: str, n: int) -> Graph:

@@ -89,14 +89,6 @@ def edge_keys(
     return sorted(keys)
 
 
-def canonical_matching(
-    g: Graph, m: Iterable[tuple[Vertex, Vertex]], error: type[KmatchError] = EdgeNotInHost
-) -> tuple[Edge, ...]:
-    """Canonicalize an edge set against its host graph (see `edge_keys`)."""
-    vs = g.vertices
-    return tuple((vs[a], vs[b]) for a, b in edge_keys(g, m, error))
-
-
 @dataclass(frozen=True)
 class DegreeProfile:
     """An edge set in canonical form with the degrees of (V, M).
@@ -150,11 +142,10 @@ def keyed_profile(
     )
 
 
-def degree_profile(
-    g: Graph, m: Iterable[tuple[Vertex, Vertex]], error: type[KmatchError] = EdgeNotInHost
-) -> DegreeProfile:
-    """Canonicalize an edge set once and derive its degree facts."""
-    keys = edge_keys(g, m, error)
+def degree_profile(g: Graph, m: Iterable[tuple[Vertex, Vertex]]) -> DegreeProfile:
+    """Canonicalize an edge set once (see `edge_keys`) and derive its
+    degree facts; an edge missing from g raises EdgeNotInHost."""
+    keys = edge_keys(g, m)
     return keyed_profile(g, keys, *index_degrees(g.n, keys))
 
 

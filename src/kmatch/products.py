@@ -14,9 +14,9 @@ and E(direct) is contained in E(strong). Edges that change exactly one
 coordinate are called Cartesian edges; edges changing both are
 non-Cartesian. The direct product has no Cartesian edges.
 
-`product` builds each kind from the factor adjacency lists, so its cost
-is proportional to the size of the result, not to the square of its
-order.
+`product` writes each kind's edges as index pairs straight from the
+factors' index pairs, so its cost is proportional to the size of the
+result, not to the square of its order.
 """
 
 from __future__ import annotations
@@ -42,24 +42,25 @@ class ProductGraph:
 def product(g: Graph, h: Graph, kind: str) -> ProductGraph:
     """Build g * h for the requested kind, in time proportional to the output.
 
-    Vertices are the pairs (x, y) in left-major order, which fixes the
-    canonical edge order of the result. Each vertex (x, y) emits its
-    higher-index neighbours in ascending index order straight from the
-    factor adjacency lists: first (x, d) for the higher neighbours d of y
-    (every kind but direct), then, for each higher neighbour b of x, the
-    kind's partners in row b: (b, y) for cartesian, N_H(y) for direct,
-    N_H(y) and y for strong, all of V_H for lex. The edge list therefore
-    comes out canonical without a sort.
+    Vertices are the pairs (x, y) in left-major order, (x, y) at index
+    i_G(x) * n_H + i_H(y). Each vertex in turn gets the index pairs to its
+    higher-index neighbours in ascending order: first (x, d) for the higher
+    neighbours d of y (every kind but direct), then, for each higher
+    neighbour b of x, the kind's partners in row b: (b, y) for cartesian,
+    N_H(y) for direct, N_H(y) and y for strong, all of V_H for lex. The
+    pair list therefore comes out canonical without a sort.
     """
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown product kind {kind!r}; choose from {KINDS}")
     vertices = tuple((x, y) for x in g.vertices for y in h.vertices)
     nh = h.n
-    gidx, hidx = g.index, h.index
     # Columns are right-factor indices. along[j]: the higher columns joined
     # to column j within one row; across[j]: the columns of an adjacent
-    # higher row joined to column j. Both ascending.
-    nbrs = [[hidx[d] for d in h.adjacency[y]] for y in h.vertices]
+    # higher row joined to column j. Both ascending, since pairs are sorted.
+    nbrs: list[list[int]] = [[] for _ in range(nh)]
+    for a, b in h.pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     if kind == "direct":
         along = [[] for _ in range(nh)]
     else:
@@ -72,13 +73,16 @@ def product(g: Graph, h: Graph, kind: str) -> ProductGraph:
         across = [sorted(ds + [j]) for j, ds in enumerate(nbrs)]
     else:
         across = [list(range(nh))] * nh
-    edges = []
-    for i, x in enumerate(g.vertices):
+    # rows_up[i]: the first index of each higher row adjacent to row i.
+    rows_up: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in g.pairs:
+        rows_up[a].append(b * nh)
+    pairs = []
+    for i, bases in enumerate(rows_up):
         row = i * nh
-        rows_up = [gidx[b] * nh for b in g.adjacency[x] if gidx[b] > i]
         for j in range(nh):
-            u = vertices[row + j]
-            edges.extend([(u, vertices[row + d]) for d in along[j]])
-            for base in rows_up:
-                edges.extend([(u, vertices[base + d]) for d in across[j]])
-    return ProductGraph(kind=kind, left=g, right=h, graph=Graph(vertices, tuple(edges)))
+            u = row + j
+            pairs.extend([(u, row + d) for d in along[j]])
+            for base in bases:
+                pairs.extend([(u, base + d) for d in across[j]])
+    return ProductGraph(kind=kind, left=g, right=h, graph=Graph(vertices, tuple(pairs)))

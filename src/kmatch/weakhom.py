@@ -14,14 +14,15 @@ care).
 Every W_k query is a plain k-matching query on the subgraph spanned by
 the allowed edges: membership is a lookup in its edge set, and the
 maximum and the bounded enumeration are `max_k_matching` and `enumerate_k_matchings` run
-on `allowed_edges(...)`, built once per query.
+on `allowed_edges(...)`, built once per query. Its projections are read
+off product indices with `divmod`; no label is read.
 """
 
 from __future__ import annotations
 
 from .errors import EdgeNotInFactor
 from .graphs import Graph
-from .matchings import canonical_matching
+from .matchings import edge_keys
 from .products import ProductGraph
 
 
@@ -32,16 +33,17 @@ def allowed_edges(p: ProductGraph, m_g, m_h) -> Graph:
     (m_g, m_h): both coordinates move on every edge, so both must be
     matched pairs.
     """
-    mg = frozenset(canonical_matching(p.left, m_g, error=EdgeNotInFactor))
-    mh = frozenset(canonical_matching(p.right, m_h, error=EdgeNotInFactor))
-    # A moving coordinate must project onto a matched factor edge.  On the
-    # lex product the right pair need not even be adjacent in the factor;
-    # edge_between then returns None and the edge is simply not allowed.
-    edges = []
-    for e in p.graph.edges:
-        (a, c), (b, d) = e
-        if (a == b or p.left.edge_between(a, b) in mg) and (
-            c == d or p.right.edge_between(c, d) in mh
-        ):
-            edges.append(e)
-    return Graph(p.graph.vertices, tuple(edges))
+    mg = frozenset(edge_keys(p.left, m_g, EdgeNotInFactor))
+    mh = frozenset(edge_keys(p.right, m_h, EdgeNotInFactor))
+    # Index u is the factor pair divmod(u, n_H); along u < v only the right
+    # coordinate can move down. A moving coordinate must project onto a
+    # matched factor edge (on the lex product the right pair need not even
+    # be adjacent in the factor; the edge is then simply not allowed).
+    nh = p.right.n
+    pairs = []
+    for u, v in p.graph.pairs:
+        a, c = divmod(u, nh)
+        b, d = divmod(v, nh)
+        if (a == b or (a, b) in mg) and (c == d or (c, d) in mh or (d, c) in mh):
+            pairs.append((u, v))
+    return Graph(p.graph.vertices, tuple(pairs))

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from kmatch.corpus import connected_graphs_upto
 from kmatch.errors import InvalidParameter, InvariantViolation, ParseError
 from kmatch.graphs import (
     Graph,
@@ -18,6 +19,9 @@ from kmatch.graphs import (
     parse_graph,
     to_dot,
 )
+from kmatch.matchings import enumerate_k_matchings
+from kmatch.products import KINDS, product
+from kmatch.weakhom import allowed_edges
 
 
 def test_edges_are_canonicalized():
@@ -158,6 +162,51 @@ def test_induced_subgraph():
     g = build_named("complete", 4)
     sub = g.induced((0, 1, 2))
     assert sub.n == 3 and sub.m == 3
+    # a non-prefix subset, given out of order: indices are remapped into
+    # the kept vertices' inherited order
+    g = make_graph("abcde", [("a", "b"), ("b", "d"), ("b", "e"), ("c", "d"), ("d", "e")])
+    sub = g.induced(("e", "b", "d"))
+    assert sub.vertices == ("b", "d", "e")
+    assert sub.pairs == ((0, 1), (0, 2), (1, 2))
+    assert sub.edges == (("b", "d"), ("b", "e"), ("d", "e"))
+
+
+@pytest.mark.parametrize(
+    "vertices, pairs",
+    [
+        ((0, 1, 2), ((1, 0),)),  # descending pair
+        ((0, 1, 2), ((0, 3),)),  # index out of range
+        ((0, 1, 2), ((-1, 1),)),  # negative index
+        ((0, 1, 2), ((0, 1), (0, 1))),  # repeated pair
+        ((0, 1, 2), ((1, 2), (0, 1))),  # unsorted pair list
+        ((0, 1, 1), ((0, 1),)),  # repeated labels
+    ],
+    ids=["descending", "out-of-range", "negative", "repeated-pair", "unsorted", "repeated-label"],
+)
+def test_constructor_asserts_canonical_pairs(vertices, pairs):
+    with pytest.raises(AssertionError):
+        Graph(vertices, pairs)
+
+
+def test_graphs_built_from_pairs_equal_their_label_form():
+    # Equality and hashing follow (vertices, pairs); a graph built from
+    # index pairs must equal and hash like the one make_graph builds from
+    # its labels, or the oracle memo would miss equal products.
+    def same(g):
+        twin = make_graph(g.vertices, g.edges)
+        assert twin == g and hash(twin) == hash(g), g
+
+    corpus = connected_graphs_upto(3)
+    for g in corpus:
+        for h in corpus:
+            for kind in KINDS:
+                p = product(g, h, kind)
+                same(p.graph)
+                same(p.graph.induced(p.graph.vertices[::2]))
+                same(p.graph.induced(p.graph.vertices[1::2]))
+                for m_g in enumerate_k_matchings(g, 1):
+                    for m_h in enumerate_k_matchings(h, 1):
+                        same(allowed_edges(p, m_g, m_h))
 
 
 def test_isomorphism_degree_aware():

@@ -22,7 +22,6 @@ from kmatch.matchings import (
     _SizeProgram,
     _degree_order,
     _search_maximum,
-    canonical_matching,
     classify_matching,
     degree_profile,
     enumerate_k_matchings,
@@ -710,11 +709,11 @@ def test_maximum_k_matchings_are_exactly_the_largest():
     assert len(tops) == 2  # the two ways to pair opposite edges
 
 
-def test_canonical_matching_checks_the_host():
+def test_degree_profile_checks_the_host():
     g = build_named("path", 3)
-    assert canonical_matching(g, [(2, 1)]) == ((1, 2),)
+    assert degree_profile(g, [(2, 1)]).edges == ((1, 2),)
     with pytest.raises(EdgeNotInHost):
-        canonical_matching(g, [(0, 2)])
+        degree_profile(g, [(0, 2)])
 
 
 def off_condition_point(*args, **kwargs):
