@@ -15,35 +15,37 @@ query searches the edges in degree order (low-degree vertices first),
 which finds the optimum in far fewer nodes, and reports some maximum.
 Instances that outgrow the cap go to an integer program (one binary per
 edge, one per vertex, degree = k * matched) that proves the exact size.
-Its continuous relaxation runs first: an upper bound computed exactly
-from the relaxation's duals, and the relaxation's point when it rounds
-to a k-matching that meets the bound, settle many of those calls without
-the integer program. A size-only query that is still open restarts the
-search: up to four capped searches, in degree order with the tie-break
-rotated, look for a matching that meets the smaller of the relaxation's
-bound and the search's own parity-corrected root bound. The first one
-found is a maximum; a restart that ends without one proves the optimum
-smaller, and the program finds it. A witness query whose first try gives
-up learns the size through these same stages, from the degree-ordered
-search on. If the first try's best already has that size, it is the
-canonical witness; otherwise a canonical search toward that size, at the
-full cap, stops at its first leaf, which is the canonical witness too.
-Only when that search is capped does the query recover the canonical
-witness by lexicographic fixing. Each fixing probe is settled by
-propagation when it can be, else by the same search run as a capped
-probe toward the known size over the undecided edges in degree order,
-else by the relaxation (a bound below the size drops the edge, a point
-of that size keeps it), and only else by the program; once a relaxation
-decides nothing, the later probes skip it. One budget rule covers every
-stage: a search is capped at the budget left and charged the nodes it
-visits, a relaxation or program solve is charged a flat amount and runs
-only if that fits, and a stage that does not fit ends the query with
+Its continuous relaxation runs first (both reach HiGHS through
+`_highs`): an upper bound computed exactly from the relaxation's duals,
+and the relaxation's point when it rounds to a k-matching that meets the
+bound, settle many of those calls without the integer program. A
+size-only query that is still open restarts the search: up to four
+capped searches, in degree order with the tie-break rotated, look for a
+matching that meets the smaller of the relaxation's bound and the
+search's own parity-corrected root bound. The first one found is a
+maximum; a restart that ends without one proves the optimum smaller, and
+the program finds it. A witness query whose first try gives up learns
+the size through these same stages, from the degree-ordered search on.
+If the first try's best already has that size, it is the canonical
+witness; otherwise a canonical search toward that size, at the full cap,
+stops at its first leaf, which is the canonical witness too. Only when
+that search is capped does the query recover the canonical witness by
+lexicographic fixing. Each fixing probe is settled by propagation when
+it can be, else by the same search run as a capped probe toward the
+known size over the undecided edges in degree order, else by the
+relaxation (a bound below the size drops the edge, a point of that size
+keeps it), and only else by the program; once a relaxation decides
+nothing, the later probes skip it. One budget rule covers every stage: a
+search is capped at the budget left and charged the nodes it visits, a
+relaxation or program solve is charged a flat amount and runs only if
+that fits, and a stage that does not fit ends the query with
 exhaustive=False and the best matching found so far instead of raising.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -73,19 +75,23 @@ def edge_keys(
     """An edge set as the distinct index pairs of its edges in g, ascending.
 
     Endpoint order is normalized and duplicates collapse (inputs are
-    sets). Unknown edges raise the given error type.
+    sets); pairs are looked up among g's own sorted index pairs, so g's
+    label edges are not built. Unknown edges raise the given error type.
     """
     keys = set()
     idx = g.index
+    pairs = g.pairs
     for pair in m:
         try:
             u, v = pair
         except (TypeError, ValueError):
             raise error(f"{pair!r} is not an edge")
-        e = g.edge_between(u, v)
-        if e is None:
+        a, b = idx.get(u, -1), idx.get(v, -1)
+        key = (a, b) if a < b else (b, a)
+        at = bisect_left(pairs, key)
+        if at == len(pairs) or pairs[at] != key:
             raise error(f"({u!r}, {v!r}) is not an edge of the host graph")
-        keys.add((idx[e[0]], idx[e[1]]))
+        keys.add(key)
     return sorted(keys)
 
 
@@ -239,7 +245,8 @@ class _SearchOutcome:
     best: list[int] | None
     nodes: int
     settled: bool
-    # an upper bound on every leaf, taken at the root; -1 when there is none
+    # the parity-corrected candidate bound at the root, an upper bound on
+    # every leaf; -1 when the forced edges leave no leaf at all
     root_bound: int
 
 
@@ -292,24 +299,21 @@ def _search_maximum(
     all: that is settled before the root is entered.
 
     Bookkeeping per vertex: deg (chosen incident edges) and reach (deg
-    plus the undecided incident edges). `slack` sums min(k - deg, reach -
-    deg) over the vertices, and `cand` counts the vertices that can still
-    reach degree k (reach >= k). A leaf is only reachable with every
-    vertex at degree 0 or k, because a vertex stuck strictly between is
-    pruned as soon as its reach falls below k. Two admissible bounds
-    prune: size + slack // 2 (every further edge eats two units of slack)
-    and a parity-corrected k * t // 2 over the t candidates (only
-    candidates can end matched, and k odd forces an even number of
-    matched vertices). The outcome's `root_bound` is the smaller of the
-    two at the root; it does not depend on `order`.
+    plus the undecided incident edges); `cand` counts the vertices that
+    can still reach degree k (reach >= k). A leaf is only reachable with
+    every vertex at degree 0 or k, because a vertex stuck strictly
+    between is pruned as soon as its reach falls below k. The bound is a
+    parity-corrected k * t // 2 over the t candidates: only candidates
+    can end matched, and k odd forces an even number of matched vertices.
+    It is the outcome's `root_bound` at the root, and it does not depend
+    on `order`. (Summing min(reach, k) over the vertices bounds twice the
+    size too, but that sum is at least k * t, so it never prunes more.)
 
-    Every decision moves a vertex's term of `slack` by at most one, and
-    which way depends on its reach alone: including an edge takes one
-    unit from each endpoint and leaves reach and `cand` alone, so an
-    include branch has its parent's bound and is entered without a bound
-    test; excluding it lowers both endpoints' reach by one. The root's
-    bound is tested before the walk, and every other node is entered only
-    through a branch whose bound beat the incumbent.
+    Including an edge leaves reach and `cand` alone, so an include branch
+    has its parent's bound and is entered without a bound test; excluding
+    it lowers both endpoints' reach by one. The root's bound is tested
+    before the walk, and every other node is entered only through a
+    branch whose bound beat the incumbent.
 
     Equal-size solutions are visited in include-first order and only
     strict improvements replace the incumbent. Over the canonical order
@@ -347,12 +351,11 @@ def _search_maximum(
     if any(d > k or 0 < d and r < k for d, r in zip(deg, reach)):
         return _SearchOutcome(best_size, None, nodes=0, settled=True, root_bound=-1)
     stop = m + size + 1 if target is None else target
-    slack = sum(r - d if r < k else k - d for d, r in zip(deg, reach))
     cand = sum(1 for r in reach if r >= k)
     # the parity-corrected candidate bound, by number of candidates
     odd = k & 1
     vertex_bound = [k * (c - (c & odd)) // 2 for c in range(g.n + 1)]
-    root_bound = min(size + slack // 2, vertex_bound[cand])
+    root_bound = vertex_bound[cand]
     if m and root_bound <= best_size:
         # the bound prunes both branches of the root: the walk ends there.
         return _SearchOutcome(best_size, None, nodes=1, settled=node_cap >= 1, root_bound=root_bound)
@@ -374,7 +377,6 @@ def _search_maximum(
                 # include t
                 deg[a] += 1
                 deg[b] += 1
-                slack -= 2
                 size += 1
                 taken[t] = True
                 t += 1
@@ -393,20 +395,15 @@ def _search_maximum(
                 # exclude t
                 ra = reach[a] - 1
                 reach[a] = ra
-                if ra < k:
-                    slack -= 1
-                    if ra == short:
-                        cand -= 1
+                if ra == short:
+                    cand -= 1
                 rb = reach[b] - 1
                 reach[b] = rb
-                if rb < k:
-                    slack -= 1
-                    if rb == short:
-                        cand -= 1
+                if rb == short:
+                    cand -= 1
                 if (
                     (ra >= k or deg[a] == 0)
                     and (rb >= k or deg[b] == 0)
-                    and size + slack // 2 > best_size
                     and vertex_bound[cand] > best_size
                 ):
                     break
@@ -421,22 +418,17 @@ def _search_maximum(
                     taken[t] = False
                     deg[a] -= 1
                     deg[b] -= 1
-                    slack += 2
                     size -= 1
                     break
                 # undo the exclude of t: t is undecided again
                 ra = reach[a] + 1
                 reach[a] = ra
-                if ra <= k:
-                    slack += 1
-                    if ra == k:
-                        cand += 1
+                if ra == k:
+                    cand += 1
                 rb = reach[b] + 1
                 reach[b] = rb
-                if rb <= k:
-                    slack += 1
-                    if rb == k:
-                        cand += 1
+                if rb == k:
+                    cand += 1
                 t -= 1
         else:
             break
@@ -447,8 +439,62 @@ def _search_maximum(
     return _SearchOutcome(best_size, best, nodes, settled, root_bound)
 
 
+# HiGHS's settings for every size program. Presolve stays off: the
+# bundled solver's presolve mishandles these equality systems and can claim
+# an infeasible instance is optimal. The relative gap is 0: at HiGHS's
+# default of 1e-4 a solve may stop one edge short of the optimum once that
+# exceeds 10,000 edges. Simplex strategy 1 is the dual simplex. Output is
+# off: HiGHS logs to stdout, which carries the CLI's JSON.
+_HIGHS_OPTIONS = {"presolve": "off", "simplex_strategy": 1, "mip_rel_gap": 0, "output_flag": False}
+
+
+def _highs(
+    ends: Sequence[tuple[int, int]], n: int, k: int, rhs: Sequence[int], integral: bool
+) -> tuple[float, Sequence[bool], Sequence[float]] | None:
+    """The one call into HiGHS, through the binding that scipy ships:
+    minimize minus the sum of the edge columns subject to "degree over the
+    edge columns - k * the vertex's flag column = rhs" per vertex, every
+    column in [0, 1] and, if `integral`, integer. `ends` are the edge
+    columns' endpoint index pairs; the n flag columns follow them. None
+    when HiGHS calls the program infeasible, else (objective, point,
+    duals): the optimum, per edge column whether it is above 1/2, and the
+    row duals. Any other outcome raises InvariantViolation.
+    """
+    import numpy as np
+    from scipy.optimize._highspy import _core as highspy
+
+    e, cols = len(ends), len(ends) + n
+    lp = highspy.HighsLp()
+    lp.num_col_, lp.num_row_ = cols, n
+    lp.col_cost_ = np.concatenate((np.full(e, -1.0), np.zeros(n)))
+    lp.col_lower_, lp.col_upper_ = np.zeros(cols), np.ones(cols)
+    lp.row_lower_ = lp.row_upper_ = np.asarray(rhs, dtype=float)
+    if integral:
+        lp.integrality_ = [highspy.HighsVarType.kInteger] * cols
+    # column-wise: an edge column has 1 in its endpoints' rows, a flag -k in its own
+    a = lp.a_matrix_
+    a.format_, a.num_col_, a.num_row_ = highspy.MatrixFormat.kColwise, cols, n
+    a.start_ = np.concatenate((np.arange(0, 2 * e, 2), np.arange(2 * e, 2 * e + n + 1))).tolist()
+    a.index_ = np.concatenate((np.ravel(np.asarray(ends, dtype=int)), np.arange(n))).tolist()
+    a.value_ = np.concatenate((np.ones(2 * e), np.full(n, -float(k))))
+    solver = highspy._Highs()
+    for option, value in _HIGHS_OPTIONS.items():
+        solver.setOptionValue(option, value)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status == highspy.HighsModelStatus.kInfeasible:
+        return None
+    if status != highspy.HighsModelStatus.kOptimal:
+        what = "size" if integral else "relaxation"
+        raise InvariantViolation(f"{what} solve failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    point = np.asarray(solution.col_value[:e]) > 0.5
+    return solver.getInfo().objective_function_value, point, solution.row_dual
+
+
 class _SizeProgram:
-    """The 0-or-k degree condition as an integer program (HiGHS).
+    """The 0-or-k degree condition as an integer program, solved by `_highs`.
 
     One binary per undecided edge, one per vertex; the constraint per
     vertex says the chosen degree equals k times the matched flag, which
@@ -456,13 +502,9 @@ class _SizeProgram:
     program (column dropped, forced degree moved to the right-hand side).
     `solve` answers the integer program, `relax` its continuous
     relaxation over the same substitution; the relaxation's bound is
-    exact whatever the solver's float error, see `relax`.
-    Presolve stays off: the bundled solver's presolve mishandles these
-    equality systems and can claim an infeasible instance is optimal.
-    The relative gap is 0: at HiGHS's default of 1e-4 a solve may stop
-    one edge short of the optimum once that exceeds 10,000 edges.
-    Every returned point is re-validated against the degree condition.
-    Solves are deterministic for a fixed input.
+    exact whatever the solver's float error, see `relax`. Every returned
+    point is re-validated against the degree condition. Solves are
+    deterministic for a fixed input.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -470,53 +512,25 @@ class _SizeProgram:
         self.m, self.n = g.m, g.n
         self.ends = g.pairs
 
-    def _degree_matrix(self, free: list[int]):
-        """Sparse rows "chosen degree - k * matched flag", one per vertex,
-        over the columns of the `free` edges followed by the vertex flags."""
-        from scipy import sparse
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for col, j in enumerate(free):
-            a, b = self.ends[j]
-            rows.extend((a, b))
-            cols.extend((col, col))
-            vals.extend((1.0, 1.0))
-        for i in range(self.n):
-            rows.append(i)
-            cols.append(len(free) + i)
-            vals.append(-float(self.k))
-        return sparse.csc_matrix((vals, (rows, cols)), shape=(self.n, len(free) + self.n))
-
-    def _substitute(self, fixed: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
-        """The undecided edges, the edges fixed in, and the right-hand
-        side of each degree row: minus the degree the fixed-in edges give."""
+    def _run(self, fixed: dict[int, int], integral: bool):
+        """The undecided edges, the fixed-in ones, each degree row's right-hand
+        side (minus its fixed-in degree) and `_highs`'s answer on the rest."""
         free = [j for j in range(self.m) if j not in fixed]
         ones = [j for j, value in fixed.items() if value]
         forced, _ = index_degrees(self.n, [self.ends[j] for j in ones])
-        return free, ones, [-f for f in forced]
+        rhs = [-f for f in forced]
+        return free, ones, rhs, _highs([self.ends[j] for j in free], self.n, self.k, rhs, integral)
 
     def solve(self, fixed: dict[int, int]) -> tuple[int, frozenset[int]] | None:
         """Maximum size and one witness honoring `fixed`; None if infeasible."""
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        free, ones, rhs = self._substitute(fixed)
-        res = milp(
-            c=[-1.0] * len(free) + [0.0] * self.n,
-            constraints=LinearConstraint(self._degree_matrix(free), rhs, rhs),
-            integrality=[1] * (len(free) + self.n),
-            bounds=Bounds(0.0, 1.0),
-            options={"presolve": False, "mip_rel_gap": 0},
-        )
-        if res.status == 2:
+        free, ones, _, answer = self._run(fixed, integral=True)
+        if answer is None:
             return None
-        if res.status != 0:
-            raise InvariantViolation(f"size solve failed: {res.message}")
-        taken = [j for col, j in enumerate(free) if res.x[col] > 0.5]
-        if len(taken) != round(-res.fun):
+        objective, point, _ = answer
+        taken = list(compress(free, point))
+        if len(taken) != round(-objective):
             raise InvariantViolation(
-                f"size solve returned {len(taken)} edges for objective {-res.fun}"
+                f"size solve returned {len(taken)} edges for objective {-objective}"
             )
         chosen = frozenset(ones) | frozenset(taken)
         if self.off_condition(chosen):
@@ -550,24 +564,13 @@ class _SizeProgram:
         wrong) and gives (m, None), the edge count being a bound that
         needs no solver.
         """
-        from scipy.optimize import linprog
-
-        free, ones, rhs = self._substitute(fixed)
-        res = linprog(
-            c=[-1.0] * len(free) + [0.0] * self.n,
-            A_eq=self._degree_matrix(free),
-            b_eq=rhs,
-            bounds=(0.0, 1.0),
-            method="highs",
-            options={"presolve": False},
-        )
-        if res.status == 2:
+        free, ones, rhs, answer = self._run(fixed, integral=False)
+        if answer is None:
             return self.m, None
-        if res.status != 0:
-            raise InvariantViolation(f"relaxation solve failed: {res.message}")
+        _, point, duals = answer
         # the duals as integers over one power-of-two denominator: every
         # finite float is a dyadic rational, and any multiplier is valid.
-        ratios = [x.as_integer_ratio() if math.isfinite(x) else (0, 1) for x in res.eqlin.marginals]
+        ratios = [x.as_integer_ratio() if math.isfinite(x) else (0, 1) for x in duals]
         scale = max(d for _, d in ratios)
         lam = [p * (scale // d) for p, d in ratios]
         # scale * (-lam . b) + the box terms of the edge and flag columns
@@ -577,13 +580,10 @@ class _SizeProgram:
             total += max(0, scale + lam[a] + lam[b])
         total += sum(max(0, -self.k * x) for x in lam)
         bound = total // scale + len(ones)
-        taken = [j for col, j in enumerate(free) if res.x[col] > 0.5]
-        point = None
-        if len(ones) + len(taken) == bound:
-            chosen = frozenset(ones) | frozenset(taken)
-            if not self.off_condition(chosen):
-                point = chosen
-        return bound, point
+        chosen: frozenset[int] | None = frozenset(ones).union(compress(free, point))
+        if len(chosen) != bound or self.off_condition(chosen):
+            chosen = None
+        return bound, chosen
 
 
 # effort accounting: a flat budget charge, in search nodes, per optimizer

@@ -3,12 +3,11 @@
 import os
 import subprocess
 import sys
-import types
 from collections import Counter
 
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
+from scipy.optimize._highspy import _core as highspy
 
 import bruteforce
 import kmatch
@@ -332,20 +331,16 @@ def test_relaxation_stage_settles_escalations_exactly(monkeypatch, small_corpus)
     assert {"root point", "probe dropped", "probe kept", "integer program"} <= seen
 
 
-def lying_linprog(c, A_eq, b_eq, **kwargs):
+def lying_linprog(ends, n, k, rhs, integral):
     """A relaxation answer that claims an objective of 0 with all-zero
     duals and takes every column at 1."""
-    return types.SimpleNamespace(
-        status=0,
-        fun=0.0,
-        x=[1.0] * len(c),
-        message="",
-        eqlin=types.SimpleNamespace(marginals=[0.0] * len(b_eq)),
-    )
+    assert not integral
+    return 0.0, [True] * len(ends), [0.0] * n
 
 
 def infeasible_linprog(*args, **kwargs):
-    return types.SimpleNamespace(status=2, message="claimed infeasible")
+    # the solver claims the program is infeasible
+    return None
 
 
 @pytest.mark.parametrize("fake", [lying_linprog, infeasible_linprog], ids=lambda f: f.__name__)
@@ -357,7 +352,9 @@ def test_a_lying_relaxation_neither_drops_nor_keeps(monkeypatch, small_corpus, f
     # through to the integer program, and after the first such relaxation
     # the recovery stops asking it: one relaxation per query at most.
     monkeypatch.setattr(matchings, "_SEARCH_CAP", 1)
-    monkeypatch.setattr(scipy.optimize, "linprog", fake)
+    # the integer program (last argument `integral` true) stays real
+    real = matchings._highs
+    monkeypatch.setattr(matchings, "_highs", lambda *args: (real if args[-1] else fake)(*args))
     calls = record_optimizer_calls(monkeypatch)
     probes = 0
     for name, g in small_corpus:
@@ -530,8 +527,8 @@ def test_a_root_solve_that_claims_infeasible_is_a_fault(monkeypatch, witness):
     # the empty matching is feasible, so the integer program at the root
     # always has an optimum; a solver that calls it infeasible is at fault.
     monkeypatch.setattr(matchings, "_SEARCH_CAP", 1)
-    monkeypatch.setattr(scipy.optimize, "linprog", infeasible_linprog)
-    monkeypatch.setattr(scipy.optimize, "milp", infeasible_linprog)  # the same status 2
+    # the relaxation and the integer program both claim infeasibility
+    monkeypatch.setattr(matchings, "_highs", infeasible_linprog)
     with pytest.raises(InvariantViolation):
         max_k_matching(build_named("cycle", 6), 1, witness=witness)
 
@@ -716,28 +713,41 @@ def test_degree_profile_checks_the_host():
         degree_profile(g, [(0, 2)])
 
 
+def test_degree_profile_builds_no_label_edges_of_the_host():
+    # edges are looked up among the host's index pairs, so profiling a
+    # matching of a product leaves its label edges unbuilt.
+    p = product(build_named("cycle", 5), build_named("path", 3), "cartesian")
+    m = [((0, 0), (0, 1)), ((1, 2), (1, 1)), ((3, 0), (4, 0))]
+    profile = degree_profile(p.graph, m)
+    assert profile.edges == (((0, 0), (0, 1)), ((1, 1), (1, 2)), ((3, 0), (4, 0)))
+    assert profile.uniform == 1
+    with pytest.raises(EdgeNotInHost):
+        degree_profile(p.graph, [((0, 0), (1, 1))])
+    assert "edges" not in p.graph.__dict__
+    assert "edge_set" not in p.graph.__dict__
+
+
 def off_condition_point(*args, **kwargs):
-    """A solver answer for path(3), k = 1 that takes both edges and every
-    vertex flag: the middle vertex gets degree 2, which is neither 0 nor 1."""
-    return types.SimpleNamespace(status=0, x=[1.0] * 5, fun=-2.0, message="")
+    """A solver answer for path(3), k = 1 that takes both edges: the
+    middle vertex gets degree 2, which is neither 0 nor 1."""
+    return -2.0, [True, True], [0.0] * 3
 
 
 def test_solver_point_off_the_degree_condition_is_refused(monkeypatch):
-    monkeypatch.setattr(scipy.optimize, "milp", off_condition_point)
+    monkeypatch.setattr(matchings, "_highs", off_condition_point)
     with pytest.raises(InvariantViolation):
         _SizeProgram(build_named("path", 3), 1).solve({})
 
 
 OPTIMIZED_PROBE = """
-import types
-import scipy.optimize
+from kmatch import matchings
 from kmatch.errors import InvariantViolation
 from kmatch.graphs import build_named
 from kmatch.matchings import _SizeProgram
 
-scipy.optimize.milp = lambda *a, **kw: types.SimpleNamespace(
-    status=0, x=[1.0] * 5, fun=-2.0, message=""
-)
+# both edges of path(3) taken, so the middle vertex gets degree 2; for the
+# relaxation, zero duals bound path(3) at its 2 edges, and the point has 2
+matchings._highs = lambda *a, **kw: (-2.0, [True, True], [0.0] * 3)
 try:
     _SizeProgram(build_named("path", 3), 1).solve({})
 except InvariantViolation:
@@ -745,12 +755,6 @@ except InvariantViolation:
 else:
     raise SystemExit("an off-condition solver point was accepted under -O")
 
-# zero duals bound path(3) at its 2 edges, and the all-ones point has 2
-# edges, but the middle vertex gets degree 2
-scipy.optimize.linprog = lambda c, A_eq, b_eq, **kw: types.SimpleNamespace(
-    status=0, x=[1.0] * 5, fun=-2.0, message="",
-    eqlin=types.SimpleNamespace(marginals=[0.0] * 3),
-)
 if _SizeProgram(build_named("path", 3), 1).relax({}) != (2, None):
     raise SystemExit("an off-condition relaxation point was accepted under -O")
 """
@@ -766,17 +770,36 @@ def test_solver_check_survives_optimized_mode():
 
 
 def test_size_solve_asks_for_the_exact_optimum(monkeypatch):
+    # the options are read off the solver as it starts, so they are the
+    # ones HiGHS runs with.
     seen = {}
 
-    def fake_milp(*args, **kwargs):
-        seen.update(kwargs["options"])
-        # path(3), k = 1: edge (0, 1), vertices 0 and 1 matched
-        return types.SimpleNamespace(status=0, x=[1.0, 0.0, 1.0, 1.0, 0.0], fun=-1.0, message="")
+    class Recording(highspy._Highs):
+        def run(self):
+            seen.update({key: self.getOptionValue(key)[1] for key in ("presolve", "mip_rel_gap")})
+            return super().run()
 
-    monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+        def getSolution(self):
+            solution = super().getSolution()
+            # path(3), k = 1: edge (0, 1), vertices 0 and 1 matched
+            solution.col_value = [1.0, 0.0, 1.0, 1.0, 0.0]
+            return solution
+
+    monkeypatch.setattr(highspy, "_Highs", Recording)
     assert _SizeProgram(build_named("path", 3), 1).solve({}) == (1, frozenset({0}))
-    assert seen["presolve"] is False
+    assert seen["presolve"] == "off"
     assert seen["mip_rel_gap"] == 0
+
+
+def test_a_program_with_every_edge_fixed_still_solves():
+    # no edge column is left, only the vertex flags
+    program = _SizeProgram(build_named("path", 3), 1)
+    assert program.relax({0: 1, 1: 0}) == (1, frozenset({0}))
+    assert program.solve({0: 1, 1: 0}) == (1, frozenset({0}))
+    # both edges give the middle vertex degree 2: infeasible, and the
+    # relaxation falls back to the edge count
+    assert program.relax({0: 1, 1: 1}) == (2, None)
+    assert program.solve({0: 1, 1: 1}) is None
 
 
 def test_uniform_degree_and_unmatched():
