@@ -3,7 +3,8 @@
 
 Each row is one maximum k-matching query on a product of two named
 graphs: the time to build the product, the query's wall time, search
-nodes, and whether the run was exhaustive. The two cycle(30) rows
+nodes, the relaxations and integer programs it solved, and whether the
+run was exhaustive. The two cycle(30) rows
 (1,800 edges) lie past the depth at which a recursive search would
 exceed Python's recursion limit; the two rows after them escalate to
 the solver stage at k = 2. The last row is settled by the search's
@@ -20,6 +21,7 @@ import argparse
 import sys
 import time
 
+from kmatch import matchings
 from kmatch.errors import KmatchError
 from kmatch.graphs import build_named
 from kmatch.matchings import DEFAULT_NODE_BUDGET, max_k_matching
@@ -52,8 +54,25 @@ def parse_named(spec: str):
 
 
 def bench(budget: int, witness: bool, repeat: int) -> int:
+    # solver calls of the current query, by `_highs`'s `integral` argument:
+    # relaxations under False, integer programs under True.
+    solves = {False: 0, True: 0}
+    highs = matchings._highs
+
+    def counted(ends, n, k, rhs, integral):
+        solves[integral] += 1
+        return highs(ends, n, k, rhs, integral)
+
+    matchings._highs = counted
+    try:
+        return rows(budget, witness, repeat, solves)
+    finally:
+        matchings._highs = highs
+
+
+def rows(budget: int, witness: bool, repeat: int, solves: dict[bool, int]) -> int:
     print(f"{'instance':<36} {'k':>2} {'n':>4} {'m':>5} {'build':>8} {'size':>5} "
-          f"{'nodes':>9} {'time':>8} {'exhaustive':>10}")
+          f"{'nodes':>9} {'relax':>5} {'milp':>4} {'time':>8} {'exhaustive':>10}")
     worst = 0.0
     for left, right, star, k in INSTANCES:
         g = parse_named(left)
@@ -63,6 +82,7 @@ def bench(budget: int, witness: bool, repeat: int) -> int:
         build = time.perf_counter() - started
         best = None
         for _ in range(repeat):
+            solves[False] = solves[True] = 0
             started = time.perf_counter()
             report = max_k_matching(p.graph, k, budget=budget, witness=witness)
             elapsed = time.perf_counter() - started
@@ -72,7 +92,8 @@ def bench(budget: int, witness: bool, repeat: int) -> int:
         worst = max(worst, elapsed)
         name = f"{left} {star} {right}"
         print(f"{name:<36} {k:>2} {p.graph.n:>4} {p.graph.m:>5} {build:>7.3f}s {report.size:>5} "
-              f"{report.nodes:>9} {elapsed:>7.3f}s {str(report.exhaustive):>10}")
+              f"{report.nodes:>9} {solves[False]:>5} {solves[True]:>4} {elapsed:>7.3f}s "
+              f"{str(report.exhaustive):>10}")
     print(f"slowest query: {worst:.3f}s "
           f"(budget {budget}, witness {witness})")
     return 0

@@ -27,15 +27,18 @@ maximum; a restart that ends without one proves the optimum smaller, and
 the program finds it. A witness query whose first try gives up learns
 the size through these same stages, from the degree-ordered search on.
 If the first try's best already has that size, it is the canonical
-witness; otherwise a canonical search toward that size, at the full cap,
-stops at its first leaf, which is the canonical witness too. Only when
-that search is capped does the query recover the canonical witness by
-lexicographic fixing. Each fixing probe is settled by propagation when
-it can be, else by the same search run as a capped probe toward the
-known size over the undecided edges in degree order, else by the
-relaxation (a bound below the size drops the edge, a point of that size
-keeps it), and only else by the program; once a relaxation decides
-nothing, the later probes skip it. One budget rule covers every stage: a
+witness; otherwise a canonical search toward that size, with the first
+try's short cap, stops at its first leaf, which is the canonical witness
+too. Only when that search is capped does the query recover the
+canonical witness by lexicographic fixing. Each fixing probe is settled
+by propagation when it can be, else by the same search run as a probe
+toward the known size over the undecided edges in degree order, capped
+short like the first try, else by the relaxation (a bound below the size
+drops the edge, a point of that size keeps it), else by the probe's
+search at the full cap, and only else by the program. Once a relaxation
+decides nothing, the later probes skip it and the short search: each
+searches once, at the full cap, before the program. One budget rule
+covers every stage: a
 search is capped at the budget left and charged the nodes it visits, a
 relaxation or program solve is charged a flat amount and runs only if
 that fits, and a stage that does not fit ends the query with
@@ -599,6 +602,14 @@ _SEARCH_CAP = 4_000
 _RESTARTS = 4
 
 
+def _short_cap(d: int) -> int:
+    """The cap of a witness query's quick searches over d edges to decide:
+    d (a leaf sits at depth d) plus an eighth of `_SEARCH_CAP`, or
+    `_SEARCH_CAP` if that is smaller. d is at least 1: a recovery probe
+    always has an edge of the known maximum after it."""
+    return min(_SEARCH_CAP, d + _SEARCH_CAP // 8)
+
+
 class _OutOfBudget(Exception):
     """The next stage of `max_k_matching` does not fit in the budget left."""
 
@@ -629,25 +640,29 @@ def max_k_matching(
     found. A witness call whose first try's best already has the maximum
     size reports that best: in include-first order no branch toward the
     first maximum leaf is pruned while the incumbent is smaller. Else a
-    canonical search toward the maximum size runs at the full cap; it
-    prunes only branches that hold no maximum, so its first leaf is the
-    canonical witness. Only if it is capped is the canonical witness
-    recovered by fixing edges in canonical order, keeping an edge
+    canonical search toward the maximum size runs, with the first try's
+    short cap; it prunes only branches that hold no maximum, so its first
+    leaf is the canonical witness. Only if it is capped is the canonical
+    witness recovered by fixing edges in canonical order, keeping an edge
     exactly when some maximum matching still contains it. Each such
-    probe goes through four stages, and the first that decides it
+    probe goes through five stages, and the first that decides it
     settles it: propagation (an endpoint of the edge already has degree
     k, or cannot reach k from the kept edges, the edge and the undecided
-    ones), a capped search for a maximum over the undecided edges in
-    degree order by the degrees they leave, the relaxation (its bound
-    below the maximum drops the edge, its point keeps it), and a solve
-    of the integer program. After the first relaxation that decides
-    nothing (a bound of at least the maximum without a point, or a claim
-    of infeasibility), the later probes skip the relaxation. Size and
-    unmatched counts are exact either way.
+    ones), a search for a maximum over the undecided edges in degree
+    order by the degrees they leave, capped at their number plus
+    `_SEARCH_CAP` // 8 like the first try, the relaxation (its bound
+    below the maximum drops the edge, its point keeps it), the same
+    search at the full cap, and a solve of the integer program. After
+    the first relaxation that decides nothing (a bound of at least the
+    maximum without a point, or a claim of infeasibility), the later
+    probes skip the relaxation and the short search: one search at the
+    full cap, then the program. Size and unmatched counts are exact
+    either way.
 
     One budget rule covers every stage. A search is capped at the smaller
-    of its cap (`_SEARCH_CAP`, or the first witness try's shorter one)
-    and the budget left and charged the nodes it visits, at most that
+    of its cap (`_SEARCH_CAP`, or the short one of the first witness try,
+    the search toward the optimum and a relaxing probe) and the budget
+    left and charged the nodes it visits, at most that
     cap; a relaxation or integer-program solve is charged a flat
     `_SOLVE_EFFORT` and runs only if that fits. `nodes` is the total
     charge, so it never exceeds `budget`. When the next stage does not
@@ -734,7 +749,7 @@ def max_k_matching(
         # a short first try in the canonical order, whose first maximum is
         # the canonical witness. A leaf sits at depth m, so the cap grows
         # with the edge count.
-        first = search(None, cap=min(_SEARCH_CAP, g.m + _SEARCH_CAP // 8))
+        first = search(None, cap=_short_cap(g.m))
     else:
         # a size-only call is free to search in the faster degree order.
         first = search(_degree_order(g, degree))
@@ -759,8 +774,10 @@ def max_k_matching(
             # so the first try's best is the canonical witness.
             return report(first.best or (), True)
         # the same holds for a canonical search toward the optimum, which
-        # prunes only branches without a maximum and stops at its first leaf.
-        aimed = search(None, (), optimum)
+        # prunes only branches without a maximum and stops at its first
+        # leaf. It gets the first try's short cap, as a capped one leaves
+        # nothing for the recovery below.
+        aimed = search(None, (), optimum, cap=_short_cap(g.m))
         if aimed.best is not None:
             return report(aimed.best, True)
         if aimed.settled:
@@ -773,15 +790,45 @@ def max_k_matching(
         # contains it. `sol` always witnesses the decisions made up to this
         # point, so its members are kept for free. Any other edge j is a
         # probe, settled by the first stage that can: propagation at j's
-        # endpoints, a capped search for a maximum over the edges after j
-        # (in degree order by `ahead`, the degrees those edges give), the
-        # relaxation, the solver. Once a relaxation leaves a probe
-        # undecided, later probes go straight to the solver.
+        # endpoints, then `holding`.
         kept = [0] * g.n  # degree from the kept edges
         ahead = degree.copy()  # incident edges after the current one
         fixed: dict[int, int] = {}
         ones = 0
         relaxing = True
+
+        def holding(j: int) -> frozenset[int] | None:
+            # a maximum that agrees with `fixed` and contains j, or None if
+            # none does: a capped search for one over the edges after j (in
+            # degree order by `ahead`, the degrees those edges give; a
+            # yes/no probe may decide in any order), the relaxation, the
+            # solver. While the relaxation is asked, the search gets the
+            # short cap, and the full cap only once a relaxation decides
+            # nothing; later probes skip the relaxation and search once, at
+            # the full cap.
+            nonlocal relaxing
+            forced = [i for i, v in fixed.items() if v] + [j]
+            order = [i for i in _degree_order(g, ahead) if i > j]
+            cap = _short_cap(len(order)) if relaxing else _SEARCH_CAP
+            probe = search(order, forced, optimum, cap=cap)
+            if probe.best is None and not probe.settled and relaxing:
+                bound, point = optimize(program.relax, {**fixed, j: 1})
+                relaxing = bound < optimum or point is not None
+                if bound < optimum:
+                    return None
+                if point is not None:
+                    # a k-matching with j of at most the optimum's size
+                    # that meets a bound of at least it: a maximum.
+                    return point
+                if cap < _SEARCH_CAP:
+                    probe = search(order, forced, optimum)
+            if probe.best is not None:
+                return frozenset(probe.best)
+            if probe.settled:
+                return None
+            attempt = optimize(program.solve, {**fixed, j: 1})
+            return attempt[1] if attempt is not None and attempt[0] == optimum else None
+
         for j in range(g.m):
             if ones == optimum:
                 break
@@ -790,25 +837,9 @@ def max_k_matching(
             ahead[b] -= 1
             keep = j in sol
             if not keep and all(kept[x] < k <= kept[x] + 1 + ahead[x] for x in (a, b)):
-                forced = [i for i, v in fixed.items() if v] + [j]
-                # a yes/no probe may decide in any order.
-                probe = search([i for i in _degree_order(g, ahead) if i > j], forced, optimum)
-                if probe.best is not None:
-                    keep, sol = True, frozenset(probe.best)
-                elif not probe.settled:
-                    bound, point = optimum, None
-                    if relaxing:
-                        # a bound below the optimum drops j.
-                        bound, point = optimize(program.relax, {**fixed, j: 1})
-                        relaxing = bound < optimum or point is not None
-                    if bound >= optimum and point is not None:
-                        # a k-matching with j of at most the optimum's size
-                        # that meets a bound of at least it: a maximum.
-                        keep, sol = True, point
-                    elif bound >= optimum:
-                        attempt = optimize(program.solve, {**fixed, j: 1})
-                        if attempt is not None and attempt[0] == optimum:
-                            keep, sol = True, attempt[1]
+                found = holding(j)
+                if found is not None:
+                    keep, sol = True, found
             fixed[j] = int(keep)
             if keep:
                 ones += 1

@@ -227,10 +227,10 @@ def test_budget_exhaustion_degrades_not_raises():
     assert len(rep.witness) == rep.size <= 18
 
 
-def record_optimizer_calls(monkeypatch):
+def record_optimizer_calls(monkeypatch, calls=None):
     """Log each relaxation and integer-program call of the oracle as
-    (method, fixed, answer)."""
-    calls = []
+    (method, fixed, answer), to `calls` if given."""
+    calls = [] if calls is None else calls
     for name in ("relax", "solve"):
 
         def call(self, fixed, _name=name, _method=getattr(_SizeProgram, name)):
@@ -459,11 +459,11 @@ def test_a_first_try_at_depth_m_still_settles():
 def test_a_canonical_search_toward_the_optimum_settles_what_the_first_try_left(
     monkeypatch, small_corpus
 ):
-    # at a cap of 10 the first try on four vertices gets at most m + 1
-    # nodes; on a few queries it gives up short of the optimum, and the
-    # canonical search toward the optimum, with the whole cap, settles
-    # them before any recovery probe.
-    monkeypatch.setattr(matchings, "_SEARCH_CAP", 10)
+    # at a cap of 40 the first try on four vertices gets m + 5 nodes; on a
+    # few queries it gives up short of the optimum, and the canonical
+    # search toward the optimum, with the same short cap, settles them
+    # before any recovery probe.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", 40)
     calls = spy_searches(monkeypatch)
     aimed = 0
     for name, g in small_corpus:
@@ -480,12 +480,162 @@ def test_a_canonical_search_toward_the_optimum_settles_what_the_first_try_left(
             ]
             if toward:
                 (at,) = toward
-                out = calls[at][-1]
+                cap, out = calls[at][0], calls[at][-1]
+                assert cap == calls[0][0] == g.m + 5, (name, k)
                 assert not calls[0][-1].settled and calls[0][-1].best_size < rep.size, (name, k)
                 assert out.settled and tuple(out.best) == got, (name, k)
                 assert at == len(calls) - 1, (name, k)  # no probe follows
                 aimed += 1
     assert aimed >= 3
+
+
+@pytest.mark.parametrize("cap", [10, 24])
+def test_the_search_toward_the_optimum_is_capped_like_the_first_try(
+    monkeypatch, sweep_corpus, cap
+):
+    # a capped search toward the optimum is thrown away, so it gets the
+    # first try's short cap, m plus an eighth of the cap, not the whole cap.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
+    calls = spy_searches(monkeypatch)
+    short = 0
+    for name, g in sweep_corpus:
+        for k in (1, 2, 3):
+            calls.clear()
+            max_k_matching(g, k)
+            for aimed, order, forced, target, _ in calls:
+                if order is None and not forced and target is not None:
+                    assert aimed == calls[0][0] == min(cap, g.m + cap // 8), (name, k)
+                    short += aimed < cap
+    assert short > 0
+
+
+def record_stages(monkeypatch):
+    """Log every search of the oracle as ("search", forced, outcome, cap,
+    order) and every optimizer call as (method, fixed, answer), in the
+    order they run."""
+    events = []
+    real = matchings._search_maximum
+
+    def spy(g, k, cap, order=None, forced=(), target=None):
+        out = real(g, k, cap, order, forced, target)
+        events.append(("search", list(forced), out, cap, order))
+        return out
+
+    monkeypatch.setattr(matchings, "_search_maximum", spy)
+    record_optimizer_calls(monkeypatch, events)
+    return events
+
+
+def probe_stages(events):
+    """The recovery probes among `events`, by probe edge j: the searches
+    that force j last and the optimizer calls that fix j last, in order."""
+    stages = {}
+    for event in events:
+        if event[1]:
+            stages.setdefault(max(event[1]), []).append(event)
+    return stages
+
+
+def capped(out) -> bool:
+    return out.best is None and not out.settled
+
+
+def decides(answer, optimum) -> bool:
+    # a relaxation's bound below the optimum drops the edge, a point keeps it
+    bound, point = answer
+    return bound < optimum or point is not None
+
+
+def assert_canonical_witness(g, k, rep, where):
+    index = {e: i for i, e in enumerate(g.edges)}
+    got = tuple(sorted(index[e] for e in rep.witness))
+    assert rep.exhaustive and got == bruteforce.lex_min_maximum(g.vertices, g.edges, k), where
+
+
+@pytest.mark.parametrize("cap", [5, 8])
+def test_a_probe_the_relaxation_decides_makes_no_full_cap_search(monkeypatch, sweep_corpus, cap):
+    # while the relaxation is asked, a probe searches with the short cap
+    # (the edges left to decide plus an eighth of the cap); when that
+    # search gives up and the relaxation decides the probe, the probe ends
+    # there, without the full-cap search.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
+    events = record_stages(monkeypatch)
+    decided = 0
+    for name, g in sweep_corpus:
+        for k in (1, 2, 3):
+            events.clear()
+            rep = max_k_matching(g, k)
+            assert_canonical_witness(g, k, rep, (name, k))
+            for j, stages in probe_stages(events).items():
+                method, _, out, first_cap, order = stages[0]
+                assert method == "search", (name, k, j)
+                if stages[1:] and stages[1][0] == "relax" and decides(stages[1][2], rep.size):
+                    assert capped(out) and first_cap == matchings._short_cap(len(order))
+                    assert [e[0] for e in stages] == ["search", "relax"], (name, k, j)
+                    decided += 1
+    assert decided > 0
+
+
+@pytest.mark.parametrize("cap", [8, 12])
+def test_an_undecided_probe_searches_at_the_full_cap_before_the_program(
+    monkeypatch, sweep_corpus, cap
+):
+    # with a relaxation that decides nothing (the lying one), the first
+    # probe whose short search gives up asks it, then searches again at
+    # the full cap, and only a probe that this search leaves open reaches
+    # the integer program. The relaxation is asked once per query.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
+    real = matchings._highs
+    monkeypatch.setattr(matchings, "_highs", lambda *args: (real if args[-1] else lying_linprog)(*args))
+    events = record_stages(monkeypatch)
+    full = solved = 0
+    for name, g in sweep_corpus:
+        for k in (1, 2, 3):
+            events.clear()
+            rep = max_k_matching(g, k)
+            assert_canonical_witness(g, k, rep, (name, k))
+            for j, stages in probe_stages(events).items():
+                if any(e[0] == "relax" for e in stages):
+                    short, relax, *rest = stages
+                    assert short[0] == "search" and capped(short[2]), (name, k, j)
+                    assert short[3] == matchings._short_cap(len(short[4])), (name, k, j)
+                    assert relax[0] == "relax" and not decides(relax[2], rep.size)
+                    if short[3] < cap:
+                        again, *rest = rest
+                        assert again[0] == "search" and again[3] == cap, (name, k, j)
+                        assert again[1:2] + again[4:] == short[1:2] + short[4:], (name, k, j)
+                        full += 1
+                        solved += bool(rest)
+                    last = again if short[3] < cap else short
+                    assert [e[0] for e in rest] == (["solve"] if capped(last[2]) else [])
+    assert full > solved > 0
+
+
+@pytest.mark.parametrize("cap", [8, 16])
+def test_once_the_relaxation_is_off_a_probe_searches_once_at_the_full_cap(
+    monkeypatch, sweep_corpus, cap
+):
+    # after the first relaxation that decides nothing, later probes skip
+    # it, and so skip the short search too: one search, at the full cap.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
+    real = matchings._highs
+    monkeypatch.setattr(matchings, "_highs", lambda *args: (real if args[-1] else lying_linprog)(*args))
+    events = record_stages(monkeypatch)
+    later = 0
+    for name, g in sweep_corpus:
+        for k in (1, 2, 3):
+            events.clear()
+            rep = max_k_matching(g, k)
+            assert_canonical_witness(g, k, rep, (name, k))
+            off = False
+            for j, stages in probe_stages(events).items():
+                if off:
+                    searches = [e for e in stages if e[0] == "search"]
+                    assert len(searches) == 1 and searches[0][3] == cap, (name, k, j)
+                    assert "relax" not in [e[0] for e in stages], (name, k, j)
+                    later += 1
+                off = off or any(e[0] == "relax" for e in stages)
+    assert later > 0
 
 
 def test_a_search_toward_the_optimum_without_a_leaf_is_a_fault(monkeypatch, small_corpus):
