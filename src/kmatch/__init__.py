@@ -19,7 +19,6 @@ from .errors import (
     CorpusError,
     EdgeNotInFactor,
     EdgeNotInHost,
-    IncompatibleProduct,
     InvalidK,
     InvalidParameter,
     InvariantViolation,
@@ -95,7 +94,6 @@ __all__ = [
     "CorpusError",
     "EdgeNotInFactor",
     "EdgeNotInHost",
-    "IncompatibleProduct",
     "InvalidK",
     "InvalidParameter",
     "InvariantViolation",

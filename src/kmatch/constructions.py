@@ -44,9 +44,9 @@ from typing import AbstractSet, Sequence
 
 from .errors import (
     EdgeNotInFactor,
-    IncompatibleProduct,
     InvalidParameter,
     InvariantViolation,
+    UnsupportedKind,
 )
 from .graphs import Edge, Graph
 from .matchings import DegreeProfile, edge_keys, index_degrees, keyed_profile
@@ -106,7 +106,7 @@ class ConstructionResult:
 def _require_kind(kind: str, p: ProductGraph) -> None:
     allowed = PRODUCT_KINDS[kind]
     if p.kind not in allowed:
-        raise IncompatibleProduct(
+        raise UnsupportedKind(
             f"{kind} is undefined on the {p.kind} product; supported kinds: {', '.join(allowed)}"
         )
 

@@ -33,7 +33,7 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
         g = Graph(vertices, edges)
         if not is_connected(g):
             continue
-        key = (g.m, tuple(sorted(g.degree(v) for v in vertices)))
+        key = (g.m, tuple(sorted(map(len, g.neighbors))))
         bucket = buckets.setdefault(key, [])
         if any(are_isomorphic_small(g, other) for other in bucket):
             continue

@@ -45,11 +45,7 @@ class EdgeNotInFactor(KmatchError):
 
 class UnsupportedKind(KmatchError):
     """The operation is undefined for this product kind (e.g. the ast
-    flavor on the cartesian product)."""
-
-
-class IncompatibleProduct(KmatchError):
-    """The construction is undefined on this product kind."""
+    flavor or construction on the cartesian product)."""
 
 
 class ScenarioError(KmatchError):

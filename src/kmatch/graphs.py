@@ -6,7 +6,9 @@ Conventions used throughout the package:
   pairs as labels. Every graph fixes a vertex order and stores its edges
   once, as sorted index pairs ``(a, b)`` with ``a < b``; ``Graph.edges``
   derives the label pairs for output. This canonical form is what makes
-  witnesses and JSON reports reproducible byte for byte.
+  witnesses and JSON reports reproducible byte for byte. Structure
+  queries (components, isomorphism) work on indices alone, through
+  ``Graph.neighbors``; labels appear only at input and output.
 * Family names count vertices: ``path(3)`` has three vertices, ``cycle(n)``
   needs ``n >= 3``, ``complete(n)`` is K_n. The exception is ``star(n)``,
   the star with ``n`` leaves (so ``n + 1`` vertices), matching the usual
@@ -63,18 +65,14 @@ class Graph:
         return tuple([(vs[a], vs[b]) for a, b in self.pairs])
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        # pairs are sorted, so every neighbour list fills in vertex order.
-        vs = self.vertices
-        nbrs: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours as ascending indices, in vertex order."""
+        # pairs are sorted, so every neighbour list fills in ascending order.
+        nbrs: list[list[int]] = [[] for _ in self.vertices]
         for a, b in self.pairs:
-            nbrs[vs[a]].append(vs[b])
-            nbrs[vs[b]].append(vs[a])
-        return {v: tuple(ns) for v, ns in nbrs.items()}
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(map(tuple, nbrs))
 
     @property
     def n(self) -> int:
@@ -83,17 +81,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.pairs)
-
-    def edge_between(self, u: Vertex, v: Vertex) -> Edge | None:
-        """The canonical form of the edge {u, v}, or None if absent."""
-        idx = self.index
-        if u not in idx or v not in idx or u == v:
-            return None
-        e = (u, v) if idx[u] < idx[v] else (v, u)
-        return e if e in self.edge_set else None
-
-    def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
 
     def induced(self, keep: Iterable[Vertex]) -> "Graph":
         """Induced subgraph; vertex order is inherited from this graph."""
@@ -345,23 +332,20 @@ def to_dot(g: Graph, name: str = "G") -> str:
 
 def connected_components(g: Graph) -> tuple[tuple[Vertex, ...], ...]:
     """Partition of the vertices; components and members in vertex order."""
-    seen: set[Vertex] = set()
+    nbrs = g.neighbors
+    seen = [False] * g.n
     comps = []
-    for start in g.vertices:
-        if start in seen:
+    for start in range(g.n):
+        if seen[start]:
             continue
+        seen[start] = True
         comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in g.adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
+        for x in comp:  # the list grows as the walk reaches new vertices
+            for y in nbrs[x]:
+                if not seen[y]:
+                    seen[y] = True
                     comp.append(y)
-                    queue.append(y)
-        idx = g.index
-        comps.append(tuple(sorted(comp, key=idx.__getitem__)))
+        comps.append(tuple(g.vertices[i] for i in sorted(comp)))
     return tuple(comps)
 
 
@@ -369,11 +353,10 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def _neighbor_degree_profile(g: Graph) -> dict[Vertex, tuple[int, tuple[int, ...]]]:
-    return {
-        v: (g.degree(v), tuple(sorted(g.degree(w) for w in g.adjacency[v])))
-        for v in g.vertices
-    }
+def _neighbor_degree_profile(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """Per vertex index: its degree and its neighbours' degrees, ascending."""
+    deg = [len(ns) for ns in g.neighbors]
+    return [(deg[v], tuple(sorted(deg[w] for w in ns))) for v, ns in enumerate(g.neighbors)]
 
 
 def are_isomorphic_small(g1: Graph, g2: Graph) -> bool:
@@ -391,40 +374,31 @@ def are_isomorphic_small(g1: Graph, g2: Graph) -> bool:
         return False
     prof1 = _neighbor_degree_profile(g1)
     prof2 = _neighbor_degree_profile(g2)
-    if sorted(prof1.values()) != sorted(prof2.values()):
+    if sorted(prof1) != sorted(prof2):
         return False
 
+    nbrs1 = g1.neighbors
+    # g2's adjacency rows as bit masks over its vertex indices
+    rows2 = [sum(1 << w for w in ns) for ns in g2.neighbors]
     # map high-degree vertices first: fewer candidates, earlier contradictions.
-    order = sorted(g1.vertices, key=lambda v: (-g1.degree(v), g1.index[v]))
-    used: set[Vertex] = set()
-    image: dict[Vertex, Vertex] = {}
+    order = sorted(range(g1.n), key=lambda v: -len(nbrs1[v]))
+    image: dict[int, int] = {}
 
-    def extend(i: int) -> bool:
+    def extend(i: int, used: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        for w in g2.vertices:
-            if w in used or prof2[w] != prof1[v]:
+        # the image of v is adjacent to exactly the images of v's mapped
+        # neighbours among the mapped vertices (`used`): one test keeps
+        # both adjacency and non-adjacency.
+        want = sum(1 << image[x] for x in nbrs1[v] if x in image)
+        for w in range(g2.n):
+            if used >> w & 1 or prof2[w] != prof1[v] or (rows2[w] & used) != want:
                 continue
-            ok = True
-            for x in g1.adjacency[v]:
-                if x in image and g2.edge_between(image[x], w) is None:
-                    ok = False
-                    break
-            if ok:
-                # non-adjacency must be preserved too; check mapped non-neighbors.
-                nv = set(g1.adjacency[v])
-                for x, y in image.items():
-                    if x not in nv and g2.edge_between(y, w) is not None:
-                        ok = False
-                        break
-            if ok:
-                image[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del image[v]
-                used.remove(w)
+            image[v] = w
+            if extend(i + 1, used | 1 << w):
+                return True
+            del image[v]
         return False
 
-    return extend(0)
+    return extend(0, 0)

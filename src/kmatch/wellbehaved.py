@@ -70,8 +70,8 @@ class EquivalenceReport:
     exhaustive: bool
 
 
-# a key may hold a product Graph with its index, adjacency and edge set:
-# the bound is what caps the layer's memory on a long sweep.
+# a key may hold a product Graph with its cached index, label edges and
+# neighbour lists: the bound is what caps the layer's memory on a long sweep.
 MEMO_SIZE = 1024
 WITNESS, SIZE, ALL = "witness", "size", "all"
 

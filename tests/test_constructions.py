@@ -8,7 +8,7 @@ import pytest
 
 import kmatch
 from kmatch.constructions import ast, boxast, circledast
-from kmatch.errors import EdgeNotInFactor, IncompatibleProduct, InvalidParameter
+from kmatch.errors import EdgeNotInFactor, InvalidParameter, UnsupportedKind
 from kmatch.graphs import build_named
 from kmatch.matchings import (
     degree_profile,
@@ -76,7 +76,7 @@ def test_boxast_orientations_agree_on_size():
 def test_boxast_rejects_direct_product_and_bad_orientation():
     k2 = build_named("complete", 2)
     direct = product(k2, k2, "direct")
-    with pytest.raises(IncompatibleProduct):
+    with pytest.raises(UnsupportedKind):
         boxast(direct, [], [])
     cart = product(k2, k2, "cartesian")
     with pytest.raises(InvalidParameter):
@@ -190,7 +190,7 @@ def test_circledast_unmatched_pairs_need_both_coordinates_open():
 def test_circledast_rejects_cartesian_and_direct():
     k2 = build_named("complete", 2)
     for kind in ("cartesian", "direct"):
-        with pytest.raises(IncompatibleProduct):
+        with pytest.raises(UnsupportedKind):
             circledast(product(k2, k2, kind), [], [])
 
 

@@ -1,12 +1,13 @@
 """Graph container, parsing, serialization, and small-graph utilities."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kmatch.corpus import connected_graphs_upto
-from kmatch.errors import InvalidParameter, InvariantViolation, ParseError
+from kmatch.errors import InvalidParameter, InvariantViolation, ParseError, SizeLimitExceeded
 from kmatch.graphs import (
     Graph,
     are_isomorphic_small,
@@ -49,9 +50,11 @@ def test_edge_with_unknown_endpoint_rejected():
 
 def test_degree_and_edge_between():
     g = build_named("path", 3)
-    assert [g.degree(v) for v in g.vertices] == [1, 2, 1]
-    assert g.edge_between(1, 0) == (0, 1)
-    assert g.edge_between(0, 2) is None
+    assert [len(ns) for ns in g.neighbors] == [1, 2, 1]
+    assert g.neighbors == ((1,), (0, 2), (1,))
+    edges = set(g.edges)
+    assert (0, 1) in edges and (1, 0) not in edges  # stored in vertex order
+    assert (0, 2) not in edges and (2, 0) not in edges
 
 
 def test_named_families():
@@ -60,7 +63,7 @@ def test_named_families():
     assert build_named("complete", 4).m == 6
     star = build_named("star", 3)  # 3 leaves around a center
     assert star.n == 4 and star.m == 3
-    assert sorted(star.degree(v) for v in star.vertices) == [1, 1, 1, 3]
+    assert sorted(map(len, star.neighbors)) == [1, 1, 1, 3]
 
 
 def test_named_family_validation():
@@ -81,7 +84,7 @@ def test_parse_text_edge_list_labels_are_strings():
 def test_parse_text_isolated_vertex_line():
     g = parse_graph("a b\nv c\n")
     assert g.vertices == ("a", "b", "c")
-    assert g.degree("c") == 0
+    assert g.neighbors[g.index["c"]] == ()
 
 
 def test_parse_text_bare_token_rejected():
@@ -215,11 +218,63 @@ def test_isomorphism_degree_aware():
     assert not are_isomorphic_small(build_named("path", 3), build_named("path", 4))
 
 
+def _reference(nx, g):
+    """g as a networkx graph, and its components ordered as
+    connected_components orders them: members and components by vertex
+    position."""
+    ref = nx.Graph(g.edges)
+    ref.add_nodes_from(g.vertices)
+    comps = [sorted(c, key=g.index.__getitem__) for c in nx.connected_components(ref)]
+    return ref, tuple(tuple(c) for c in sorted(comps, key=lambda c: g.index[c[0]]))
+
+
+def test_structure_queries_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2109)
+    answers = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [e for e in slots if rng.random() < 0.4]
+        g = make_graph(range(n), edges)
+        ref, comps = _reference(nx, g)
+        assert connected_components(g) == comps
+        assert is_connected(g) == (len(comps) == 1)
+        names = [f"v{i}" for i in rng.sample(range(n), n)]
+
+        def copy(es):
+            """es under fresh labels, the vertices in a shuffled order."""
+            return make_graph(rng.sample(names, n), [(names[a], names[b]) for a, b in es])
+
+        h = copy(edges)
+        assert connected_components(h) == _reference(nx, h)[1]
+        assert are_isomorphic_small(g, h)
+        # g with one edge moved to a non-edge, every such move
+        for e in edges:
+            for f in slots:
+                if f in edges:
+                    continue
+                h = copy([x for x in edges if x != e] + [f])
+                same = nx.is_isomorphic(ref, _reference(nx, h)[0])
+                assert are_isomorphic_small(g, h) == are_isomorphic_small(h, g) == same
+                answers[same] += 1
+    # both answers occur among the moved copies
+    assert answers[True] > 100 and answers[False] > 100, answers
+
+
+def test_isomorphism_refuses_more_than_ten_vertices():
+    ten = build_named("path", 10)
+    assert are_isomorphic_small(ten, make_graph(reversed(ten.vertices), ten.edges))
+    for big, small in ((build_named("path", 11), ten), (ten, build_named("star", 10))):
+        with pytest.raises(SizeLimitExceeded):
+            are_isomorphic_small(big, small)
+
+
 @given(st.integers(min_value=2, max_value=7))
 def test_complete_graph_counts(n):
     g = build_named("complete", n)
     assert g.m == n * (n - 1) // 2
-    assert all(g.degree(v) == n - 1 for v in g.vertices)
+    assert all(len(ns) == n - 1 for ns in g.neighbors)
 
 
 @given(

@@ -874,7 +874,6 @@ def test_degree_profile_builds_no_label_edges_of_the_host():
     with pytest.raises(EdgeNotInHost):
         degree_profile(p.graph, [((0, 0), (1, 1))])
     assert "edges" not in p.graph.__dict__
-    assert "edge_set" not in p.graph.__dict__
 
 
 def off_condition_point(*args, **kwargs):

@@ -15,7 +15,7 @@ from kmatch.wellbehaved import _maximum_k_matchings
 def test_membership_accepts_projections_into_the_matching():
     k2, p3 = build_named("complete", 2), build_named("path", 3)
     p = product(k2, p3, "cartesian")
-    allowed = allowed_edges(p, [(0, 1)], [(0, 1)]).edge_set
+    allowed = set(allowed_edges(p, [(0, 1)], [(0, 1)]).edges)
     assert ((0, 0), (1, 0)) in allowed  # collapses on the right
     assert ((0, 1), (0, 2)) not in allowed  # projects to (1,2) not in m_h
 
@@ -52,10 +52,10 @@ def test_constructions_stay_inside_their_universe():
     for star, builder in (("cartesian", boxast), ("strong", circledast)):
         p = product(g, h, star)
         r = builder(p, m_g, m_h)
-        assert set(r.edges) <= allowed_edges(p, m_g, m_h).edge_set, star
+        assert set(r.edges) <= set(allowed_edges(p, m_g, m_h).edges), star
     p = product(g, h, "direct")
     r = ast(p, m_g, m_h)
-    assert set(r.edges) <= allowed_edges(p, m_g, m_h).edge_set
+    assert set(r.edges) <= set(allowed_edges(p, m_g, m_h).edges)
 
 
 def test_direct_universe_is_exactly_the_diagonals():
