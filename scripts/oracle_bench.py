@@ -22,10 +22,9 @@ import argparse
 import sys
 import time
 
-from kmatch import matchings
 from kmatch.errors import KmatchError
 from kmatch.graphs import build_named
-from kmatch.matchings import _SOLVE_EFFORT, DEFAULT_NODE_BUDGET, max_k_matching
+from kmatch.matchings import _SOLVE_EFFORT, DEFAULT_NODE_BUDGET, _SizeProgram, max_k_matching
 from kmatch.products import product
 
 INSTANCES = (
@@ -55,20 +54,21 @@ def parse_named(spec: str):
 
 
 def bench(budget: int, witness: bool, repeat: int) -> int:
-    # solver calls of the current query, by `_highs`'s `integral` argument:
-    # relaxations under False, integer programs under True.
+    # solver runs of the current query on its size program's HiGHS model,
+    # by `_SizeProgram._run`'s `integral` argument: relaxations under
+    # False, integer programs under True.
     solves = {False: 0, True: 0}
-    highs = matchings._highs
+    run = _SizeProgram._run
 
-    def counted(ends, n, k, rhs, integral):
+    def counted(program, fixed, integral):
         solves[integral] += 1
-        return highs(ends, n, k, rhs, integral)
+        return run(program, fixed, integral)
 
-    matchings._highs = counted
+    _SizeProgram._run = counted
     try:
         return rows(budget, witness, repeat, solves)
     finally:
-        matchings._highs = highs
+        _SizeProgram._run = run
 
 
 def rows(budget: int, witness: bool, repeat: int, solves: dict[bool, int]) -> int:

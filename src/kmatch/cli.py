@@ -27,7 +27,7 @@ from pathlib import Path
 from random import Random
 
 from .constructions import CONSTRUCTORS
-from .corpus import connected_graphs_upto, corpus_names, load_corpus_dir
+from .corpus import CORPUS_MAX_VERTICES, connected_graphs_upto, corpus_names, load_corpus_dir
 from .errors import InvalidParameter, KmatchError
 from .graphs import Graph, graph_to_json_obj, parse_edge_pairs, parse_graph, to_dot
 from .matchings import DEFAULT_NODE_BUDGET, check_k, enumerate_k_matchings, max_k_matching
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--corpus", help="directory of graph files (default: built-in corpus)")
     p_suite.add_argument("--max-n", type=int, default=None, dest="max_n",
                          help="built-in corpus bound: connected graphs up to this order "
-                         f"(default {DEFAULT_MAX_N})")
+                         f"(default {DEFAULT_MAX_N}, at most {CORPUS_MAX_VERTICES})")
     p_suite.add_argument("--k", default="1,2,3", help="comma-separated k values")
     p_suite.add_argument("--workers", type=int, default=1,
                          help="worker processes (at most one per task and per CPU)")

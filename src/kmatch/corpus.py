@@ -2,10 +2,11 @@
 
 The built-in corpus is every connected graph up to isomorphism with at
 most a requested number of vertices (1, 1, 2, 6, 21 graphs for one
-through five vertices). Representatives are canonical: vertices are
-0..n-1 and, among the isomorphic candidates, the lexicographically
-smallest edge bitmask (over the canonical pair order) is kept, so the
-corpus ordering never changes between runs.
+through five vertices), a number no larger than `CORPUS_MAX_VERTICES`.
+Representatives are canonical: vertices are 0..n-1 and, among the
+isomorphic candidates, the lexicographically smallest edge bitmask (over
+the canonical pair order) is kept, so the corpus ordering never changes
+between runs.
 """
 
 from __future__ import annotations
@@ -13,10 +14,20 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import CorpusError, KmatchError
+from .errors import CorpusError, KmatchError, SizeLimitExceeded
 from .graphs import Graph, are_isomorphic_small, is_connected, parse_graph
 
 CORPUS_SUFFIXES = (".txt", ".json", ".edges")
+# the built-in corpus walks all 2^(n(n-1)/2) edge sets on n vertices: 7
+# vertices take minutes, 8 would take hours.
+CORPUS_MAX_VERTICES = 7
+
+
+def _check_corpus_order(n: int) -> None:
+    if n > CORPUS_MAX_VERTICES:
+        raise SizeLimitExceeded(
+            f"the built-in corpus supports at most {CORPUS_MAX_VERTICES} vertices, got {n}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -24,6 +35,7 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, up to isomorphism."""
     if n < 1:
         raise CorpusError("the corpus needs at least one vertex")
+    _check_corpus_order(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     vertices = tuple(range(n))
     kept: list[Graph] = []
@@ -46,6 +58,8 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 def connected_graphs_upto(max_n: int) -> tuple[Graph, ...]:
     if max_n < 1:
         raise CorpusError(f"the corpus needs at least one vertex, got a bound of {max_n}")
+    # refused before the smaller orders are built
+    _check_corpus_order(max_n)
     out: list[Graph] = []
     for n in range(1, max_n + 1):
         out.extend(connected_graphs(n))

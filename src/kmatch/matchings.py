@@ -15,10 +15,12 @@ query searches the edges in degree order (low-degree vertices first),
 which finds the optimum in far fewer nodes, and reports some maximum.
 Instances that outgrow the cap go to an integer program (one binary per
 edge, one per vertex, degree = k * matched) that proves the exact size.
-Its continuous relaxation runs first (both reach HiGHS through
-`_highs`): an upper bound computed exactly from the relaxation's duals,
-and the relaxation's point when it rounds to a k-matching that meets the
-bound, settle many of those calls without the integer program. A
+Its continuous relaxation runs first. Both run on one HiGHS model per
+oracle call, built on first use; each later solve states its fixed edges
+as bounds and re-solves from the last basis. An upper bound
+computed exactly from the relaxation's duals, and the relaxation's point
+when it rounds to a k-matching that meets the bound, settle many of
+those calls without the integer program. A
 size-only query that is still open restarts the search: up to four
 capped searches, in degree order with the tie-break rotated, look for a
 matching that meets the smaller of the relaxation's bound and the
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -253,8 +255,8 @@ class _SearchOutcome:
     root_bound: int
 
 
-def _degree_order(g: Graph, degree: Sequence[int], rotate: int = 0) -> list[int]:
-    """Canonical edge indices in degree order.
+def _degree_order(g: Graph, degree: Sequence[int], rotate: int = 0, after: int = -1) -> list[int]:
+    """Canonical edge indices past `after` in degree order.
 
     Vertices are ranked by ascending `degree` (from `index_degrees`), ties
     broken by canonical index, and edges sorted by their ranked endpoint
@@ -262,18 +264,22 @@ def _degree_order(g: Graph, degree: Sequence[int], rotate: int = 0) -> list[int]
     deciding their edges first settles forced choices early; on the
     corpus products the search then finds the optimum in far fewer nodes
     than in canonical order. A restart passes `rotate`: the tie-break
-    then starts at that canonical index and wraps around.
+    then starts at that canonical index and wraps around. A recovery
+    probe passes `after`, its edge: only the edges after it are sorted,
+    which gives the same list as filtering the full order, as the ranks
+    are a bijection and so no two edges share a ranked pair.
     """
     n = g.n
     by_degree = sorted(range(n), key=lambda i: (degree[i], (i - rotate) % n))
     rank = [0] * n
     for r, i in enumerate(by_degree):
         rank[i] = r
-    ranked = []
-    for i, j in g.pairs:
+    # the ranked pair of each edge past `after`, by canonical index
+    ranked: list[tuple[int, int] | None] = [None] * (after + 1)
+    for i, j in islice(g.pairs, after + 1, None):
         a, b = rank[i], rank[j]
         ranked.append((a, b) if a < b else (b, a))
-    return sorted(range(g.m), key=ranked.__getitem__)
+    return sorted(range(after + 1, g.m), key=ranked.__getitem__)
 
 
 def _search_maximum(
@@ -451,94 +457,110 @@ def _search_maximum(
 _HIGHS_OPTIONS = {"presolve": "off", "simplex_strategy": 1, "mip_rel_gap": 0, "output_flag": False}
 
 
-def _highs(
-    ends: Sequence[tuple[int, int]], n: int, k: int, rhs: Sequence[int], integral: bool
-) -> tuple[float, Sequence[bool], Sequence[float]] | None:
-    """The one call into HiGHS, through the binding that scipy ships:
-    minimize minus the sum of the edge columns subject to "degree over the
-    edge columns - k * the vertex's flag column = rhs" per vertex, every
-    column in [0, 1] and, if `integral`, integer. `ends` are the edge
-    columns' endpoint index pairs; the n flag columns follow them. None
-    when HiGHS calls the program infeasible, else (objective, point,
-    duals): the optimum, per edge column whether it is above 1/2, and the
-    row duals. Any other outcome raises InvariantViolation.
-    """
-    import numpy as np
-    from scipy.optimize._highspy import _core as highspy
-
-    e, cols = len(ends), len(ends) + n
-    lp = highspy.HighsLp()
-    lp.num_col_, lp.num_row_ = cols, n
-    lp.col_cost_ = np.concatenate((np.full(e, -1.0), np.zeros(n)))
-    lp.col_lower_, lp.col_upper_ = np.zeros(cols), np.ones(cols)
-    lp.row_lower_ = lp.row_upper_ = np.asarray(rhs, dtype=float)
-    if integral:
-        lp.integrality_ = [highspy.HighsVarType.kInteger] * cols
-    # column-wise: an edge column has 1 in its endpoints' rows, a flag -k in its own
-    a = lp.a_matrix_
-    a.format_, a.num_col_, a.num_row_ = highspy.MatrixFormat.kColwise, cols, n
-    a.start_ = np.concatenate((np.arange(0, 2 * e, 2), np.arange(2 * e, 2 * e + n + 1))).tolist()
-    a.index_ = np.concatenate((np.ravel(np.asarray(ends, dtype=int)), np.arange(n))).tolist()
-    a.value_ = np.concatenate((np.ones(2 * e), np.full(n, -float(k))))
-    solver = highspy._Highs()
-    for option, value in _HIGHS_OPTIONS.items():
-        solver.setOptionValue(option, value)
-    solver.passModel(lp)
-    solver.run()
-    status = solver.getModelStatus()
-    if status == highspy.HighsModelStatus.kInfeasible:
-        return None
-    if status != highspy.HighsModelStatus.kOptimal:
-        what = "size" if integral else "relaxation"
-        raise InvariantViolation(f"{what} solve failed: {solver.modelStatusToString(status)}")
-    solution = solver.getSolution()
-    point = np.asarray(solution.col_value[:e]) > 0.5
-    return solver.getInfo().objective_function_value, point, solution.row_dual
-
-
 class _SizeProgram:
-    """The 0-or-k degree condition as an integer program, solved by `_highs`.
+    """The 0-or-k degree condition as an integer program on one HiGHS model.
 
-    One binary per undecided edge, one per vertex; the constraint per
-    vertex says the chosen degree equals k times the matched flag, which
-    is the condition verbatim. Decided edges are substituted out of the
-    program (column dropped, forced degree moved to the right-hand side).
-    `solve` answers the integer program, `relax` its continuous
-    relaxation over the same substitution; the relaxation's bound is
-    exact whatever the solver's float error, see `relax`. Every returned
-    point is re-validated against the degree condition. Solves are
-    deterministic for a fixed input.
+    One binary column per edge, one per vertex; the row per vertex says
+    the chosen degree minus k times the matched flag is 0, which is the
+    condition verbatim. The model is built on the first call, through the
+    HiGHS binding that scipy ships, and kept. Each call states its fixings
+    as bounds (see `_run`) and runs the solver again, so a relaxation
+    starts the dual simplex from the previous call's basis.
+    `solve` answers the integer program, switching integrality on for its
+    own run only; `relax` answers the continuous relaxation, whose bound
+    is exact whatever the solver's float error, see `relax`. Every
+    returned point is re-validated against the degree condition and the
+    fixings. Answers are deterministic for a fixed sequence of calls; a
+    warm start may return another optimal point than a cold one would.
     """
 
     def __init__(self, g: Graph, k: int):
         self.k = k
         self.m, self.n = g.m, g.n
         self.ends = g.pairs
+        self._solver = None  # built on the first `_run`
 
-    def _run(self, fixed: dict[int, int], integral: bool):
-        """The undecided edges, the fixed-in ones, each degree row's right-hand
-        side (minus its fixed-in degree) and `_highs`'s answer on the rest."""
-        free = [j for j in range(self.m) if j not in fixed]
-        ones = [j for j, value in fixed.items() if value]
-        forced, _ = index_degrees(self.n, [self.ends[j] for j in ones])
-        rhs = [-f for f in forced]
-        return free, ones, rhs, _highs([self.ends[j] for j in free], self.n, self.k, rhs, integral)
+    def _build(self):
+        """A HiGHS solver holding the model: minimize minus the sum of
+        the edge columns subject to "degree over the edge columns - k *
+        the vertex's flag column = 0" per vertex, every column in [0, 1]."""
+        import numpy as np
+        from scipy.optimize._highspy import _core as highspy
 
-    def solve(self, fixed: dict[int, int]) -> tuple[int, frozenset[int]] | None:
-        """Maximum size and one witness honoring `fixed`; None if infeasible."""
-        free, ones, _, answer = self._run(fixed, integral=True)
-        if answer is None:
-            return None
-        objective, point, _ = answer
-        taken = list(compress(free, point))
-        if len(taken) != round(-objective):
-            raise InvariantViolation(
-                f"size solve returned {len(taken)} edges for objective {-objective}"
-            )
-        chosen = frozenset(ones) | frozenset(taken)
-        if self.off_condition(chosen):
-            raise InvariantViolation(f"size solve returned a point off the 0-or-{self.k} condition")
-        return len(chosen), chosen
+        e, n = self.m, self.n
+        cols = e + n
+        lp = highspy.HighsLp()
+        lp.num_col_, lp.num_row_ = cols, n
+        lp.col_cost_ = np.concatenate((np.full(e, -1.0), np.zeros(n)))
+        lp.col_lower_, lp.col_upper_ = np.zeros(cols), np.ones(cols)
+        lp.row_lower_ = lp.row_upper_ = np.zeros(n)
+        # column-wise: an edge column has 1 in its endpoints' rows, a flag -k in its own
+        a = lp.a_matrix_
+        a.format_, a.num_col_, a.num_row_ = highspy.MatrixFormat.kColwise, cols, n
+        a.start_ = np.concatenate((np.arange(0, 2 * e, 2), np.arange(2 * e, 2 * e + n + 1))).tolist()
+        a.index_ = np.concatenate((np.ravel(np.asarray(self.ends, dtype=int)), np.arange(n))).tolist()
+        a.value_ = np.concatenate((np.ones(2 * e), np.full(n, -float(self.k))))
+        solver = highspy._Highs()
+        for option, value in _HIGHS_OPTIONS.items():
+            solver.setOptionValue(option, value)
+        solver.passModel(lp)
+        return solver
+
+    def _run(
+        self, fixed: dict[int, int], integral: bool
+    ) -> tuple[float, frozenset[int], Sequence[float]] | None:
+        """The one call into HiGHS: state `fixed` on the model and run it,
+        with every column integer if `integral`. None when HiGHS calls the
+        program infeasible, else (size, point, duals): the optimum's edge
+        count, the edges whose value is above 1/2 and the row duals. Any
+        other outcome raises InvariantViolation.
+
+        A relaxation states a kept edge as the bounds [1, 1] on its column
+        and a dropped one as [0, 0], in one call over every edge column.
+        The integer program states a kept edge as [0, 0] too and moves its
+        degree into its endpoints' row bounds for its own run: the bundled
+        HiGHS 1.12's branch-and-bound, with presolve off, writes a line to
+        stdout for each solution it finds while a column is fixed at 1.
+        """
+        import numpy as np
+        from scipy.optimize._highspy import _core as highspy
+
+        if self._solver is None:
+            self._solver = self._build()
+        solver = self._solver
+        lower, upper = np.zeros(self.m), np.ones(self.m)
+        kept: list[int] = []  # the kept edges stated in the row bounds
+        for j, value in fixed.items():
+            if value and not integral:
+                lower[j] = 1.0
+            else:
+                upper[j] = 0.0
+                if value:
+                    kept.append(j)
+        solver.changeColsBounds(self.m, np.arange(self.m, dtype=np.int32), lower, upper)
+        if integral:
+            shifted, _ = index_degrees(self.n, [self.ends[j] for j in kept])
+            rows = [v for v, d in enumerate(shifted) if d]
+            for v in rows:
+                solver.changeRowBounds(v, -shifted[v], -shifted[v])
+            cols = np.arange(self.m + self.n, dtype=np.int32)
+            solver.changeColsIntegrality(len(cols), cols, np.ones(len(cols), dtype=np.uint8))
+        try:
+            solver.run()
+            status = solver.getModelStatus()
+            if status == highspy.HighsModelStatus.kInfeasible:
+                return None
+            if status != highspy.HighsModelStatus.kOptimal:
+                what = "size" if integral else "relaxation"
+                raise InvariantViolation(f"{what} solve failed: {solver.modelStatusToString(status)}")
+            solution = solver.getSolution()
+            point = np.flatnonzero(np.asarray(solution.col_value[: self.m]) > 0.5).tolist()
+            return len(kept) - solver.getObjectiveValue(), frozenset(point + kept), solution.row_dual
+        finally:
+            if integral:
+                solver.changeColsIntegrality(len(cols), cols, np.zeros(len(cols), dtype=np.uint8))
+                for v in rows:
+                    solver.changeRowBounds(v, 0.0, 0.0)
 
     def off_condition(self, chosen: Iterable[int]) -> bool:
         """True when the edges `chosen` leave a vertex at a degree other
@@ -546,46 +568,67 @@ class _SizeProgram:
         _, uniform = index_degrees(self.n, [self.ends[j] for j in chosen])
         return uniform not in (0, self.k)
 
+    def _breaks(self, chosen: frozenset[int], fixed: dict[int, int]) -> bool:
+        """True when `chosen` is off the degree condition or disagrees
+        with a fixing; plain tests, so they run under -O."""
+        return self.off_condition(chosen) or any((j in chosen) != bool(v) for j, v in fixed.items())
+
+    def solve(self, fixed: dict[int, int]) -> tuple[int, frozenset[int]] | None:
+        """Maximum size and one witness honoring `fixed`; None if infeasible."""
+        answer = self._run(fixed, integral=True)
+        if answer is None:
+            return None
+        size, chosen, _ = answer
+        if len(chosen) != round(size):
+            raise InvariantViolation(f"size solve returned {len(chosen)} edges for objective {size}")
+        if self._breaks(chosen, fixed):
+            raise InvariantViolation(
+                f"size solve returned a point off the 0-or-{self.k} condition or the fixings"
+            )
+        return len(chosen), chosen
+
     def relax(self, fixed: dict[int, int]) -> tuple[int, frozenset[int] | None]:
         """The continuous relaxation of `solve(fixed)`, as (bound, point).
 
         `bound` is an upper bound on the size of every k-matching
-        honoring `fixed`, exact by construction: for any multipliers lam
-        on the degree rows, weak duality over the [0, 1] box gives
+        honoring `fixed`, exact by construction. For any multipliers lam
+        on the degree rows, weak duality over the columns' bounds gives
 
-            size - ones <= -(lam . b + sum_j min(0, c_j - a_j . lam)),
+            size <= sum_free max(0, r_e) + sum_kept r_e + sum_v max(0, -k lam_v)
 
-        and the right-hand side is evaluated in exact rational arithmetic
-        from the solver's equality duals, so float error can only make
-        the bound weaker, never wrong. `point` is the solver's point
-        rounded to 0/1, returned only when it has exactly `bound` edges
-        and passes `off_condition` (plain tests, so they run under -O):
-        it is then a k-matching that meets an upper bound, a maximum.
+        with r_e = 1 + lam_a + lam_b for the edge e = ab, over the
+        undecided edges and the kept ones (a dropped edge adds nothing).
+        The right-hand side is evaluated in exact rational arithmetic from
+        the solver's row duals, so float error can only make the bound
+        weaker, never wrong. `point` is the solver's point rounded to 0/1,
+        returned only when it has exactly `bound` edges, passes
+        `off_condition` and agrees with every fixing (plain tests, so they
+        run under -O): it is then a k-matching honoring `fixed` that meets
+        an upper bound, a maximum.
 
         The answer is never None: a claim of infeasibility is not trusted
         (without `fixed` the empty matching is feasible, so there it is
         wrong) and gives (m, None), the edge count being a bound that
         needs no solver.
         """
-        free, ones, rhs, answer = self._run(fixed, integral=False)
+        answer = self._run(fixed, integral=False)
         if answer is None:
             return self.m, None
-        _, point, duals = answer
+        _, chosen, duals = answer
         # the duals as integers over one power-of-two denominator: every
         # finite float is a dyadic rational, and any multiplier is valid.
         ratios = [x.as_integer_ratio() if math.isfinite(x) else (0, 1) for x in duals]
         scale = max(d for _, d in ratios)
         lam = [p * (scale // d) for p, d in ratios]
-        # scale * (-lam . b) + the box terms of the edge and flag columns
-        total = sum(-lam[i] * b for i, b in enumerate(rhs) if b)
-        for j in free:
-            a, b = self.ends[j]
-            total += max(0, scale + lam[a] + lam[b])
-        total += sum(max(0, -self.k * x) for x in lam)
-        bound = total // scale + len(ones)
-        chosen: frozenset[int] | None = frozenset(ones).union(compress(free, point))
-        if len(chosen) != bound or self.off_condition(chosen):
-            chosen = None
+        total = sum(max(0, -self.k * x) for x in lam)
+        for j, (a, b) in enumerate(self.ends):
+            value = fixed.get(j)
+            if value != 0:
+                r = scale + lam[a] + lam[b]
+                total += r if value else max(0, r)
+        bound = total // scale
+        if len(chosen) != bound or self._breaks(chosen, fixed):
+            return bound, None
         return bound, chosen
 
 
@@ -808,7 +851,7 @@ def max_k_matching(
             # the full cap.
             nonlocal relaxing
             forced = [i for i, v in fixed.items() if v] + [j]
-            order = [i for i in _degree_order(g, ahead) if i > j]
+            order = _degree_order(g, ahead, after=j)
             cap = _short_cap(len(order)) if relaxing else _SEARCH_CAP
             probe = search(order, forced, optimum, cap=cap)
             if probe.best is None and not probe.settled and relaxing:

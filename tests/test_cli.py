@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kmatch import corpus
 from kmatch.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
+from kmatch.corpus import CORPUS_MAX_VERTICES
+from kmatch.errors import SizeLimitExceeded
 from kmatch.graphs import label_text, parse_graph
 from kmatch.products import product
 from kmatch.scenarios import SCENARIOS
@@ -381,6 +384,24 @@ def test_suite_that_checks_nothing_is_refused(capsys, tmp_path, option):
     code, out, err = run_cli(capsys, ["suite", "--k", "1", *option])
     assert code == EXIT_INPUT and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_n", [CORPUS_MAX_VERTICES + 1, 11])
+def test_suite_past_the_corpus_limit_is_refused_at_once(capsys, monkeypatch, max_n):
+    # the corpus of CORPUS_MAX_VERTICES + 1 vertices would take hours to
+    # build, so the bound is refused before any order is built.
+    def build(n):
+        raise AssertionError(f"the corpus of order {n} was built")
+
+    monkeypatch.setattr(corpus, "connected_graphs", build)
+    argv = ["suite", "--max-n", str(max_n), "--k", "1", "--sample", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"at most {CORPUS_MAX_VERTICES} vertices" in err
+    monkeypatch.undo()
+    with pytest.raises(SizeLimitExceeded):
+        corpus.connected_graphs(max_n)
 
 
 def test_suite_sampling_every_task_away_still_succeeds(capsys):

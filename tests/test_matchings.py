@@ -13,7 +13,7 @@ import bruteforce
 import kmatch
 from kmatch.errors import EdgeNotInHost, InvalidK, InvariantViolation, SizeLimitExceeded
 from kmatch.graphs import build_named, make_graph
-from kmatch.corpus import connected_graphs
+from kmatch.corpus import connected_graphs, connected_graphs_upto
 from kmatch import matchings
 from kmatch.matchings import (
     _SEARCH_CAP,
@@ -331,16 +331,25 @@ def test_relaxation_stage_settles_escalations_exactly(monkeypatch, small_corpus)
     assert {"root point", "probe dropped", "probe kept", "integer program"} <= seen
 
 
-def lying_linprog(ends, n, k, rhs, integral):
+def lying_linprog(program, fixed, integral):
     """A relaxation answer that claims an objective of 0 with all-zero
-    duals and takes every column at 1."""
+    duals and takes every edge column at 1, fixings or not."""
     assert not integral
-    return 0.0, [True] * len(ends), [0.0] * n
+    return 0.0, frozenset(range(program.m)), [0.0] * program.n
 
 
-def infeasible_linprog(*args, **kwargs):
+def infeasible_linprog(program, fixed, integral):
     # the solver claims the program is infeasible
     return None
+
+
+def fake_relaxation(monkeypatch, fake):
+    """Answer every relaxation run of the size program with `fake`; the
+    integer program (`integral` true) stays real."""
+    real = _SizeProgram._run
+    monkeypatch.setattr(
+        _SizeProgram, "_run", lambda self, fixed, integral: (real if integral else fake)(self, fixed, integral)
+    )
 
 
 @pytest.mark.parametrize("fake", [lying_linprog, infeasible_linprog], ids=lambda f: f.__name__)
@@ -352,9 +361,7 @@ def test_a_lying_relaxation_neither_drops_nor_keeps(monkeypatch, small_corpus, f
     # through to the integer program, and after the first such relaxation
     # the recovery stops asking it: one relaxation per query at most.
     monkeypatch.setattr(matchings, "_SEARCH_CAP", 1)
-    # the integer program (last argument `integral` true) stays real
-    real = matchings._highs
-    monkeypatch.setattr(matchings, "_highs", lambda *args: (real if args[-1] else fake)(*args))
+    fake_relaxation(monkeypatch, fake)
     calls = record_optimizer_calls(monkeypatch)
     probes = 0
     for name, g in small_corpus:
@@ -585,8 +592,7 @@ def test_an_undecided_probe_searches_at_the_full_cap_before_the_program(
     # the full cap, and only a probe that this search leaves open reaches
     # the integer program. The relaxation is asked once per query.
     monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
-    real = matchings._highs
-    monkeypatch.setattr(matchings, "_highs", lambda *args: (real if args[-1] else lying_linprog)(*args))
+    fake_relaxation(monkeypatch, lying_linprog)
     events = record_stages(monkeypatch)
     full = solved = 0
     for name, g in sweep_corpus:
@@ -618,8 +624,7 @@ def test_once_the_relaxation_is_off_a_probe_searches_once_at_the_full_cap(
     # after the first relaxation that decides nothing, later probes skip
     # it, and so skip the short search too: one search, at the full cap.
     monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
-    real = matchings._highs
-    monkeypatch.setattr(matchings, "_highs", lambda *args: (real if args[-1] else lying_linprog)(*args))
+    fake_relaxation(monkeypatch, lying_linprog)
     events = record_stages(monkeypatch)
     later = 0
     for name, g in sweep_corpus:
@@ -678,7 +683,7 @@ def test_a_root_solve_that_claims_infeasible_is_a_fault(monkeypatch, witness):
     # always has an optimum; a solver that calls it infeasible is at fault.
     monkeypatch.setattr(matchings, "_SEARCH_CAP", 1)
     # the relaxation and the integer program both claim infeasibility
-    monkeypatch.setattr(matchings, "_highs", infeasible_linprog)
+    monkeypatch.setattr(_SizeProgram, "_run", infeasible_linprog)
     with pytest.raises(InvariantViolation):
         max_k_matching(build_named("cycle", 6), 1, witness=witness)
 
@@ -876,27 +881,26 @@ def test_degree_profile_builds_no_label_edges_of_the_host():
     assert "edges" not in p.graph.__dict__
 
 
-def off_condition_point(*args, **kwargs):
+def off_condition_point(program, fixed, integral):
     """A solver answer for path(3), k = 1 that takes both edges: the
     middle vertex gets degree 2, which is neither 0 nor 1."""
-    return -2.0, [True, True], [0.0] * 3
+    return 2.0, frozenset({0, 1}), [0.0] * 3
 
 
 def test_solver_point_off_the_degree_condition_is_refused(monkeypatch):
-    monkeypatch.setattr(matchings, "_highs", off_condition_point)
+    monkeypatch.setattr(_SizeProgram, "_run", off_condition_point)
     with pytest.raises(InvariantViolation):
         _SizeProgram(build_named("path", 3), 1).solve({})
 
 
 OPTIMIZED_PROBE = """
-from kmatch import matchings
 from kmatch.errors import InvariantViolation
 from kmatch.graphs import build_named
 from kmatch.matchings import _SizeProgram
 
 # both edges of path(3) taken, so the middle vertex gets degree 2; for the
 # relaxation, zero duals bound path(3) at its 2 edges, and the point has 2
-matchings._highs = lambda *a, **kw: (-2.0, [True, True], [0.0] * 3)
+_SizeProgram._run = lambda self, fixed, integral: (2.0, frozenset({0, 1}), [0.0] * 3)
 try:
     _SizeProgram(build_named("path", 3), 1).solve({})
 except InvariantViolation:
@@ -906,16 +910,51 @@ else:
 
 if _SizeProgram(build_named("path", 3), 1).relax({}) != (2, None):
     raise SystemExit("an off-condition relaxation point was accepted under -O")
+
+# edge 0 alone is a 1-matching of path(3), but it is fixed out; zero duals
+# bound the program at its one undecided edge, which the point meets
+_SizeProgram._run = lambda self, fixed, integral: (1.0, frozenset({0}), [0.0] * 3)
+try:
+    _SizeProgram(build_named("path", 3), 1).solve({0: 0})
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("a solver point against the fixings was accepted under -O")
+
+if _SizeProgram(build_named("path", 3), 1).relax({0: 0}) != (1, None):
+    raise SystemExit("a relaxation point against the fixings was accepted under -O")
 """
 
 
-def test_solver_check_survives_optimized_mode():
+def run_child(code, *options):
+    """Run `code` in a fresh interpreter that imports this kmatch."""
     src = os.path.dirname(os.path.dirname(kmatch.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_PROBE], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *options, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_solver_check_survives_optimized_mode():
+    proc = run_child(OPTIMIZED_PROBE, "-O")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+QUIET_PROBE = """
+from kmatch.graphs import build_named
+from kmatch.matchings import _SizeProgram
+
+program = _SizeProgram(build_named("path", 5), 1)
+for fixed in ({0: 1}, {0: 1, 2: 1}, {1: 1, 3: 0}, {}):
+    program.relax(fixed)
+    program.solve(fixed)
+"""
+
+
+def test_integer_programs_with_kept_edges_write_nothing_to_stdout():
+    # HiGHS prints below Python's sys.stdout, so the program runs in a
+    # child whose stdout is read whole once it has exited: every line it
+    # wrote would land in the CLI's JSON.
+    proc = run_child(QUIET_PROBE)
+    assert proc.returncode == 0 and proc.stdout == "", proc.stdout + proc.stderr
 
 
 def test_size_solve_asks_for_the_exact_optimum(monkeypatch):
@@ -949,6 +988,66 @@ def test_a_program_with_every_edge_fixed_still_solves():
     # relaxation falls back to the edge count
     assert program.relax({0: 1, 1: 1}) == (2, None)
     assert program.solve({0: 1, 1: 1}) is None
+
+
+def warm_sequence_products():
+    """Every product of connected factors with four vertices in all (a
+    four-vertex factor beside K1, or K2 beside K2) and with six (a two-
+    and a three-vertex factor), over the four kinds, when it has edges."""
+    graphs = connected_graphs_upto(4)
+    for g in graphs:
+        for h in graphs:
+            if g.n * h.n == 4 or {g.n, h.n} == {2, 3}:
+                for kind in ("cartesian", "strong", "direct", "lex"):
+                    p = product(g, h, kind).graph
+                    if p.m:
+                        yield (g.edges, h.edges, kind), p
+
+
+def test_warm_size_program_stays_exact_over_a_recovery_sequence():
+    # one size program per product and k answers a recovery-like run of
+    # fixings: the root, then per edge j in canonical order a probe that
+    # keeps j on top of the decisions so far (every third one solved as
+    # an integer program too, so integrality goes on and off between
+    # warm relaxations), then the decision itself, which follows the
+    # lexicographically smallest maximum. Each answer is checked against
+    # brute force under the same fixings.
+    points = infeasible = 0
+    for where, p in warm_sequence_products():
+        index = {e: i for i, e in enumerate(p.edges)}
+        for k in (1, 2, 3):
+            every = [
+                frozenset(index[e] for e in m) for m in bruteforce.all_k_matchings(p.vertices, p.edges, k)
+            ]
+            optimum = max(len(m) for m in every)
+            canonical = min(sorted(m) for m in every if len(m) == optimum)
+            program = _SizeProgram(p, k)
+
+            def check(fixed, integral):
+                honoring = [m for m in every if all((j in m) == bool(v) for j, v in fixed.items())]
+                best = max((len(m) for m in honoring), default=None)
+                bound, point = program.relax(fixed)
+                assert best is None or bound >= best, (where, k, fixed)
+                if point is not None:
+                    assert point in honoring and len(point) == bound, (where, k, fixed)
+                if integral:
+                    solved = program.solve(fixed)
+                    if best is None:
+                        assert solved is None, (where, k, fixed)
+                    else:
+                        assert solved is not None and solved[1] in honoring, (where, k, fixed)
+                        assert solved[0] == len(solved[1]) == best, (where, k, fixed)
+                return point is not None, best is None
+
+            fixed: dict[int, int] = {}
+            check(fixed, True)
+            for j in range(p.m):
+                found, none = check({**fixed, j: 1}, j % 3 == 0)
+                points += found
+                infeasible += none
+                fixed[j] = int(j in canonical)
+                check(fixed, False)
+    assert points > 0 and infeasible > 0
 
 
 def test_uniform_degree_and_unmatched():

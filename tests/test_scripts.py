@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from kmatch import matchings
 from kmatch.constructions import PRODUCT_KINDS
-from kmatch.matchings import _SEARCH_CAP, _SOLVE_EFFORT
+from kmatch.matchings import _SEARCH_CAP, _SOLVE_EFFORT, _SizeProgram
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -49,9 +48,9 @@ def test_oracle_bench_prints_one_row_per_instance(capsys):
 
 def test_oracle_bench_counts_each_query_s_solver_calls(capsys):
     bench = runpy.run_path(str(SCRIPTS / "oracle_bench.py"), run_name="oracle_bench")
-    highs = matchings._highs
+    run = _SizeProgram._run
     assert bench["main"](["--no-witness"]) == 0
-    assert matchings._highs is highs  # the counting wrapper is taken off again
+    assert _SizeProgram._run is run  # the counting wrapper is taken off again
     header, *rows, _ = capsys.readouterr().out.splitlines()
     assert header.split()[-6:] == ["nodes", "relax", "milp", "search", "time", "exhaustive"]
     counts, searches = {}, {}

@@ -14,7 +14,12 @@ search settles only past that try pays for the later stages, so its
 `nodes` moves, while the payloads without `nodes` hash the same before
 and after. It was retaken again when the canonical search toward the
 optimum and the recovery probes got that short cap too (19 of the 322
-payloads move their `nodes`; without `nodes` they hash the same).
+payloads move their `nodes`; without `nodes` they hash the same), and
+once more when each oracle call's size program became one HiGHS model
+re-solved from its last basis: a warm relaxation may return another
+optimal point, so a query may settle a probe another way and spend
+other `nodes` (1 of the 322 payloads moves; without `nodes` they hash
+the same).
 
 The products whose canonical search does not settle go on to the
 integer program and to witness recovery. Their (size, witness,
@@ -33,7 +38,11 @@ searches the only capped ones without forced edges; 2,330 after), and
 retaken when they got a short first try, a canonical search toward the
 optimum and probes in the degree order of the edges left (1,589 calls),
 and again when the search toward the optimum and the probes that still
-ask the relaxation got the first try's short cap (2,042 calls).
+ask the relaxation got the first try's short cap (2,042 calls). It was
+retaken when the size program began to re-solve one warm model per
+call (2,041 calls): a relaxation's point is another maximum than a cold
+solve's on some queries, so the recovery keeps other edges for free
+and asks other probes; the witnesses are the same.
 
 The budget pin runs the escalating queries again under budgets from 1
 up to each query's full effort: every fifth witness query (canonical
@@ -66,15 +75,15 @@ from kmatch.matchings import (
 from kmatch.products import KINDS, product
 
 SEARCH_PIN = (864, "0daa01b6e05b661352a68489c453cca8b60310eae4891b49d9f602d6b8585203")
-SOLVE_PIN = (322, "e6694a637315a11727b4923f6b98075019eebecdc5acf8db5f82c01f7fb4aba8")
+SOLVE_PIN = (322, "f95a48fbd3b4c22005809b79c7159a1f6b2ae74d296c6e356ad7fc53569b6ace")
 ESCALATED_PIN = (110, "e1102adf0256d67cef4f1a189812727c023a3d1476432bb31a754620109b12ae")
 # (calls, (capped searches without forced edges: the canonical first
 # try, the degree-ordered search, the restarts and the canonical search
 # toward the optimum, settled probes, capped probes), digest of every call)
 PROBE_PIN = (
-    2042,
-    (217, 1531, 181),
-    "844f42cc2ea8e575eb0e9ec529c80481593bdc09647f2816b1285c28d2bd6e82",
+    2041,
+    (217, 1519, 192),
+    "ed763aa1fac193765320c3d0bef718b1b6e576a228dd5bbb9748c591c131d599",
 )
 BUDGET_PIN = (304, "a759d44e865c7ee8a3c574c3c49bb63a05a83f0e2d7aeec9368a74bd4236545e")
 
