@@ -8,10 +8,13 @@ to None). A mode is picked by a value, never by a flag: wellbehaved's
 --flavor includes the equivalence suite, whp always reports the W_k
 maximum, and a scenario without a name lists them. Machine output is
 canonical JSON (sorted keys, two-space indent, a trailing newline) so
-repeated runs are byte-identical; the library's report dataclasses are
-printed field for field, and wall-clock timings never enter JSON
-payloads. Exit codes: 0 all good, 1 an expectation failed, 2 bad input,
-3 a search budget ran out under --strict.
+repeated runs are byte-identical. `canonical_json` writes it: its bytes
+are those of json.dumps(payload, sort_keys=True, indent=2,
+ensure_ascii=False) plus a newline, and the tests check it against that
+call. The library's report dataclasses are printed field for field, and
+wall-clock timings never enter JSON payloads. Exit codes: 0 all good, 1
+an expectation failed, 2 bad input, 3 a search budget ran out under
+--strict.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -47,7 +51,73 @@ EXIT_BUDGET = 3
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """`payload` as the bytes of `json.dumps(payload, sort_keys=True,
+    indent=2, ensure_ascii=False)` plus a newline, written in one pass.
+
+    With an indent, json's C encoder is skipped and its pure-Python one
+    yields a chunk per token; this writer builds each container as one
+    string instead. It takes what the reports hold: dicts with str keys,
+    lists, tuples, str, int, float, bool and None; any other value raises
+    TypeError, as json does."""
+    return _json_text(payload, "\n", {}) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring  # json's own (C) string escaper
+
+
+def _json_text(value, pad: str, written: dict) -> str:
+    """`value` as json.dumps writes it at the nesting whose line break and
+    indent are `pad`.
+
+    `written` maps each nesting's pad to the texts of the items already
+    written there, by object identity: a witness holds each vertex's label
+    object once per incident edge, so a label is written once per report.
+    Every such object belongs to the payload, so no id is reused while it
+    is written."""
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        texts = written.setdefault(inner, {})
+        items = []
+        for item in value:
+            if type(item) is int:
+                items.append(int.__repr__(item))
+            elif type(item) is str:
+                items.append(_encode_str(item))
+            else:
+                text = texts.get(id(item))
+                if text is None:
+                    text = texts[id(item)] = _json_text(item, inner, written)
+                items.append(text)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(key) + ": " + _json_text(item, inner, written) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _scalar_text(value)
+
+
+def _scalar_text(value) -> str:
+    """A scalar as json.dumps writes it, tested in json's order."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _print_report(payload: dict, exhaustive: bool, strict: bool) -> int:

@@ -50,7 +50,10 @@ exhaustive=False and the best matching found so far instead of raising.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence
@@ -457,6 +460,33 @@ def _search_maximum(
 _HIGHS_OPTIONS = {"presolve": "off", "simplex_strategy": 1, "mip_rel_gap": 0, "output_flag": False}
 
 
+@contextmanager
+def _stdout_to_devnull():
+    """File descriptor 1 points at the null device for the block. With
+    its output off HiGHS still writes some lines straight to the process's
+    stdout, below Python's `sys.stdout`, which carries the CLI's JSON:
+    the integer program of `cycle(45)` strong `cycle(45)` at k = 1 wrote
+    27. Python's own buffered output is flushed first, so it keeps its
+    place. The descriptor is the process's, so another thread's writes to
+    stdout during the block are lost too. A process without a descriptor
+    1 has nothing to guard."""
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    try:
+        saved = os.dup(1)
+    except OSError:
+        yield
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(null)
+
+
 class _SizeProgram:
     """The 0-or-k degree condition as an integer program on one HiGHS model.
 
@@ -546,7 +576,8 @@ class _SizeProgram:
             cols = np.arange(self.m + self.n, dtype=np.int32)
             solver.changeColsIntegrality(len(cols), cols, np.ones(len(cols), dtype=np.uint8))
         try:
-            solver.run()
+            with _stdout_to_devnull():
+                solver.run()
             status = solver.getModelStatus()
             if status == highspy.HighsModelStatus.kInfeasible:
                 return None

@@ -5,6 +5,7 @@ byte-identity checks shell out so they exercise the real entry point.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,11 +14,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import kmatch
 from kmatch import corpus
-from kmatch.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
+from kmatch.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, canonical_json, main
 from kmatch.corpus import CORPUS_MAX_VERTICES
 from kmatch.errors import SizeLimitExceeded
-from kmatch.graphs import label_text, parse_graph
+from kmatch.graphs import graph_to_json_obj, label_text, parse_graph
 from kmatch.products import product
 from kmatch.scenarios import SCENARIOS
 from kmatch.wellbehaved import CONDITIONS
@@ -681,3 +683,107 @@ def test_worker_count_does_not_change_bytes():
     base = run_entry(["suite", "--max-n", "3", "--k", "1"])
     parallel = run_entry(["suite", "--max-n", "3", "--k", "1", "--workers", "2"])
     assert base == parallel
+
+
+# canonical JSON ------------------------------------------------------------------
+
+# strings that need escapes or are not ASCII, ints past 64 bits, floats
+# json spells by name, and the tree shapes a report can take, empty and
+# deep
+json_strings = st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "é", "€", "\u2028", "\U0001d11e", "\ud800"])
+    | st.characters(),
+    max_size=8,
+).map("".join)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([2**64, -(2**100)]),
+    st.floats() | st.sampled_from([-0.0, 1e-7, 1e16, float("nan"), float("inf"), float("-inf")]),
+    json_strings,
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_strings, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def nest(tree, depth):
+    """`tree` inside `depth` levels of lists, tuples and dicts in turn."""
+    for level in range(depth):
+        tree = ([tree], (tree,), {"k": tree})[level % 3]
+    return tree
+
+
+@given(json_trees | st.builds(nest, json_trees, st.integers(6, 9)))
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_writes_the_bytes_of_json_dumps(tree):
+    assert canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_canonical_json_writes_a_shared_object_at_each_depth():
+    # the writer remembers the text of an object it has written; the same
+    # object at another depth takes that depth's indent
+    label, words = (0, "a"), ["x", 1.5]
+    payload = {"w": [(label, label), [label, [label]]], "v": [words, {"z": words}, words]}
+    assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_canonical_json_refuses_what_json_refuses():
+    for payload in ({"a": {1, 2}}, [{1}], {1}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+        with pytest.raises(TypeError):
+            canonical_json(payload)
+
+
+# A solver whose every run first writes to file descriptor 1, the way the
+# bundled HiGHS does on some integer programs: the CLI's stdout must still
+# be the report's JSON alone.
+NOISY_SOLVER_PROBE = """
+import os
+import sys
+
+from scipy.optimize._highspy import _core as highspy
+
+from kmatch.cli import main
+
+runs = []
+
+
+class Noisy(highspy._Highs):
+    def run(self):
+        runs.append(1)
+        os.write(1, b"noise\\n")
+        return super().run()
+
+
+highspy._Highs = Noisy
+code = main(sys.argv[1:])
+if not runs:
+    sys.exit("the solver never ran")
+sys.exit(code)
+"""
+
+
+def test_solver_output_stays_out_of_the_report(capsys, tmp_path):
+    # C4 direct (K4 minus an edge) at k = 3: the witness query runs HiGHS
+    c4 = parse_graph("0 2\n0 3\n1 2\n1 3\n")
+    k4e = parse_graph("0 1\n0 2\n0 3\n1 2\n1 3\n")
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(graph_to_json_obj(product(c4, k4e, "direct").graph)))
+    argv = ["solve", "--graph", str(path), "--k", "3"]
+    code, expected, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    src = os.path.dirname(os.path.dirname(kmatch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NOISY_SOLVER_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == expected

@@ -957,6 +957,29 @@ def test_integer_programs_with_kept_edges_write_nothing_to_stdout():
     assert proc.returncode == 0 and proc.stdout == "", proc.stdout + proc.stderr
 
 
+CLOSED_STDOUT_PROBE = """
+import os
+import sys
+
+os.close(1)
+sys.stdout = None  # as Python sets it up when started without a descriptor 1
+
+from kmatch.graphs import build_named
+from kmatch.matchings import _SizeProgram
+
+program = _SizeProgram(build_named("path", 5), 1)
+if program.solve({})[0] != 2 or program.relax({0: 1})[0] != 2:
+    sys.exit("wrong answer without a stdout")
+"""
+
+
+def test_the_solver_runs_without_a_stdout():
+    # each run points descriptor 1 at the null device and back; a process
+    # that has no descriptor 1 still gets its answers
+    proc = run_child(CLOSED_STDOUT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_size_solve_asks_for_the_exact_optimum(monkeypatch):
     # the options are read off the solver as it starts, so they are the
     # ones HiGHS runs with.
