@@ -57,44 +57,37 @@ def canonical_json(payload) -> str:
     With an indent, json's C encoder is skipped and its pure-Python one
     yields a chunk per token; this writer builds each container as one
     string instead. It takes what the reports hold: dicts with str keys,
-    lists, tuples, str, int, float, bool and None; any other value raises
-    TypeError, as json does."""
-    return _json_text(payload, "\n", {}) + "\n"
+    lists, tuples, str, int, float, bool and None. Any other value raises
+    TypeError, as in json; so does a dict key that is not a str, which
+    json.dumps would write as a string."""
+    return _json_text(payload, "\n") + "\n"
 
 
 _encode_str = json.encoder.encode_basestring  # json's own (C) string escaper
 
 
-def _json_text(value, pad: str, written: dict) -> str:
+def _json_text(value, pad: str) -> str:
     """`value` as json.dumps writes it at the nesting whose line break and
-    indent are `pad`.
-
-    `written` maps each nesting's pad to the texts of the items already
-    written there, by object identity: a witness holds each vertex's label
-    object once per incident edge, so a label is written once per report.
-    Every such object belongs to the payload, so no id is reused while it
-    is written."""
+    indent are `pad`. A container item that is an exact int or str, as
+    most of a witness's are, is written in place, without a call."""
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        texts = written.setdefault(inner, {})
         items = []
         for item in value:
-            if type(item) is int:
+            kind = type(item)
+            if kind is int:
                 items.append(int.__repr__(item))
-            elif type(item) is str:
+            elif kind is str:
                 items.append(_encode_str(item))
             else:
-                text = texts.get(id(item))
-                if text is None:
-                    text = texts[id(item)] = _json_text(item, inner, written)
-                items.append(text)
+                items.append(_json_text(item, inner))
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_encode_str(key) + ": " + _json_text(item, inner, written) for key, item in sorted(value.items())]
+        items = [_encode_str(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return _scalar_text(value)
 

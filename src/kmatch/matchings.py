@@ -465,9 +465,11 @@ def _stdout_to_devnull():
     """File descriptor 1 points at the null device for the block. With
     its output off HiGHS still writes some lines straight to the process's
     stdout, below Python's `sys.stdout`, which carries the CLI's JSON:
-    the integer program of `cycle(45)` strong `cycle(45)` at k = 1 wrote
-    27. Python's own buffered output is flushed first, so it keeps its
-    place. The descriptor is the process's, so another thread's writes to
+    the bundled HiGHS 1.12's branch-and-bound, with presolve off, writes
+    a line for each solution it finds while a column is fixed at 1, and
+    the root integer program of `cycle(45)` strong `cycle(45)` at k = 1,
+    with no column fixed, wrote 27. Python's own buffered output is
+    flushed first, so it keeps its place. The descriptor is the process's, so another thread's writes to
     stdout during the block are lost too. A process without a descriptor
     1 has nothing to guard."""
     if sys.stdout is not None:
@@ -475,6 +477,8 @@ def _stdout_to_devnull():
     try:
         saved = os.dup(1)
     except OSError:
+        saved = None
+    if saved is None:
         yield
         return
     null = os.open(os.devnull, os.O_WRONLY)
@@ -545,12 +549,9 @@ class _SizeProgram:
         count, the edges whose value is above 1/2 and the row duals. Any
         other outcome raises InvariantViolation.
 
-        A relaxation states a kept edge as the bounds [1, 1] on its column
-        and a dropped one as [0, 0], in one call over every edge column.
-        The integer program states a kept edge as [0, 0] too and moves its
-        degree into its endpoints' row bounds for its own run: the bundled
-        HiGHS 1.12's branch-and-bound, with presolve off, writes a line to
-        stdout for each solution it finds while a column is fixed at 1.
+        A kept edge is stated as the bounds [1, 1] on its column and a
+        dropped one as [0, 0], in one call over every edge column. The
+        run itself happens inside `_stdout_to_devnull`.
         """
         import numpy as np
         from scipy.optimize._highspy import _core as highspy
@@ -559,20 +560,13 @@ class _SizeProgram:
             self._solver = self._build()
         solver = self._solver
         lower, upper = np.zeros(self.m), np.ones(self.m)
-        kept: list[int] = []  # the kept edges stated in the row bounds
         for j, value in fixed.items():
-            if value and not integral:
+            if value:
                 lower[j] = 1.0
             else:
                 upper[j] = 0.0
-                if value:
-                    kept.append(j)
         solver.changeColsBounds(self.m, np.arange(self.m, dtype=np.int32), lower, upper)
         if integral:
-            shifted, _ = index_degrees(self.n, [self.ends[j] for j in kept])
-            rows = [v for v, d in enumerate(shifted) if d]
-            for v in rows:
-                solver.changeRowBounds(v, -shifted[v], -shifted[v])
             cols = np.arange(self.m + self.n, dtype=np.int32)
             solver.changeColsIntegrality(len(cols), cols, np.ones(len(cols), dtype=np.uint8))
         try:
@@ -586,12 +580,10 @@ class _SizeProgram:
                 raise InvariantViolation(f"{what} solve failed: {solver.modelStatusToString(status)}")
             solution = solver.getSolution()
             point = np.flatnonzero(np.asarray(solution.col_value[: self.m]) > 0.5).tolist()
-            return len(kept) - solver.getObjectiveValue(), frozenset(point + kept), solution.row_dual
+            return -solver.getObjectiveValue(), frozenset(point), solution.row_dual
         finally:
             if integral:
                 solver.changeColsIntegrality(len(cols), cols, np.zeros(len(cols), dtype=np.uint8))
-                for v in rows:
-                    solver.changeRowBounds(v, 0.0, 0.0)
 
     def off_condition(self, chosen: Iterable[int]) -> bool:
         """True when the edges `chosen` leave a vertex at a degree other

@@ -950,9 +950,10 @@ for fixed in ({0: 1}, {0: 1, 2: 1}, {1: 1, 3: 0}, {}):
 
 
 def test_integer_programs_with_kept_edges_write_nothing_to_stdout():
-    # HiGHS prints below Python's sys.stdout, so the program runs in a
-    # child whose stdout is read whole once it has exited: every line it
-    # wrote would land in the CLI's JSON.
+    # the bundled HiGHS writes a line for each solution its branch-and-bound
+    # finds while a column is fixed at 1, below Python's sys.stdout, so the
+    # program runs in a child whose stdout is read whole once it has
+    # exited: every line it wrote would land in the CLI's JSON.
     proc = run_child(QUIET_PROBE)
     assert proc.returncode == 0 and proc.stdout == "", proc.stdout + proc.stderr
 
