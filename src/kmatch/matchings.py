@@ -6,45 +6,49 @@ unmatched; M is perfect when nothing is unmatched and near-perfect when
 exactly one vertex is. For a valid k-matching |M| = k(n - u)/2, so all
 maximum k-matchings of a graph strand the same number of vertices.
 
-The oracle is staged. A capped include-first branch-and-bound settles
-most instances outright. A witness query searches the canonical edge
-order and reports the first maximum it visits, which is the
-lexicographically smallest one; this first try is capped short, at m
-plus an eighth of the cap, since a leaf sits at depth m. A size-only
-query searches the edges in degree order (low-degree vertices first),
-which finds the optimum in far fewer nodes, and reports some maximum.
-Instances that outgrow the cap go to an integer program (one binary per
-edge, one per vertex, degree = k * matched) that proves the exact size.
-Its continuous relaxation runs first. Both run on one HiGHS model per
-oracle call, built on first use; each later solve states its fixed edges
-as bounds and re-solves from the last basis. An upper bound
-computed exactly from the relaxation's duals, and the relaxation's point
-when it rounds to a k-matching that meets the bound, settle many of
-those calls without the integer program. A
-size-only query that is still open restarts the search: up to four
-capped searches, in degree order with the tie-break rotated, look for a
-matching that meets the smaller of the relaxation's bound and the
-search's own parity-corrected root bound. The first one found is a
-maximum; a restart that ends without one proves the optimum smaller, and
-the program finds it. A witness query whose first try gives up learns
-the size through these same stages, from the degree-ordered search on.
-If the first try's best already has that size, it is the canonical
-witness; otherwise a canonical search toward that size, with the first
-try's short cap, stops at its first leaf, which is the canonical witness
-too. Only when that search is capped does the query recover the
-canonical witness by lexicographic fixing. Each fixing probe is settled
-by propagation when it can be, else by the same search run as a probe
-toward the known size over the undecided edges in degree order, capped
-short like the first try, else by the relaxation (a bound below the size
-drops the edge, a point of that size keeps it), else by the probe's
-search at the full cap, and only else by the program. Once a relaxation
-decides nothing, the later probes skip it and the short search: each
-searches once, at the full cap, before the program. One budget rule
-covers every stage: a
-search is capped at the budget left and charged the nodes it visits, a
-relaxation or program solve is charged a flat amount and runs only if
-that fits, and a stage that does not fit ends the query with
-exhaustive=False and the best matching found so far instead of raising.
+The oracle is staged. A size-only query searches the edges with a
+capped include-first branch-and-bound in degree order (low-degree
+vertices first), which settles most instances outright and reports some
+maximum. An instance that outgrows the cap goes through the size
+stages. The relaxation of an integer program (one binary per edge, one
+per vertex, degree = k * matched) gives an upper bound, computed exactly
+from its duals and lowered to the search's parity-corrected root bound
+when that is smaller. The call is settled when the search's best meets
+that bound, else by the relaxation's point when it rounds to a
+k-matching that meets it, else by the first of up to four capped
+searches (degree order, the tie-break rotated by a quarter of the
+vertices per restart) that reaches it; a restart that ends without
+reaching it proves the bound too high and ends the restarts. Otherwise
+the integer program proves the maximum size. The relaxation and the
+program run on one HiGHS model per oracle call, built on first use;
+each later solve states its fixed edges as bounds and re-solves from the
+last basis.
+
+A witness query reports the canonical witness, the lexicographically
+smallest maximum k-matching, in three stages:
+
+1. A short first try searches the canonical edge order; its first
+   maximum is the canonical witness. It is capped at m plus an eighth of
+   the cap, since a leaf sits at depth m, and most queries settle here.
+2. A query that the first try leaves open learns the maximum size, and
+   one maximum matching, through the size stages above, from the
+   degree-ordered search on.
+3. The lexicographic recovery walks the canonical order and keeps an
+   edge exactly when some maximum matching agrees with the edges decided
+   so far and contains it; the edges of the last maximum found are kept
+   for free. Each other edge is a probe, settled by the first of
+   propagation (an endpoint of the edge already has degree k, or cannot
+   reach k from the kept edges, the edge and the undecided ones), a
+   search for a maximum over the undecided edges in the degree order
+   they leave, capped short like the first try, the relaxation (a bound
+   below the maximum drops the edge, a point of that size keeps it), the
+   same search at the full cap, and the integer program. Once a
+   relaxation decides nothing (a bound of at least the maximum without
+   a point, or a claim of infeasibility), the later probes skip it and
+   the short search: each searches once, at the full cap, before the
+   program.
+
+`max_k_matching` states the budget rule that covers every stage.
 """
 
 from __future__ import annotations
@@ -233,9 +237,7 @@ class OracleReport:
     the lexicographically smallest maximum under the canonical edge order.
     A size-only query (witness=False) reports some maximum instead, in
     canonical edge order but not the canonical one. `nodes` is the effort
-    spent against the budget: search nodes, those of the restarts, of a
-    witness query's degree-ordered search, of its canonical search toward
-    the optimum and of the witness recovery's probe searches included,
+    spent against the budget: the nodes of every search the query makes,
     plus a flat charge per optimizer call.
     """
 
@@ -683,58 +685,22 @@ class _OutOfBudget(Exception):
 def max_k_matching(
     g: Graph, k: int, budget: int = DEFAULT_NODE_BUDGET, witness: bool = True
 ) -> OracleReport:
-    """Exact maximum k-matching.
+    """Exact maximum k-matching, through the stages of the module docstring.
 
-    A capped branch-and-bound settles most instances outright. With
-    `witness` on it searches the canonical edge order, so its first
-    maximum is the lexicographically smallest one; this first try is
-    capped at m + `_SEARCH_CAP` // 8 nodes (a leaf sits at depth m), or
-    `_SEARCH_CAP` if that is smaller. With `witness` off it searches in
-    degree order, which settles far more instances within the cap; a
-    witness query that the first try leaves open runs that
-    degree-ordered search next. The size stages follow the
-    degree-ordered search when it gives up. First the relaxation runs: a
-    point of the relaxation that rounds to a k-matching meeting its exact
-    bound is a maximum. The bound is lowered to the search's
-    parity-corrected root bound when that is smaller; the call is settled
-    when the search's best meets it, else by that point, else by the
-    first of up to `_RESTARTS` capped searches (degree order, tie-break
-    rotated by a quarter of the vertices per restart) that reaches it. A
-    restart that settles without reaching it proves the bound too high
-    and ends the restarts. Otherwise the integer program proves the
-    maximum size. A size-only call reports the maximum these stages
-    found. A witness call whose first try's best already has the maximum
-    size reports that best: in include-first order no branch toward the
-    first maximum leaf is pruned while the incumbent is smaller. Else a
-    canonical search toward the maximum size runs, with the first try's
-    short cap; it prunes only branches that hold no maximum, so its first
-    leaf is the canonical witness. Only if it is capped is the canonical
-    witness recovered by fixing edges in canonical order, keeping an edge
-    exactly when some maximum matching still contains it. Each such
-    probe goes through five stages, and the first that decides it
-    settles it: propagation (an endpoint of the edge already has degree
-    k, or cannot reach k from the kept edges, the edge and the undecided
-    ones), a search for a maximum over the undecided edges in degree
-    order by the degrees they leave, capped at their number plus
-    `_SEARCH_CAP` // 8 like the first try, the relaxation (its bound
-    below the maximum drops the edge, its point keeps it), the same
-    search at the full cap, and a solve of the integer program. After
-    the first relaxation that decides nothing (a bound of at least the
-    maximum without a point, or a claim of infeasibility), the later
-    probes skip the relaxation and the short search: one search at the
-    full cap, then the program. Size and unmatched counts are exact
-    either way.
+    With `witness` on the report carries the canonical witness, the
+    lexicographically smallest maximum k-matching under the canonical edge
+    order; with it off, some maximum. The report is exact (exhaustive=True)
+    unless the budget runs out first.
 
     One budget rule covers every stage. A search is capped at the smaller
-    of its cap (`_SEARCH_CAP`, or the short one of the first witness try,
-    the search toward the optimum and a relaxing probe) and the budget
-    left and charged the nodes it visits, at most that
-    cap; a relaxation or integer-program solve is charged a flat
-    `_SOLVE_EFFORT` and runs only if that fits. `nodes` is the total
-    charge, so it never exceeds `budget`. When the next stage does not
-    fit, the report degrades to exhaustive=False and carries the best
-    matching found so far: a maximum once one is known, else the larger
-    incumbent of the root searches.
+    of its cap (`_SEARCH_CAP`, or `_short_cap` for the first witness try
+    and a relaxing probe) and the budget left and charged the nodes it
+    visits, at most that cap; a relaxation or integer-program solve is
+    charged a flat `_SOLVE_EFFORT` and runs only if that fits. `nodes` is
+    the total charge, so it never exceeds `budget`. When the next stage
+    does not fit, the report degrades to exhaustive=False and carries the
+    best matching found so far: a maximum once one is known, else the
+    larger incumbent of the root searches.
     """
     check_k(k)
     if budget < 1:
@@ -834,22 +800,6 @@ def max_k_matching(
         sol = frozenset(found)
         if optimum == 0 or not witness:
             return report(sorted(sol), True)
-        if first.best_size == optimum:
-            # no branch toward the first maximum leaf in include-first
-            # order is pruned while the incumbent is below the optimum,
-            # so the first try's best is the canonical witness.
-            return report(first.best or (), True)
-        # the same holds for a canonical search toward the optimum, which
-        # prunes only branches without a maximum and stops at its first
-        # leaf. It gets the first try's short cap, as a capped one leaves
-        # nothing for the recovery below.
-        aimed = search(None, (), optimum, cap=_short_cap(g.m))
-        if aimed.best is not None:
-            return report(aimed.best, True)
-        if aimed.settled:
-            raise InvariantViolation(
-                f"a settled search found no {k}-matching of the known size {optimum}"
-            )
 
         # lexicographic recovery: walk the canonical order and keep an edge
         # iff some maximum matching agrees with every decision so far and

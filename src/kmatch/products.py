@@ -57,10 +57,7 @@ def product(g: Graph, h: Graph, kind: str) -> ProductGraph:
     # Columns are right-factor indices. along[j]: the higher columns joined
     # to column j within one row; across[j]: the columns of an adjacent
     # higher row joined to column j. Both ascending, since pairs are sorted.
-    nbrs: list[list[int]] = [[] for _ in range(nh)]
-    for a, b in h.pairs:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    nbrs = h.neighbors
     if kind == "direct":
         along = [[] for _ in range(nh)]
     else:
@@ -70,7 +67,7 @@ def product(g: Graph, h: Graph, kind: str) -> ProductGraph:
     elif kind == "direct":
         across = nbrs
     elif kind == "strong":
-        across = [sorted(ds + [j]) for j, ds in enumerate(nbrs)]
+        across = [sorted((*ds, j)) for j, ds in enumerate(nbrs)]
     else:
         across = [list(range(nh))] * nh
     # rows_up[i]: the first index of each higher row adjacent to row i.

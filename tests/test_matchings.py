@@ -386,16 +386,17 @@ def test_a_lying_relaxation_neither_drops_nor_keeps(monkeypatch, small_corpus, f
     assert probes > 0
 
 
-SMALL_CAPS = [1, 5, 50]
+SMALL_CAPS = [1, 5, 10, 24, 40, 50]
 
 
 @pytest.mark.parametrize("cap", SMALL_CAPS)
 def test_a_small_search_cap_keeps_the_canonical_witness(monkeypatch, small_corpus, cap):
     # a small cap leaves most witness queries to the size stages and then
-    # to the lexicographic recovery, or to its shortcut: a canonical
-    # search whose best already has the optimum's size. The witness must
-    # still be the lexicographically smallest maximum, and the size the
-    # size-only query's. On the small corpus brute force gives the
+    # to the lexicographic recovery; at caps of 10 to 40 the first try on
+    # four vertices gets m plus one to five nodes and gives up on a few
+    # small-corpus queries (7, 5 and 3). The witness must still be the
+    # lexicographically smallest maximum, and the size the size-only
+    # query's. On the small corpus brute force gives the
     # witness; on the products of four-vertex factors (every eleventh
     # query, a different eleventh per cap) the production cap does, whose
     # escalated witnesses `tests/test_search_bytes.py` pins.
@@ -463,57 +464,25 @@ def test_a_first_try_at_depth_m_still_settles():
     assert rep.exhaustive and rep.nodes == 1801 and rep.size == 450
 
 
-def test_a_canonical_search_toward_the_optimum_settles_what_the_first_try_left(
-    monkeypatch, small_corpus
-):
-    # at a cap of 40 the first try on four vertices gets m + 5 nodes; on a
-    # few queries it gives up short of the optimum, and the canonical
-    # search toward the optimum, with the same short cap, settles them
-    # before any recovery probe.
-    monkeypatch.setattr(matchings, "_SEARCH_CAP", 40)
-    calls = spy_searches(monkeypatch)
-    aimed = 0
-    for name, g in small_corpus:
-        for k in (1, 2, 3):
-            calls.clear()
-            rep = max_k_matching(g, k)
-            index = {e: i for i, e in enumerate(g.edges)}
-            got = tuple(sorted(index[e] for e in rep.witness))
-            assert rep.exhaustive and got == bruteforce.lex_min_maximum(g.vertices, g.edges, k)
-            toward = [
-                at
-                for at, (_, order, forced, target, _) in enumerate(calls)
-                if order is None and not forced and target is not None
-            ]
-            if toward:
-                (at,) = toward
-                cap, out = calls[at][0], calls[at][-1]
-                assert cap == calls[0][0] == g.m + 5, (name, k)
-                assert not calls[0][-1].settled and calls[0][-1].best_size < rep.size, (name, k)
-                assert out.settled and tuple(out.best) == got, (name, k)
-                assert at == len(calls) - 1, (name, k)  # no probe follows
-                aimed += 1
-    assert aimed >= 3
-
-
 @pytest.mark.parametrize("cap", [10, 24])
-def test_the_search_toward_the_optimum_is_capped_like_the_first_try(
-    monkeypatch, sweep_corpus, cap
-):
-    # a capped search toward the optimum is thrown away, so it gets the
-    # first try's short cap, m plus an eighth of the cap, not the whole cap.
+def test_a_capped_first_try_is_the_only_canonical_search(monkeypatch, sweep_corpus, cap):
+    # once the short first try gives up, the size stages search in degree
+    # order and each recovery probe in the degree order of the edges it
+    # leaves: the canonical witness comes from the recovery, not from a
+    # second search in canonical order.
     monkeypatch.setattr(matchings, "_SEARCH_CAP", cap)
     calls = spy_searches(monkeypatch)
-    short = 0
+    capped = 0
     for name, g in sweep_corpus:
         for k in (1, 2, 3):
             calls.clear()
-            max_k_matching(g, k)
-            for aimed, order, forced, target, _ in calls:
-                if order is None and not forced and target is not None:
-                    assert aimed == calls[0][0] == min(cap, g.m + cap // 8), (name, k)
-                    short += aimed < cap
-    assert short > 0
+            rep = max_k_matching(g, k)
+            assert_canonical_witness(g, k, rep, (name, k))
+            if calls and not calls[0][-1].settled:
+                assert calls[0][1] is None, (name, k)
+                assert all(order is not None for _, order, _, _, _ in calls[1:]), (name, k)
+                capped += 1
+    assert capped > 0
 
 
 def record_stages(monkeypatch):
@@ -641,25 +610,6 @@ def test_once_the_relaxation_is_off_a_probe_searches_once_at_the_full_cap(
                     later += 1
                 off = off or any(e[0] == "relax" for e in stages)
     assert later > 0
-
-
-def test_a_search_toward_the_optimum_without_a_leaf_is_a_fault(monkeypatch, small_corpus):
-    # the size stages found a matching of the optimum's size, so a
-    # settled canonical search toward it must reach a leaf. At a cap of
-    # 10 the first try on the paw (n4e4#0) gives up, and the search toward
-    # the optimum runs.
-    monkeypatch.setattr(matchings, "_SEARCH_CAP", 10)
-    real = matchings._search_maximum
-
-    def no_leaf(g, k, cap, order=None, forced=(), target=None):
-        out = real(g, k, cap, order, forced, target)
-        if order is None and target is not None:
-            return matchings._SearchOutcome(target - 1, None, out.nodes, True, out.root_bound)
-        return out
-
-    monkeypatch.setattr(matchings, "_search_maximum", no_leaf)
-    with pytest.raises(InvariantViolation):
-        max_k_matching(dict(small_corpus)["n4e4#0"], 1)
 
 
 def test_a_recovery_stops_asking_a_relaxation_that_failed(monkeypatch):

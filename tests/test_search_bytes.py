@@ -1,60 +1,44 @@
-"""Byte pin for the branch-and-bound search and `kmatch solve` output.
+"""Byte pins for the branch-and-bound search, the oracle and `kmatch solve`.
 
-Every (left, right, kind, k) product over the connected graphs on four
-vertices is searched at the production cap, once in the canonical edge
-order and once in degree order, and the canonical JSON of the outcome
-(best edge indices, best size, nodes visited, settled flag) is hashed.
-The `kmatch solve` payload of every product whose canonical search
-settles is hashed as well; it carries the witness and the `nodes`
-effort counter, which moves with any change to the visiting order or
-the pruning. Both digests were taken before the search was moved from
-recursion onto an explicit stack. The payload digest was retaken when
-witness queries got a short first try: a product that the canonical
-search settles only past that try pays for the later stages, so its
-`nodes` moves, while the payloads without `nodes` hash the same before
-and after. It was retaken again when the canonical search toward the
-optimum and the recovery probes got that short cap too (19 of the 322
-payloads move their `nodes`; without `nodes` they hash the same), and
-once more when each oracle call's size program became one HiGHS model
-re-solved from its last basis: a warm relaxation may return another
-optimal point, so a query may settle a probe another way and spend
-other `nodes` (1 of the 322 payloads moves; without `nodes` they hash
-the same).
+The corpus is every (left, right, kind, k) product over the connected
+graphs on four vertices, k = 1, 2, 3.
 
-The products whose canonical search does not settle go on to the
-integer program and to witness recovery. Their (size, witness,
-exhaustive) answers are hashed under corpus labels, without `nodes`:
-the digest was taken while every recovery probe was a solver call, so it
-checks that settling probes another way leaves each witness unchanged.
-The same queries also pin every search they make: the canonical first
-try, the size stages' degree-ordered search and restarts, the canonical
-search toward the optimum, and each witness-recovery probe. The
-arguments of the call (k, cap, order, forced edges, target) and its
-outcome are hashed, so a change to the kernel that visits other nodes,
-or to the recovery that asks other probes, moves that digest. It was
-taken when witness queries began to learn their size through the
-size-only stages (2,268 calls before, with the 110 canonical root
-searches the only capped ones without forced edges; 2,330 after), and
-retaken when they got a short first try, a canonical search toward the
-optimum and probes in the degree order of the edges left (1,589 calls),
-and again when the search toward the optimum and the probes that still
-ask the relaxation got the first try's short cap (2,042 calls). It was
-retaken when the size program began to re-solve one warm model per
-call (2,041 calls): a relaxation's point is another maximum than a cold
-solve's on some queries, so the recovery keeps other edges for free
-and asks other probes; the witnesses are the same.
+SEARCH_PIN hashes the outcome (best edge indices, best size, nodes
+visited, settled flag) of the search at the production cap, once in the
+canonical edge order and once in degree order. Only a change to the
+search kernel's visiting order or pruning may move it.
 
-The budget pin runs the escalating queries again under budgets from 1
-up to each query's full effort: every fifth witness query (canonical
-search capped) and every size-only query (degree-ordered search capped),
-at eight budgets each. It hashes (budget, size, witness, exhaustive,
+SOLVE_PIN hashes the `kmatch solve` payload of every product whose
+canonical search settles at the production cap. The payload carries the
+witness and the `nodes` effort counter, so a change to the stages a
+witness query runs, or to their caps, may move it through `nodes`; with
+`nodes` left out, the payloads must hash the same.
+
+ESCALATED_PIN hashes the (size, witness, exhaustive) answer of every
+product whose canonical search does not settle, under corpus labels and
+without `nodes`. It was taken while every witness-recovery probe was a
+solver call, so it checks that the witness of each escalated query stays
+the canonical one however its stages run; nothing may move it.
+
+PROBE_PIN covers the same queries and every search they make: the short
+canonical first try, the size stages' degree-ordered search and
+restarts, and each witness-recovery probe. It hashes the arguments of
+each call (k, cap, order, forced edges, target) and its outcome, and
+counts the calls and, among them, the capped searches without forced
+edges, the settled probes and the capped probes. A change to the search
+kernel, to the stages or their caps, or to the maximum the size stages
+hand to the recovery (which decides the edges the recovery keeps for
+free and so the probes it asks) may move it.
+
+BUDGET_PIN runs the escalating queries again under budgets from 1 up to
+each query's full effort: every fifth witness query (canonical search
+capped) and every size-only query (degree-ordered search capped), at
+eight budgets each. It hashes (budget, size, witness, exhaustive,
 nodes), so it covers the degraded reports and the effort counter of
-every stage the budget can stop in. It was first taken before the
-oracle's budget checks were folded into one place, and retaken when
-witness queries began to learn their size through the size-only stages
-and again when they got a short first try, and when the search toward
-the optimum and the relaxing probes got that short cap too; the 128
-size-only runs hash the same across all three changes.
+every stage the budget can stop in. A change to the stages of either
+kind of query or to their charges may move it; the budgets follow each
+query's full effort, so a witness query whose `nodes` move is run at
+other budgets.
 """
 
 import hashlib
@@ -75,17 +59,17 @@ from kmatch.matchings import (
 from kmatch.products import KINDS, product
 
 SEARCH_PIN = (864, "0daa01b6e05b661352a68489c453cca8b60310eae4891b49d9f602d6b8585203")
-SOLVE_PIN = (322, "f95a48fbd3b4c22005809b79c7159a1f6b2ae74d296c6e356ad7fc53569b6ace")
+SOLVE_PIN = (322, "3e9ff9d46804067fa01dbd0cfbaf5513226a902c3ae2e89d175b16c814cfcf47")
 ESCALATED_PIN = (110, "e1102adf0256d67cef4f1a189812727c023a3d1476432bb31a754620109b12ae")
 # (calls, (capped searches without forced edges: the canonical first
-# try, the degree-ordered search, the restarts and the canonical search
-# toward the optimum, settled probes, capped probes), digest of every call)
+# try, the degree-ordered search and the restarts, settled probes, capped
+# probes), digest of every call)
 PROBE_PIN = (
-    2041,
-    (217, 1519, 192),
-    "ed763aa1fac193765320c3d0bef718b1b6e576a228dd5bbb9748c591c131d599",
+    2322,
+    (133, 1900, 194),
+    "d8ed0675e70539830dac4d14daf3486e2011a7d6f9b96c0ac45af34cbe0ff7d9",
 )
-BUDGET_PIN = (304, "a759d44e865c7ee8a3c574c3c49bb63a05a83f0e2d7aeec9368a74bd4236545e")
+BUDGET_PIN = (304, "5e215a10735d088fc383d51c1245b059300c33a6bb7b8a18cfbf7f8fba1b755e")
 
 
 def products():
