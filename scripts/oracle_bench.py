@@ -3,12 +3,12 @@
 
 Each row is one maximum k-matching query on a product of two named
 graphs: the time to build the product, the query's wall time, search
-nodes, the relaxations and integer programs it solved, and whether the
-run was exhaustive. The two cycle(30) rows
-(1,800 edges) lie past the depth at which a recursive search would
-exceed Python's recursion limit; the two rows after them escalate to
-the solver stage at k = 2. The last row is settled by the search's
-parity bound, which the relaxation lacks.
+nodes, the relaxations and integer programs it solved, the simplex
+iterations of its relaxations, and whether the run was exhaustive. The
+two cycle(30) rows (1,800 edges) lie past the depth at which a
+recursive search would exceed Python's recursion limit; the three rows
+after them escalate to the solver stage at k = 2. The last row is
+settled by the search's parity bound, which the relaxation lacks.
 The node counter is the budget currency (tree nodes plus a flat charge
 per solver escalation), so the column also shows how far beyond the
 plain search an instance had to go; the search column takes the flat
@@ -41,6 +41,9 @@ INSTANCES = (
     # integer program there, and under --no-witness a restart settles it.
     ("cycle(13)", "path(13)", "cartesian", 2),
     ("cycle(13)", "path(13)", "strong", 2),
+    # the root relaxation with the most simplex iterations among the size
+    # queries of the benchmark's `scale` workload.
+    ("cycle(21)", "path(20)", "cartesian", 2),
     # 25 vertices at odd k: one stays unmatched, so 36 edges at most.
     # Under --no-witness the search stops at this parity-corrected bound
     # (the relaxation's is 37), the bound the restart stage aims at.
@@ -55,25 +58,32 @@ def parse_named(spec: str):
 
 def bench(budget: int, witness: bool, repeat: int) -> int:
     # solver runs of the current query on its size program's HiGHS model,
-    # by `_SizeProgram._run`'s `integral` argument: relaxations under
-    # False, integer programs under True.
-    solves = {False: 0, True: 0}
+    # by `_SizeProgram._run`'s `integral` argument, and the simplex
+    # iterations of its relaxations, a count that does not depend on the
+    # machine.
+    tally = {"relax": 0, "milp": 0, "lp_it": 0}
     run = _SizeProgram._run
 
     def counted(program, fixed, integral):
-        solves[integral] += 1
-        return run(program, fixed, integral)
+        answer = run(program, fixed, integral)
+        if integral:
+            tally["milp"] += 1
+        else:
+            tally["relax"] += 1
+            tally["lp_it"] += program._solver.getInfo().simplex_iteration_count
+        return answer
 
     _SizeProgram._run = counted
     try:
-        return rows(budget, witness, repeat, solves)
+        return rows(budget, witness, repeat, tally)
     finally:
         _SizeProgram._run = run
 
 
-def rows(budget: int, witness: bool, repeat: int, solves: dict[bool, int]) -> int:
+def rows(budget: int, witness: bool, repeat: int, tally: dict[str, int]) -> int:
     print(f"{'instance':<36} {'k':>2} {'n':>4} {'m':>5} {'build':>8} {'size':>5} "
-          f"{'nodes':>9} {'relax':>5} {'milp':>4} {'search':>9} {'time':>8} {'exhaustive':>10}")
+          f"{'nodes':>9} {'relax':>5} {'milp':>4} {'lp_it':>6} {'search':>9} {'time':>8} "
+          f"{'exhaustive':>10}")
     worst = 0.0
     for left, right, star, k in INSTANCES:
         g = parse_named(left)
@@ -83,7 +93,7 @@ def rows(budget: int, witness: bool, repeat: int, solves: dict[bool, int]) -> in
         build = time.perf_counter() - started
         best = None
         for _ in range(repeat):
-            solves[False] = solves[True] = 0
+            tally.update(relax=0, milp=0, lp_it=0)
             started = time.perf_counter()
             report = max_k_matching(p.graph, k, budget=budget, witness=witness)
             elapsed = time.perf_counter() - started
@@ -92,9 +102,10 @@ def rows(budget: int, witness: bool, repeat: int, solves: dict[bool, int]) -> in
         report, elapsed = best
         worst = max(worst, elapsed)
         name = f"{left} {star} {right}"
-        search = report.nodes - _SOLVE_EFFORT * (solves[False] + solves[True])
+        relax, milp, lp_it = tally["relax"], tally["milp"], tally["lp_it"]
+        search = report.nodes - _SOLVE_EFFORT * (relax + milp)
         print(f"{name:<36} {k:>2} {p.graph.n:>4} {p.graph.m:>5} {build:>7.3f}s {report.size:>5} "
-              f"{report.nodes:>9} {solves[False]:>5} {solves[True]:>4} {search:>9} "
+              f"{report.nodes:>9} {relax:>5} {milp:>4} {lp_it:>6} {search:>9} "
               f"{elapsed:>7.3f}s {str(report.exhaustive):>10}")
     print(f"slowest query: {worst:.3f}s "
           f"(budget {budget}, witness {witness})")

@@ -20,9 +20,11 @@ searches (degree order, the tie-break rotated by a quarter of the
 vertices per restart) that reaches it; a restart that ends without
 reaching it proves the bound too high and ends the restarts. Otherwise
 the integer program proves the maximum size. The relaxation and the
-program run on one HiGHS model per oracle call, built on first use;
-each later solve states its fixed edges as bounds and re-solves from the
-last basis.
+program run on one HiGHS model per oracle call, built on first use. The
+root relaxation starts the primal simplex at the vertex of the search's
+best matching, or, when the capped search reached no leaf, the dual
+simplex from nothing; each later solve states its fixed edges as bounds
+and re-solves with the dual simplex from the last basis.
 
 A witness query reports the canonical witness, the lexicographically
 smallest maximum k-matching, in three stages:
@@ -372,7 +374,9 @@ def _search_maximum(
     root_bound = vertex_bound[cand]
     if m and root_bound <= best_size:
         # the bound prunes both branches of the root: the walk ends there.
-        return _SearchOutcome(best_size, None, nodes=1, settled=node_cap >= 1, root_bound=root_bound)
+        return _SearchOutcome(
+            best_size, None, nodes=1, settled=node_cap >= 1, root_bound=root_bound
+        )
     best: list[int] | None = None
     nodes = 0
     settled = True
@@ -457,9 +461,13 @@ def _search_maximum(
 # bundled solver's presolve mishandles these equality systems and can claim
 # an infeasible instance is optimal. The relative gap is 0: at HiGHS's
 # default of 1e-4 a solve may stop one edge short of the optimum once that
-# exceeds 10,000 edges. Simplex strategy 1 is the dual simplex. Output is
-# off: HiGHS logs to stdout, which carries the CLI's JSON.
+# exceeds 10,000 edges. Simplex strategy 1 is the dual simplex, which every
+# run uses except a root relaxation started at the search's best matching:
+# that one runs the primal simplex (strategy 4) from the matching's vertex,
+# a primal feasible basis (see `_SizeProgram._run`). Output is off: HiGHS
+# logs to stdout, which carries the CLI's JSON.
 _HIGHS_OPTIONS = {"presolve": "off", "simplex_strategy": 1, "mip_rel_gap": 0, "output_flag": False}
+_PRIMAL_SIMPLEX = 4
 
 
 @contextmanager
@@ -471,9 +479,9 @@ def _stdout_to_devnull():
     a line for each solution it finds while a column is fixed at 1, and
     the root integer program of `cycle(45)` strong `cycle(45)` at k = 1,
     with no column fixed, wrote 27. Python's own buffered output is
-    flushed first, so it keeps its place. The descriptor is the process's, so another thread's writes to
-    stdout during the block are lost too. A process without a descriptor
-    1 has nothing to guard."""
+    flushed first, so it keeps its place. The descriptor is the
+    process's, so another thread's writes to stdout during the block are
+    lost too. A process without a descriptor 1 has nothing to guard."""
     if sys.stdout is not None:
         sys.stdout.flush()
     try:
@@ -501,7 +509,10 @@ class _SizeProgram:
     condition verbatim. The model is built on the first call, through the
     HiGHS binding that scipy ships, and kept. Each call states its fixings
     as bounds (see `_run`) and runs the solver again, so a relaxation
-    starts the dual simplex from the previous call's basis.
+    starts the dual simplex from the previous call's basis. The one
+    exception is a relaxation after `start_at`, which starts the primal
+    simplex at the vertex of a given k-matching: the oracle starts its
+    root relaxation at the search's best matching, when it has one.
     `solve` answers the integer program, switching integrality on for its
     own run only; `relax` answers the continuous relaxation, whose bound
     is exact whatever the solver's float error, see `relax`. Every
@@ -515,32 +526,66 @@ class _SizeProgram:
         self.m, self.n = g.m, g.n
         self.ends = g.pairs
         self._solver = None  # built on the first `_run`
+        self._start: Iterable[int] | None = None  # see `start_at`
 
     def _build(self):
         """A HiGHS solver holding the model: minimize minus the sum of
         the edge columns subject to "degree over the edge columns - k *
-        the vertex's flag column = 0" per vertex, every column in [0, 1]."""
+        the vertex's flag column = 0" per vertex, every column in [0, 1].
+        The model goes in as arrays, through the binding's array form of
+        `passModel`."""
         import numpy as np
         from scipy.optimize._highspy import _core as highspy
 
         e, n = self.m, self.n
         cols = e + n
-        lp = highspy.HighsLp()
-        lp.num_col_, lp.num_row_ = cols, n
-        lp.col_cost_ = np.concatenate((np.full(e, -1.0), np.zeros(n)))
-        lp.col_lower_, lp.col_upper_ = np.zeros(cols), np.ones(cols)
-        lp.row_lower_ = lp.row_upper_ = np.zeros(n)
-        # column-wise: an edge column has 1 in its endpoints' rows, a flag -k in its own
-        a = lp.a_matrix_
-        a.format_, a.num_col_, a.num_row_ = highspy.MatrixFormat.kColwise, cols, n
-        a.start_ = np.concatenate((np.arange(0, 2 * e, 2), np.arange(2 * e, 2 * e + n + 1))).tolist()
-        a.index_ = np.concatenate((np.ravel(np.asarray(self.ends, dtype=int)), np.arange(n))).tolist()
-        a.value_ = np.concatenate((np.ones(2 * e), np.full(n, -float(self.k))))
+        # column-wise: an edge column has 1 in its endpoints' rows, a flag
+        # -k in its own. The start array has one entry per column.
+        start = np.concatenate((np.arange(0, 2 * e, 2), np.arange(2 * e, 2 * e + n)))
+        index = np.concatenate((np.ravel(np.asarray(self.ends, dtype=int)), np.arange(n)))
+        value = np.concatenate((np.ones(2 * e), np.full(n, -float(self.k))))
         solver = highspy._Highs()
-        for option, value in _HIGHS_OPTIONS.items():
-            solver.setOptionValue(option, value)
-        solver.passModel(lp)
+        for option, setting in _HIGHS_OPTIONS.items():
+            solver.setOptionValue(option, setting)
+        status = solver.passModel(
+            cols, n, 2 * e + n,
+            highspy.MatrixFormat.kColwise, highspy.ObjSense.kMinimize, 0.0,
+            np.concatenate((np.full(e, -1.0), np.zeros(n))),  # cost
+            np.zeros(cols), np.ones(cols),  # column bounds
+            np.zeros(n), np.zeros(n),  # row bounds
+            start, index, value,
+            np.zeros(cols, dtype=np.int32),  # integrality: continuous
+        )
+        if status != highspy.HighsStatus.kOk:
+            raise InvariantViolation(f"HiGHS refused the size program: {status}")
         return solver
+
+    def _basis(self, chosen: Iterable[int]):
+        """The basis at the vertex of the k-matching `chosen`: every row
+        logical basic, every column nonbasic, at its upper bound when its
+        edge is chosen or its vertex matched, else at its lower bound. The
+        basis matrix is the identity, and the vertex satisfies every row,
+        so the basis is primal feasible while every column has [0, 1]."""
+        from scipy.optimize._highspy import _core as highspy
+
+        lower, upper = highspy.HighsBasisStatus.kLower, highspy.HighsBasisStatus.kUpper
+        cols = [lower] * (self.m + self.n)
+        for j in chosen:
+            cols[j] = upper
+            for x in self.ends[j]:
+                cols[self.m + x] = upper
+        basis = highspy.HighsBasis()
+        basis.col_status = cols
+        basis.row_status = [highspy.HighsBasisStatus.kBasic] * self.n
+        basis.alien = False
+        return basis
+
+    def start_at(self, chosen: Iterable[int]) -> None:
+        """Start the next run, the root relaxation, at the vertex of the
+        k-matching `chosen` (canonical edge indices) with the primal
+        simplex; see `_run`. Without fixings every column has the bounds
+        [0, 1], so `_basis` is primal feasible there."""
+        self._start = chosen
 
     def _run(
         self, fixed: dict[int, int], integral: bool
@@ -552,8 +597,12 @@ class _SizeProgram:
         other outcome raises InvariantViolation.
 
         A kept edge is stated as the bounds [1, 1] on its column and a
-        dropped one as [0, 0], in one call over every edge column. The
-        run itself happens inside `_stdout_to_devnull`.
+        dropped one as [0, 0], in one call over every edge column. A run
+        after `start_at` sets the basis of that matching's vertex and runs
+        the primal simplex from it; every other run starts the dual simplex
+        from the last run's basis (from nothing on the first). A run with
+        fixings changes only bounds, so the last basis stays dual feasible.
+        The run itself happens inside `_stdout_to_devnull`.
         """
         import numpy as np
         from scipy.optimize._highspy import _core as highspy
@@ -568,6 +617,12 @@ class _SizeProgram:
             else:
                 upper[j] = 0.0
         solver.changeColsBounds(self.m, np.arange(self.m, dtype=np.int32), lower, upper)
+        start, self._start = self._start, None
+        if start is not None:
+            status = solver.setBasis(self._basis(start))
+            if status != highspy.HighsStatus.kOk:
+                raise InvariantViolation(f"HiGHS refused the starting basis: {status}")
+            solver.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
         if integral:
             cols = np.arange(self.m + self.n, dtype=np.int32)
             solver.changeColsIntegrality(len(cols), cols, np.ones(len(cols), dtype=np.uint8))
@@ -579,11 +634,15 @@ class _SizeProgram:
                 return None
             if status != highspy.HighsModelStatus.kOptimal:
                 what = "size" if integral else "relaxation"
-                raise InvariantViolation(f"{what} solve failed: {solver.modelStatusToString(status)}")
+                raise InvariantViolation(
+                    f"{what} solve failed: {solver.modelStatusToString(status)}"
+                )
             solution = solver.getSolution()
             point = np.flatnonzero(np.asarray(solution.col_value[: self.m]) > 0.5).tolist()
             return -solver.getObjectiveValue(), frozenset(point), solution.row_dual
         finally:
+            if start is not None:
+                solver.setOptionValue("simplex_strategy", _HIGHS_OPTIONS["simplex_strategy"])
             if integral:
                 solver.changeColsIntegrality(len(cols), cols, np.zeros(len(cols), dtype=np.uint8))
 
@@ -605,7 +664,9 @@ class _SizeProgram:
             return None
         size, chosen, _ = answer
         if len(chosen) != round(size):
-            raise InvariantViolation(f"size solve returned {len(chosen)} edges for objective {size}")
+            raise InvariantViolation(
+                f"size solve returned {len(chosen)} edges for objective {size}"
+            )
         if self._breaks(chosen, fixed):
             raise InvariantViolation(
                 f"size solve returned a point off the 0-or-{self.k} condition or the fixings"
@@ -754,6 +815,11 @@ def max_k_matching(
         # and one maximum matching.
         if sized.settled:
             return sized.best_size, sized.best or ()
+        if sized.best is not None:
+            # the relaxation starts at the search's best matching, often
+            # close to the optimum (410 of 420 edges on cycle(21) cartesian
+            # path(20) at k = 2); without one it starts from nothing.
+            program.start_at(sized.best)
         bound, point = optimize(program.relax, {})
         # for odd k the search's root bound also counts parity, which the
         # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.

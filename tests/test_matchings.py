@@ -888,6 +888,45 @@ def test_solver_check_survives_optimized_mode():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+REFUSED_PROBE = """
+from scipy.optimize._highspy import _core as highspy
+
+from kmatch.errors import InvariantViolation
+from kmatch.graphs import build_named
+from kmatch.matchings import _SizeProgram
+
+real = highspy._Highs
+
+
+class RefusesModel(real):
+    def passModel(self, *model):
+        return highspy.HighsStatus.kError
+
+
+class RefusesBasis(real):
+    def setBasis(self, *basis):
+        return highspy.HighsStatus.kError
+
+
+for solver, start in ((RefusesModel, None), (RefusesBasis, [0])):
+    highspy._Highs = solver
+    program = _SizeProgram(build_named("path", 3), 1)
+    if start is not None:
+        program.start_at(start)
+    try:
+        program.relax({})
+    except InvariantViolation:
+        pass
+    else:
+        raise SystemExit(f"{solver.__name__}: the refusal was not noticed under -O")
+"""
+
+
+def test_a_refused_model_or_basis_raises_under_optimized_mode():
+    proc = run_child(REFUSED_PROBE, "-O")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 QUIET_PROBE = """
 from kmatch.graphs import build_named
 from kmatch.matchings import _SizeProgram
@@ -978,50 +1017,128 @@ def warm_sequence_products():
                         yield (g.edges, h.edges, kind), p
 
 
+def recovery_sequence(where, p, k, every, program, start=None, integer_probes=True):
+    """Run a recovery-like sequence of fixings on `program`, a fresh size
+    program of p at k, and check each answer against brute force under
+    the same fixings; `every` is the set of all k-matchings of p, as edge
+    index sets, and `where` names p in a failure. The root relaxation
+    comes first, started at the vertex of `start` if one is given, and
+    the root integer program after it. Then, per edge j in canonical
+    order, a probe that keeps j on top of the decisions so far (with
+    `integer_probes` every third one is solved as an integer program
+    too, so integrality goes on and off between warm relaxations), then
+    the decision itself, which follows the lexicographically smallest
+    maximum. Returns the number of probes answered with a point and the
+    number that no k-matching honors."""
+    optimum = max(len(m) for m in every)
+    canonical = min(sorted(m) for m in every if len(m) == optimum)
+
+    def check(fixed, integral):
+        honoring = [m for m in every if all((j in m) == bool(v) for j, v in fixed.items())]
+        best = max((len(m) for m in honoring), default=None)
+        bound, point = program.relax(fixed)
+        assert best is None or bound >= best, (where, k, start, fixed)
+        if point is not None:
+            assert point in honoring and len(point) == bound, (where, k, start, fixed)
+        if integral:
+            solved = program.solve(fixed)
+            if best is None:
+                assert solved is None, (where, k, start, fixed)
+            else:
+                assert solved is not None and solved[1] in honoring, (where, k, start, fixed)
+                assert solved[0] == len(solved[1]) == best, (where, k, start, fixed)
+        return point is not None, best is None
+
+    if start is not None:
+        program.start_at(start)
+    check({}, True)
+    fixed: dict[int, int] = {}
+    points = infeasible = 0
+    for j in range(p.m):
+        found, none = check({**fixed, j: 1}, integer_probes and j % 3 == 0)
+        points += found
+        infeasible += none
+        fixed[j] = int(j in canonical)
+        check(fixed, False)
+    return points, infeasible
+
+
+def all_k_matchings(p, k):
+    index = {e: i for i, e in enumerate(p.edges)}
+    every = bruteforce.all_k_matchings(p.vertices, p.edges, k)
+    return [frozenset(index[e] for e in m) for m in every]
+
+
 def test_warm_size_program_stays_exact_over_a_recovery_sequence():
     # one size program per product and k answers a recovery-like run of
-    # fixings: the root, then per edge j in canonical order a probe that
-    # keeps j on top of the decisions so far (every third one solved as
-    # an integer program too, so integrality goes on and off between
-    # warm relaxations), then the decision itself, which follows the
-    # lexicographically smallest maximum. Each answer is checked against
-    # brute force under the same fixings.
+    # fixings from a cold root (see `recovery_sequence`).
     points = infeasible = 0
     for where, p in warm_sequence_products():
-        index = {e: i for i, e in enumerate(p.edges)}
         for k in (1, 2, 3):
-            every = [
-                frozenset(index[e] for e in m) for m in bruteforce.all_k_matchings(p.vertices, p.edges, k)
-            ]
-            optimum = max(len(m) for m in every)
-            canonical = min(sorted(m) for m in every if len(m) == optimum)
-            program = _SizeProgram(p, k)
-
-            def check(fixed, integral):
-                honoring = [m for m in every if all((j in m) == bool(v) for j, v in fixed.items())]
-                best = max((len(m) for m in honoring), default=None)
-                bound, point = program.relax(fixed)
-                assert best is None or bound >= best, (where, k, fixed)
-                if point is not None:
-                    assert point in honoring and len(point) == bound, (where, k, fixed)
-                if integral:
-                    solved = program.solve(fixed)
-                    if best is None:
-                        assert solved is None, (where, k, fixed)
-                    else:
-                        assert solved is not None and solved[1] in honoring, (where, k, fixed)
-                        assert solved[0] == len(solved[1]) == best, (where, k, fixed)
-                return point is not None, best is None
-
-            fixed: dict[int, int] = {}
-            check(fixed, True)
-            for j in range(p.m):
-                found, none = check({**fixed, j: 1}, j % 3 == 0)
-                points += found
-                infeasible += none
-                fixed[j] = int(j in canonical)
-                check(fixed, False)
+            every = all_k_matchings(p, k)
+            found, none = recovery_sequence(where, p, k, every, _SizeProgram(p, k))
+            points += found
+            infeasible += none
     assert points > 0 and infeasible > 0
+
+
+def test_size_program_started_at_a_matching_stays_exact():
+    # the same runs of fixings with the root relaxation started at the
+    # vertex of a k-matching: the empty one, the lexicographically
+    # smallest non-empty one that is not a maximum, and the
+    # lexicographically largest maximum. Only the root is also solved as
+    # an integer program: the probes after it run as in the cold test.
+    starts = Counter()
+    for where, p in warm_sequence_products():
+        for k in (1, 2, 3):
+            every = all_k_matchings(p, k)
+            optimum = max(len(m) for m in every)
+            short = [sorted(m) for m in every if 0 < len(m) < optimum]
+            chosen = {
+                "empty": [],
+                "short": min(short, default=None),
+                "maximum": max(sorted(m) for m in every if len(m) == optimum),
+            }
+            for name, start in chosen.items():
+                if start is not None:
+                    program = _SizeProgram(p, k)
+                    recovery_sequence(where, p, k, every, program, start, integer_probes=False)
+                    starts[name] += 1
+    assert min(starts.values()) > 0 and len(starts) == 3
+
+
+def test_the_root_relaxation_starts_at_the_search_s_best_matching_if_any(monkeypatch):
+    # each run records whether a basis was set before it and the simplex
+    # it ran: 4 is the primal simplex, 1 the dual.
+    runs = []
+
+    class Recording(highspy._Highs):
+        def setBasis(self, *basis):
+            runs.append("basis")
+            return super().setBasis(*basis)
+
+        def run(self):
+            runs.append(self.getOptionValue("simplex_strategy")[1])
+            return super().run()
+
+    monkeypatch.setattr(highspy, "_Highs", Recording)
+    # the degree-ordered search stops at its cap one edge short of the
+    # maximum of 169; the root relaxation starts at that matching, and
+    # the witness recovery's relaxations run the dual simplex after it.
+    p = product(build_named("cycle", 13), build_named("path", 13), "cartesian").graph
+    for witness in (False, True):
+        runs.clear()
+        rep = max_k_matching(p, 2, witness=witness)
+        assert (rep.size, rep.exhaustive) == (169, True)
+        assert runs[:2] == ["basis", 4] and set(runs[2:]) <= {1}, runs
+    assert len(runs) > 2
+    # a cap below the edge count leaves the search without a leaf, so
+    # without a matching to start from: the root starts from nothing.
+    monkeypatch.setattr(matchings, "_SEARCH_CAP", p.m - 1)
+    runs.clear()
+    rep = max_k_matching(p, 2, witness=False)
+    assert (rep.size, rep.exhaustive) == (169, True)
+    assert runs and "basis" not in runs and set(runs) == {1}, runs
 
 
 def test_uniform_degree_and_unmatched():

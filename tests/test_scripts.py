@@ -52,21 +52,27 @@ def test_oracle_bench_counts_each_query_s_solver_calls(capsys):
     assert bench["main"](["--no-witness"]) == 0
     assert _SizeProgram._run is run  # the counting wrapper is taken off again
     header, *rows, _ = capsys.readouterr().out.splitlines()
-    assert header.split()[-6:] == ["nodes", "relax", "milp", "search", "time", "exhaustive"]
+    columns = ["nodes", "relax", "milp", "lp_it", "search", "time", "exhaustive"]
+    assert header.split()[-7:] == columns
     counts, searches = {}, {}
     for row, (left, right, kind, k) in zip(rows, bench["INSTANCES"]):
-        nodes, relax, milp, search = (int(x) for x in row.split()[-6:-2])
+        nodes, relax, milp, lp_it, search = (int(x) for x in row.split()[-7:-2])
         # every solver call is charged a flat _SOLVE_EFFORT; the search
         # column is what is left
         assert search == nodes - _SOLVE_EFFORT * (relax + milp) and search >= 0, row
+        # a relaxation of these products takes at least one simplex
+        # iteration, and a query without one takes none
+        assert (lp_it > 0) == (relax > 0), row
         counts[left, kind, right, k] = (nodes, relax, milp)
         searches[left, kind, right, k] = search
     # star(3) lex star(3) at k = 3 runs the degree-ordered search and four
     # restarts, each to the cap, one relaxation and one integer program;
     # cycle(13) cartesian path(13) at k = 2 is settled by the relaxation's
-    # point after one capped search, and the parity bound settles
+    # point after one capped search, and so is cycle(21) cartesian
+    # path(20) at k = 2, and the parity bound settles
     # cycle(5) strong cycle(5) at k = 3 without a solver.
     assert counts["star(3)", "lex", "star(3)", 3] == (5 * _SEARCH_CAP + 2 * _SOLVE_EFFORT, 1, 1)
     assert searches["star(3)", "lex", "star(3)", 3] == 5 * _SEARCH_CAP
     assert counts["cycle(13)", "cartesian", "path(13)", 2] == (_SEARCH_CAP + _SOLVE_EFFORT, 1, 0)
+    assert counts["cycle(21)", "cartesian", "path(20)", 2] == (_SEARCH_CAP + _SOLVE_EFFORT, 1, 0)
     assert counts["cycle(5)", "strong", "cycle(5)", 3][1:] == (0, 0)

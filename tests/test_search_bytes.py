@@ -36,9 +36,10 @@ capped) and every size-only query (degree-ordered search capped), at
 eight budgets each. It hashes (budget, size, witness, exhaustive,
 nodes), so it covers the degraded reports and the effort counter of
 every stage the budget can stop in. A change to the stages of either
-kind of query or to their charges may move it; the budgets follow each
-query's full effort, so a witness query whose `nodes` move is run at
-other budgets.
+kind of query or to their charges may move it, and so may a change to
+the relaxation's optimal point, the maximum a size-only report
+carries; the budgets follow each query's full effort, so a witness
+query whose `nodes` move is run at other budgets.
 """
 
 import hashlib
@@ -65,11 +66,11 @@ ESCALATED_PIN = (110, "e1102adf0256d67cef4f1a189812727c023a3d1476432bb31a7546201
 # try, the degree-ordered search and the restarts, settled probes, capped
 # probes), digest of every call)
 PROBE_PIN = (
-    2322,
-    (133, 1900, 194),
-    "d8ed0675e70539830dac4d14daf3486e2011a7d6f9b96c0ac45af34cbe0ff7d9",
+    2327,
+    (133, 1906, 193),
+    "61e4e78d480c562cf06bd6134250aaf5fe910d9ddaaa74317cb215cd5aa1db95",
 )
-BUDGET_PIN = (304, "5e215a10735d088fc383d51c1245b059300c33a6bb7b8a18cfbf7f8fba1b755e")
+BUDGET_PIN = (304, "9913d1dba99f20472779bff892802daabc9398844d122533e916773b16a952e1")
 
 
 def products():
