@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import (
     EdgeNotInFactor,
@@ -119,13 +119,19 @@ Index = tuple[int, int]
 FactorForm = tuple[list[Index], list[int]]
 
 
+def factor_form(g: Graph, m) -> FactorForm:
+    """The factor edge set m in index form. Edges not in g raise
+    EdgeNotInFactor."""
+    keys = edge_keys(g, m, error=EdgeNotInFactor)
+    deg, _ = index_degrees(g.n, keys)
+    return keys, [i for i, d in enumerate(deg) if d == 0]
+
+
 def index_form(g: Graph, m) -> tuple[DegreeProfile, FactorForm]:
     """The factor edge set m in canonical form with its degree profile, and
-    in index form. Edges not in g raise EdgeNotInFactor."""
-    keys = edge_keys(g, m, error=EdgeNotInFactor)
-    deg, uniform = index_degrees(g.n, keys)
-    unmatched = [i for i, d in enumerate(deg) if d == 0]
-    return keyed_profile(g, keys, deg, uniform), (keys, unmatched)
+    in index form (`factor_form`)."""
+    keys, _ = form = factor_form(g, m)
+    return keyed_profile(g, keys, *index_degrees(g.n, keys)), form
 
 
 def _moving_left(keys_g: list[Index], columns, n_h: int) -> list[Index]:
@@ -162,18 +168,31 @@ def boxast_parts(
     return _moving_right(keys_h, range(p.left.n), n_h), _moving_left(keys_g, open_h, n_h)
 
 
-def checked_degrees(
-    n: int, members: AbstractSet[Index], keys: Sequence[Index]
-) -> tuple[list[int], int | None]:
-    """The `index_degrees` of constructed product index pairs, once each
-    pair is checked to be in `members` (the product's edge pairs) and to
-    occur only once. A failed check is a construction bug, raised as
+def require_members(members: AbstractSet[Index], keys: Iterable[Index]) -> None:
+    """Check that constructed product index pairs are all in `members`,
+    the product's edge pairs. A miss is a construction bug, raised as
     InvariantViolation by a plain test that still runs under -O."""
     if not members.issuperset(keys):
         bad = next(key for key in keys if key not in members)
         raise InvariantViolation(f"constructed pair {bad} is not an edge of the product")
-    if len(set(keys)) != len(keys):
+
+
+def distinct_pairs(keys: Sequence[Index]) -> set[Index]:
+    """The set of constructed index pairs, once no pair is found twice
+    (else InvariantViolation, as in `require_members`)."""
+    distinct = set(keys)
+    if len(distinct) != len(keys):
         raise InvariantViolation("constructed parts share an edge")
+    return distinct
+
+
+def checked_degrees(
+    n: int, members: AbstractSet[Index], keys: Sequence[Index]
+) -> tuple[list[int], int | None]:
+    """The `index_degrees` of constructed product index pairs, once each
+    pair is checked to be in `members` and to occur only once."""
+    require_members(members, keys)
+    distinct_pairs(keys)
     return index_degrees(n, keys)
 
 

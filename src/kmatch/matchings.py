@@ -9,11 +9,15 @@ maximum k-matchings of a graph strand the same number of vertices.
 The oracle is staged. A size-only query searches the edges with a
 capped include-first branch-and-bound in degree order (low-degree
 vertices first), which settles most instances outright and reports some
-maximum. An instance that outgrows the cap goes through the size
-stages. The relaxation of an integer program (one binary per edge, one
-per vertex, degree = k * matched) gives an upper bound, computed exactly
-from its duals and lowered to the search's parity-corrected root bound
-when that is smaller. The call is settled when the search's best meets
+maximum. A size-only query may be seeded with a k-matching in hand (the
+suite seeds each product's query from the product it contains): the
+search then starts with the seed's size as its incumbent, and the seed
+stands in for the search's best until a larger leaf replaces it. An
+instance that outgrows the cap goes through the size stages. The
+relaxation of an integer program (one binary per edge, one per vertex,
+degree = k * matched) gives an upper bound, computed exactly from its
+duals and lowered to the search's parity-corrected root bound when that
+is smaller. The call is settled when the search's best meets
 that bound, else by the relaxation's point when it rounds to a
 k-matching that meets it, else by the first of up to four capped
 searches (degree order, the tie-break rotated by a quarter of the
@@ -296,12 +300,19 @@ def _search_maximum(
     order: list[int] | None = None,
     forced: Sequence[int] = (),
     target: int | None = None,
+    floor: int = -1,
 ) -> _SearchOutcome:
     """Include-first branch-and-bound over an edge order.
 
     `order` lists canonical edge indices in the order they are decided;
     the default is the canonical order. `best` always holds canonical
     indices, ascending.
+
+    A seeded size query passes `floor`, the size of a k-matching it
+    already holds, and no probe arguments. The incumbent starts at the
+    floor, so the bound prunes every branch that cannot beat it and only
+    a strictly larger leaf becomes `best`; a settled search without one
+    proves that no k-matching is larger than the floor.
 
     A probe passes `forced`, edges that are in from the start, and a
     `target` size that no k-matching exceeds. Then `order` lists only the
@@ -363,7 +374,7 @@ def _search_maximum(
         reach[a] += 1
         reach[b] += 1
     size = len(forced)
-    best_size = -1 if target is None else target - 1
+    best_size = floor if target is None else target - 1
     if any(d > k or 0 < d and r < k for d, r in zip(deg, reach)):
         return _SearchOutcome(best_size, None, nodes=0, settled=True, root_bound=-1)
     stop = m + size + 1 if target is None else target
@@ -739,12 +750,28 @@ def _short_cap(d: int) -> int:
     return min(_SEARCH_CAP, d + _SEARCH_CAP // 8)
 
 
+def _seed(g: Graph, k: int, start: Iterable[tuple[Vertex, Vertex]]) -> list[int]:
+    """The canonical edge indices, ascending, of the k-matching `start`
+    of a size-only query; see `max_k_matching`."""
+    keys = edge_keys(g, start)
+    _, uniform = index_degrees(g.n, keys)
+    if uniform not in (0, k):
+        raise InvariantViolation(f"the start is not a {k}-matching of the host")
+    pairs = g.pairs
+    return [bisect_left(pairs, key) for key in keys]
+
+
 class _OutOfBudget(Exception):
     """The next stage of `max_k_matching` does not fit in the budget left."""
 
 
 def max_k_matching(
-    g: Graph, k: int, budget: int = DEFAULT_NODE_BUDGET, witness: bool = True
+    g: Graph,
+    k: int,
+    budget: int = DEFAULT_NODE_BUDGET,
+    witness: bool = True,
+    *,
+    start: Iterable[tuple[Vertex, Vertex]] | None = None,
 ) -> OracleReport:
     """Exact maximum k-matching, through the stages of the module docstring.
 
@@ -752,6 +779,17 @@ def max_k_matching(
     lexicographically smallest maximum k-matching under the canonical edge
     order; with it off, some maximum. The report is exact (exhaustive=True)
     unless the budget runs out first.
+
+    A size-only query may pass `start`, a k-matching of g already in hand
+    (with `witness` on it raises InvalidParameter). Its edges must lie in
+    g (else EdgeNotInHost) and meet the 0-or-k condition (else
+    InvariantViolation); both are plain tests that run under -O. The
+    degree-ordered search then starts with the seed's size as its
+    incumbent (the `floor` of `_search_maximum`): a settled search that
+    finds no larger leaf reports the seed itself, and a capped one that
+    finds none lets the seed stand in as its best, the vertex the root
+    relaxation starts at and the matching tested against the bound. The
+    seed costs no nodes; the answer's size is the unseeded call's.
 
     One budget rule covers every stage. A search is capped at the smaller
     of its cap (`_SEARCH_CAP`, or `_short_cap` for the first witness try
@@ -766,6 +804,11 @@ def max_k_matching(
     check_k(k)
     if budget < 1:
         raise InvalidParameter(f"budget must be at least 1, got {budget}")
+    seed = None
+    if start is not None:
+        if witness:
+            raise InvalidParameter("a start seeds a size-only query; pass witness=False")
+        seed = _seed(g, k, start)
     degree, _ = index_degrees(g.n, g.pairs)
     if k > max(degree, default=0):
         # no vertex can reach degree k, so the empty matching is the maximum.
@@ -787,14 +830,20 @@ def max_k_matching(
             nodes=spent,
         )
 
-    def search(order: list[int] | None, *probe, cap: int = _SEARCH_CAP) -> _SearchOutcome:
+    def search(
+        order: list[int] | None, *probe, cap: int = _SEARCH_CAP, floor: int | None = None
+    ) -> _SearchOutcome:
         # a probe is (forced edges, target size); its leaf must be a
-        # k-matching of exactly the target size.
+        # k-matching of exactly the target size. A seeded search passes
+        # the seed's size as its floor.
         nonlocal spent
         cap = min(cap, budget - spent)
         if cap < 1:
             raise _OutOfBudget
-        out = _search_maximum(g, k, cap, order, *probe)
+        if floor is None:
+            out = _search_maximum(g, k, cap, order, *probe)
+        else:
+            out = _search_maximum(g, k, cap, order, floor=floor)
         # a capped search counts the node it stopped at; charge only the cap.
         spent += min(out.nodes, cap)
         if probe and out.best is not None:
@@ -848,9 +897,14 @@ def max_k_matching(
         # the canonical witness. A leaf sits at depth m, so the cap grows
         # with the edge count.
         first = search(None, cap=_short_cap(g.m))
-    else:
+    elif seed is None:
         # a size-only call is free to search in the faster degree order.
         first = search(_degree_order(g, degree))
+    else:
+        # only a leaf larger than the seed replaces it.
+        first = search(_degree_order(g, degree), floor=len(seed))
+        if first.best is None:
+            first.best = seed
     if first.settled:
         return report(first.best or (), True)
     top = first  # the larger incumbent of the root searches

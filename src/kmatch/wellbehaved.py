@@ -26,18 +26,34 @@ corpus. Its all-max-pairs conditions build every pair's boxast set with
 the constructions' own edge rule, in product index space, and check it
 with the constructions' own validation, but build no ConstructionResult.
 
-The sweeps repeat factor and product queries, so the immutable oracle
-reports and enumerations live in one bounded memo of 1,024 entries
-(`cached_query`). Products are built per call; an equal product graph
-finds the answers cached under it.
+The sweeps repeat factor queries, so the immutable oracle reports and
+enumerations live in a bounded memo of 1,024 entries (`cached_query`);
+the deciders build products per call, and an equal product graph finds
+the answers cached under it. The equivalence suite keeps its own
+bounded memo of 1,024 rows (`cached_row`): a row is the three boxast
+stars of one factor pair and k. It answers each of its cells once,
+asks each product's size-only query from the k-matching of the
+product below it (E(cartesian) within E(strong) within E(lex), on one
+vertex order), and shares the all-max-pairs sets, which depend only on
+the factors, among its cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product as iproduct
+from typing import Iterator
 
-from .constructions import PRODUCT_KINDS, boxast, boxast_parts, checked_degrees, index_form
+from .constructions import (
+    PRODUCT_KINDS,
+    FactorForm,
+    boxast,
+    boxast_parts,
+    distinct_pairs,
+    factor_form,
+    require_members,
+)
 from .errors import UnsupportedKind
 from .graphs import Graph
 from .matchings import (
@@ -45,9 +61,10 @@ from .matchings import (
     OracleReport,
     check_k,
     enumerate_k_matchings,
+    index_degrees,
     max_k_matching,
 )
-from .products import product
+from .products import ProductGraph, product
 
 
 @dataclass(frozen=True)
@@ -73,19 +90,18 @@ class EquivalenceReport:
 # a key may hold a product Graph with its cached index, label edges and
 # neighbour lists: the bound is what caps the layer's memory on a long sweep.
 MEMO_SIZE = 1024
-WITNESS, SIZE, ALL = "witness", "size", "all"
+WITNESS, ALL = "witness", "all"
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def cached_query(g: Graph, k: int, mode: str, budget: int | None):
-    """The oracle report with the canonical witness (WITNESS), the report
-    with some maximum witness (SIZE: much cheaper where the search cannot
-    settle, and the sweeps never print product witnesses), or every
+    """The oracle report with the canonical witness (WITNESS), or every
     k-matching of g (ALL, budget None). Pass all four arguments
-    positionally, so that equal queries share one key."""
+    positionally, so that equal queries share one key. The suite's
+    product queries are size-only and live in its rows (`cached_row`)."""
     if mode == ALL:
         return tuple(enumerate_k_matchings(g, k))
-    return max_k_matching(g, k, budget=budget, witness=mode == WITNESS)
+    return max_k_matching(g, k, budget=budget, witness=True)
 
 
 def _k_matchings(g: Graph, k: int) -> tuple[tuple, ...]:
@@ -111,14 +127,18 @@ def _report_numbers(r: OracleReport) -> dict:
     return {"size": r.size, "unmatched": r.unmatched, "witness": list(r.witness)}
 
 
-def _product_query(g: Graph, h: Graph, star: str, k: int, flavor: str, budget: int, mode: str):
-    """The product G*H and its oracle report, once k and the star are
-    checked against the flavor's product kinds."""
+def _check_star(star: str, k: int, flavor: str) -> None:
     check_k(k)
     if star not in PRODUCT_KINDS[flavor]:
         raise UnsupportedKind(f"{flavor} flavor is undefined on the {star} product")
+
+
+def _product_query(g: Graph, h: Graph, star: str, k: int, flavor: str, budget: int):
+    """The product G*H and its canonical oracle report, once k and the
+    star are checked against the flavor's product kinds."""
+    _check_star(star, k, flavor)
     p = product(g, h, star)
-    return p, cached_query(p.graph, k, mode, budget)
+    return p, cached_query(p.graph, k, WITNESS, budget)
 
 
 def check_boxast(
@@ -131,7 +151,7 @@ def check_boxast(
     maximum factor matchings and the boxast built from them, in both
     orientations.
     """
-    p, rp = _product_query(g, h, star, k, "boxast", budget, WITNESS)
+    p, rp = _product_query(g, h, star, k, "boxast", budget)
     rg = cached_query(g, k, WITNESS, budget)
     rh = cached_query(h, k, WITNESS, budget)
     exhaustive = rg.exhaustive and rh.exhaustive and rp.exhaustive
@@ -159,7 +179,7 @@ def check_circledast(
     M2.b, M3, M4 for a pair whose unmatched counts satisfy
     u_G u_H = u_k(G*H); the first hit becomes the evidence witness.
     """
-    _, rp = _product_query(g, h, star, k, "circledast", budget, WITNESS)
+    _, rp = _product_query(g, h, star, k, "circledast", budget)
 
     # candidate streams per regime: (tag, m_g, m_h, u_g, u_h) tuples
     def stream():
@@ -218,7 +238,7 @@ def check_ast(
     Tries every factor split k_G k_H = k in ascending k_G and compares
     m_k(G*H) with 2 m_{k_G}(G) m_{k_H}(H).
     """
-    _, rp = _product_query(g, h, star, k, "ast", budget, WITNESS)
+    _, rp = _product_query(g, h, star, k, "ast", budget)
     attempts = []
     winner = None
     all_settled = True
@@ -259,6 +279,123 @@ CONDITIONS = (
 )
 
 
+@dataclass
+class _PairSets:
+    """The boxast sets of a row's pairs of maximum factor k-matchings in
+    one orientation, built in pair order as far as some cell has asked:
+    the pairs not yet built, (size, uniform degree) of each built set,
+    and every index pair of the built sets."""
+
+    pending: Iterator[tuple[FactorForm, FactorForm]]
+    facts: list[tuple[int, int | None]] = field(default_factory=list)
+    union: set[tuple[int, int]] = field(default_factory=set)
+
+
+class _Row:
+    """The suite's three cells of one (g, h, k, budget); see `cached_row`.
+
+    The row builds each pair's boxast set once per orientation, for all
+    its cells, and checks it there for repeated pairs and degrees; each
+    cell checks the sets' pairs against its own product's edges and
+    their sizes against its own maximum (`all_max_pairs`)."""
+
+    def __init__(self, g: Graph, h: Graph, k: int, budget: int):
+        self.g, self.h, self.k, self.budget = g, h, k, budget
+        self.cells: dict[str, EquivalenceReport] = {}
+        # the size-only report of each star's product, once its cell asked
+        self.sizes: dict[str, OracleReport] = {}
+        self._sets: dict[str, _PairSets] = {}
+        # the factor witnesses' forms and their gh set, until the gh pair
+        # sets reach that pair
+        self._seed: tuple[tuple[FactorForm, FactorForm], list[tuple[int, int]]] | None = None
+
+    def size_query(
+        self, p: ProductGraph, members: set[tuple[int, int]], rg: OracleReport, rh: OracleReport
+    ) -> OracleReport:
+        """The size-only report of the cell's product p, whose edge pairs
+        are `members`, seeded from the witness of the largest product
+        below it whose cell is answered (their vertices share one index
+        order and their edges nest, so that witness is a k-matching of
+        p), else from the boxast of the factor witnesses, a k-matching of
+        every boxast star, checked against `members` like every set the
+        suite constructs."""
+        below = [star for star in _NESTED[: _NESTED.index(p.kind)] if star in self.sizes]
+        if below:
+            start = self.sizes[below[-1]].witness
+        else:
+            pair = factor_form(self.g, rg.witness), factor_form(self.h, rh.witness)
+            copies, fill = boxast_parts(p, *pair, "gh")
+            keys = copies + fill
+            require_members(members, keys)
+            self._seed = pair, keys
+            vs = p.graph.vertices
+            start = [(vs[a], vs[b]) for a, b in keys]
+        rp = max_k_matching(p.graph, self.k, budget=self.budget, witness=False, start=start)
+        self.sizes[p.kind] = rp
+        return rp
+
+    def all_max_pairs(
+        self, p: ProductGraph, members: set[tuple[int, int]], size: int, orientation: str
+    ) -> bool:
+        """Conditions 2 and 3 for the cell of p, whose edge pairs are
+        `members` and whose maximum is `size`: every pair's set in
+        `orientation` is a k-matching of that size. It stops at the first
+        set that is not, as a lone cell would, then checks every set the
+        row has built against `members`."""
+        held = all(
+            uniform in (0, self.k) and count == size
+            for count, uniform in self._pair_facts(p, orientation)
+        )
+        require_members(members, self._sets[orientation].union)
+        return held
+
+    def _pair_facts(self, p: ProductGraph, orientation: str) -> Iterator[tuple[int, int | None]]:
+        if not self._sets:
+            # each maximum factor k-matching in index form, once per row
+            forms = [
+                [factor_form(f, m) for m in _maximum_k_matchings(f, self.k)]
+                for f in (self.g, self.h)
+            ]
+            self._sets = {o: _PairSets(iproduct(*forms)) for o in ("gh", "hg")}
+        sets = self._sets[orientation]
+        i = 0
+        while i < len(sets.facts) or self._build_next(p, sets, orientation):
+            yield sets.facts[i]
+            i += 1
+
+    def _build_next(self, p: ProductGraph, sets: _PairSets, orientation: str) -> bool:
+        pair = next(sets.pending, None)
+        if pair is None:
+            return False
+        if orientation == "gh" and self._seed is not None and self._seed[0] == pair:
+            keys, self._seed = self._seed[1], None
+        else:
+            copies, fill = boxast_parts(p, *pair, orientation)
+            keys = copies + fill
+        sets.union |= distinct_pairs(keys)
+        _, uniform = index_degrees(p.graph.n, keys)
+        sets.facts.append((len(keys), uniform))
+        return True
+
+    def release(self) -> None:
+        """Drop the pair sets once every cell is answered."""
+        self._sets.clear()
+        self._seed = None
+
+
+# the boxast stars with nested edge sets: E(cartesian) within E(strong)
+# within E(lex), on one vertex index order
+_NESTED = ("cartesian", "strong", "lex")
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def cached_row(g: Graph, h: Graph, k: int, budget: int) -> _Row:
+    """The suite's row of (g, h, k) under `budget`, whose cells
+    `equivalence_suite` fills on first use. Pass all four arguments
+    positionally, so that equal rows share one key."""
+    return _Row(g, h, k, budget)
+
+
 def equivalence_suite(
     g: Graph, h: Graph, star: str, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> EquivalenceReport:
@@ -269,19 +406,39 @@ def equivalence_suite(
        quantified over the achievable unmatched-count pairs).
     2./3. all-max-pairs: for every pair of maximum factor k-matchings the
        constructed boxast (gh resp. hg) is a valid k-matching of the
-       product of maximum size. Each maximum factor matching is converted
-       to index form once per call; every pair's set is then built as
-       product index pairs by `boxast_parts` and validated explicitly:
-       each pair is a product edge and occurs once (else
-       InvariantViolation), every positive degree is k, and the count is
-       the product's maximum size.
+       product of maximum size. Each pair's set is built as product index
+       pairs by `boxast_parts` and validated explicitly: each pair is a
+       product edge and occurs once (else InvariantViolation), every
+       positive degree is k, and the count is the product's maximum size.
     4./5. size formulas anchored on one factor's maximum.
     6. the product size formula in n and u.
     7. the unmatched-count identity.
+
+    The report is the cell `star` of the row `cached_row(g, h, k,
+    budget)`, computed on the first call and shared after it. A row
+    builds each cell's product once and each pair's boxast set once per
+    orientation for its three cells (see `_Row`). Each cell's size-only
+    product query is seeded from the answered cell below it, else from
+    the factor witnesses' boxast (see `_Row.size_query`), so a lone
+    strong or lex cell asks nothing of the cells below it.
     """
-    p, rp = _product_query(g, h, star, k, "boxast", budget, SIZE)
+    _check_star(star, k, "boxast")
+    row = cached_row(g, h, k, budget)
+    cell = row.cells.get(star)
+    if cell is None:
+        cell = row.cells[star] = _suite_cell(row, star)
+        if len(row.cells) == len(_NESTED):
+            row.release()
+    return cell
+
+
+def _suite_cell(row: _Row, star: str) -> EquivalenceReport:
+    g, h, k, budget = row.g, row.h, row.k, row.budget
     rg = cached_query(g, k, WITNESS, budget)
     rh = cached_query(h, k, WITNESS, budget)
+    p = product(g, h, star)
+    members = set(p.graph.pairs)
+    rp = row.size_query(p, members, rg, rh)
     exhaustive = rg.exhaustive and rh.exhaustive and rp.exhaustive
     numbers = {
         "left": {"n": g.n, "size": rg.size, "unmatched": rg.unmatched},
@@ -294,24 +451,11 @@ def equivalence_suite(
 
     us_g, us_h = achievable_unmatched(g, k), achievable_unmatched(h, k)
     definition = any(k * (g.n * h.n - u_g * u_h) == 2 * rp.size for u_g in us_g for u_h in us_h)
-    forms_g = [index_form(g, m)[1] for m in _maximum_k_matchings(g, k)]
-    forms_h = [index_form(h, m)[1] for m in _maximum_k_matchings(h, k)]
-    n, members = p.graph.n, set(p.graph.pairs)
-
-    def all_max_pairs(orientation: str) -> bool:
-        for form_g in forms_g:
-            for form_h in forms_h:
-                copies, fill = boxast_parts(p, form_g, form_h, orientation)
-                keys = copies + fill
-                _, uniform = checked_degrees(n, members, keys)
-                if uniform not in (0, k) or len(keys) != rp.size:
-                    return False
-        return True
 
     conditions = dict(zip(CONDITIONS, (
         definition,
-        all_max_pairs("gh"),
-        all_max_pairs("hg"),
+        row.all_max_pairs(p, members, rp.size, "gh"),
+        row.all_max_pairs(p, members, rp.size, "hg"),
         rp.size == rg.size * h.n + rh.size * rg.unmatched,
         rp.size == rh.size * g.n + rg.size * rh.unmatched,
         2 * rp.size == k * (g.n * h.n - rg.unmatched * rh.unmatched),

@@ -1,9 +1,11 @@
 """Oracle, enumerator, and classifier checks against independent references."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,14 @@ from scipy.optimize._highspy import _core as highspy
 
 import bruteforce
 import kmatch
-from kmatch.errors import EdgeNotInHost, InvalidK, InvariantViolation, SizeLimitExceeded
+from kmatch.constructions import boxast
+from kmatch.errors import (
+    EdgeNotInHost,
+    InvalidK,
+    InvalidParameter,
+    InvariantViolation,
+    SizeLimitExceeded,
+)
 from kmatch.graphs import build_named, make_graph
 from kmatch.corpus import connected_graphs, connected_graphs_upto
 from kmatch import matchings
@@ -28,7 +37,7 @@ from kmatch.matchings import (
     max_k_matching,
     validate_k_matching,
 )
-from kmatch.products import product
+from kmatch.products import KINDS, product
 from kmatch.wellbehaved import _maximum_k_matchings
 
 
@@ -1139,6 +1148,127 @@ def test_the_root_relaxation_starts_at_the_search_s_best_matching_if_any(monkeyp
     rep = max_k_matching(p, 2, witness=False)
     assert (rep.size, rep.exhaustive) == (169, True)
     assert runs and "basis" not in runs and set(runs) == {1}, runs
+
+
+def random_k_matching(p, k, rng):
+    """A k-matching of p drawn from bruteforce's enumeration of the
+    subgraph induced by at most five random vertices (a k-matching of an
+    induced subgraph is one of p), non-empty when there is one."""
+    chosen = set(rng.sample(p.vertices, min(5, p.n)))
+    inside = [e for e in p.edges if e[0] in chosen and e[1] in chosen]
+    every = bruteforce.all_k_matchings(sorted(chosen), inside, k)
+    return rng.choice([m for m in every if m] or every)
+
+
+@lru_cache(maxsize=None)
+def seeded_cases():
+    """(where, product, k, unseeded size-only report, starts) over the
+    products of the connected graphs on four vertices, all four kinds,
+    k = 1..3. The starts are the empty matching, the unseeded report's
+    witness, the boxast of the factors' canonical witnesses (a k-matching
+    of every kind but direct, which has no Cartesian edges) and two
+    random k-matchings."""
+    rng = random.Random(29)
+    factors = connected_graphs(4)
+    cases = []
+    for i, g in enumerate(factors):
+        for j, h in enumerate(factors):
+            for kind in KINDS:
+                p = product(g, h, kind)
+                for k in (1, 2, 3):
+                    plain = max_k_matching(p.graph, k, witness=False)
+                    starts = {"empty": (), "unseeded": plain.witness}
+                    if kind != "direct":
+                        witnesses = max_k_matching(g, k).witness, max_k_matching(h, k).witness
+                        starts["boxast"] = boxast(p, *witnesses).edges
+                    for r in range(2):
+                        starts[f"random {r}"] = random_k_matching(p.graph, k, rng)
+                    cases.append(((i, j, kind, k), p.graph, k, plain, starts))
+    return cases
+
+
+def test_a_seeded_size_query_answers_as_the_unseeded_one():
+    tried = Counter()
+    for where, p, k, plain, starts in seeded_cases():
+        for name, start in starts.items():
+            rep = max_k_matching(p, k, witness=False, start=start)
+            at = (where, name)
+            assert (rep.size, rep.unmatched, rep.exhaustive) == (
+                plain.size, plain.unmatched, plain.exhaustive
+            ), at
+            ok, _ = validate_k_matching(p, rep.witness, k)
+            assert ok and len(set(rep.witness)) == len(rep.witness) == rep.size, at
+            tried[name] += bool(start)
+    # every kind of start is tried, and non-empty
+    assert len(tried) == 5 and min(v for name, v in tried.items() if name != "empty") > 100
+
+
+@pytest.mark.parametrize("budget", [1, 3, 10, 50, 400, 4_000, 15_000])
+def test_a_seeded_size_query_keeps_to_the_budget(budget):
+    # a degraded report carries the seed or something larger: the seed
+    # stands in for the search's best, and costs no nodes.
+    for where, p, k, plain, starts in seeded_cases():
+        for name, start in starts.items():
+            rep = max_k_matching(p, k, budget=budget, witness=False, start=start)
+            at = (where, name)
+            assert rep.nodes <= budget, at
+            ok, _ = validate_k_matching(p, rep.witness, k)
+            assert ok and len(set(rep.witness)) == len(rep.witness) == rep.size, at
+            assert len(start) <= rep.size <= plain.size, at
+            if rep.exhaustive:
+                assert rep.size == plain.size, at
+
+
+def test_a_start_must_be_a_k_matching_of_the_host():
+    p = product(build_named("path", 3), build_named("path", 3), "cartesian").graph
+    with pytest.raises(EdgeNotInHost):
+        max_k_matching(p, 1, witness=False, start=[((0, 0), (1, 1))])
+    # (0, 1) gets degree 2, which is neither 0 nor 1
+    with pytest.raises(InvariantViolation):
+        max_k_matching(p, 1, witness=False, start=[((0, 0), (0, 1)), ((0, 1), (0, 2))])
+    # a witness query recovers the canonical witness from nothing
+    with pytest.raises(InvalidParameter):
+        max_k_matching(p, 1, start=())
+    with pytest.raises(InvalidParameter):
+        max_k_matching(p, 1, witness=True, start=[((0, 0), (0, 1))])
+
+
+START_PROBE = """
+from kmatch.errors import InvariantViolation
+from kmatch.graphs import build_named
+from kmatch.matchings import max_k_matching
+from kmatch.products import product
+
+p = product(build_named("path", 3), build_named("path", 3), "cartesian").graph
+try:
+    max_k_matching(p, 1, witness=False, start=[((0, 0), (0, 1)), ((0, 1), (0, 2))])
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("a start off the 0-or-1 condition was accepted under -O")
+"""
+
+
+def test_a_start_off_the_condition_raises_under_optimized_mode():
+    proc = run_child(START_PROBE, "-O")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_seeded_search_keeps_the_seed_unless_it_finds_more(small_corpus):
+    # `floor` is the seed's size: a settled search without a larger leaf
+    # has no best, and one that has a best has a larger one, the maximum.
+    for _, g in small_corpus:
+        degree, _ = index_degrees(g.n, g.pairs)
+        order = _degree_order(g, degree)
+        for k in (1, 2, 3):
+            optimum = bruteforce.maximum_size(g.vertices, g.edges, k)
+            for floor in range(optimum + 1):
+                out = _search_maximum(g, k, _SEARCH_CAP, order, floor=floor)
+                assert out.settled
+                if floor == optimum:
+                    assert out.best is None and out.best_size == floor
+                else:
+                    assert out.best_size == len(out.best) == optimum
 
 
 def test_uniform_degree_and_unmatched():

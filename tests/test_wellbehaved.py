@@ -1,11 +1,13 @@
 """Well-behavedness deciders and the seven-way characterization suite."""
 
 import json
+from collections import Counter
 
 import pytest
 
 import bruteforce
-from kmatch.errors import InvalidK, UnsupportedKind
+from kmatch import wellbehaved
+from kmatch.errors import InvalidK, InvariantViolation, UnsupportedKind
 from kmatch.graphs import build_named
 from kmatch.matchings import max_k_matching
 from kmatch.products import product
@@ -14,6 +16,7 @@ from kmatch.wellbehaved import (
     MEMO_SIZE,
     achievable_unmatched,
     cached_query,
+    cached_row,
     check_ast,
     check_boxast,
     check_circledast,
@@ -159,10 +162,107 @@ def test_memo_keeps_its_modes_apart(named):
 
 def test_memo_is_bounded_and_clears(named):
     equivalence_suite(named["k2"], named["p3"], "cartesian", 1)
-    assert cached_query.cache_info().maxsize == MEMO_SIZE
-    assert cached_query.cache_info().currsize > 0
+    for memo in (cached_query, cached_row):
+        assert memo.cache_info().maxsize == MEMO_SIZE
+        assert memo.cache_info().currsize > 0
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+
+
+STARS = ("cartesian", "strong", "lex")
+
+
+def clear_memos():
+    cached_row.cache_clear()
     cached_query.cache_clear()
-    assert cached_query.cache_info().currsize == 0
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty memos before the test and after it, so that rows built with
+    a patched edge rule stay inside the test."""
+    clear_memos()
+    yield
+    clear_memos()
+
+
+def test_a_row_builds_each_product_and_pair_set_once(monkeypatch, small_corpus, fresh_memos):
+    # every row of the corpus, each star asked twice: a cell builds its
+    # product once, and the row builds each pair's set once per
+    # orientation for its three cells (the factor witnesses' set, built
+    # as the seed of the first product query, included).
+    builds, parts = Counter(), Counter()
+
+    def spy_product(g, h, kind):
+        builds[g, h, kind] += 1
+        return product(g, h, kind)
+
+    def spy_parts(p, form_g, form_h, orientation):
+        parts[str(form_g), str(form_h), orientation] += 1
+        return real_parts(p, form_g, form_h, orientation)
+
+    real_parts = wellbehaved.boxast_parts
+    monkeypatch.setattr(wellbehaved, "product", spy_product)
+    monkeypatch.setattr(wellbehaved, "boxast_parts", spy_parts)
+    complete = 0
+    for _, g in small_corpus:
+        for _, h in small_corpus:
+            for k in (1, 2, 3):
+                reps = [equivalence_suite(g, h, star, k) for star in STARS * 2]
+                assert reps[:3] == reps[3:]
+                assert builds == Counter({(g, h, star): 1 for star in STARS})
+                for orientation in ("gh", "hg"):
+                    if any(rep.conditions[f"all-max-pairs-{orientation}"] for rep in reps):
+                        # a cell that holds the condition reached every pair
+                        pairs = [m for m in parts if m[2] == orientation]
+                        count = len(wellbehaved._maximum_k_matchings(g, k))
+                        assert len(pairs) == count * len(wellbehaved._maximum_k_matchings(h, k))
+                        complete += 1
+                assert max(parts.values(), default=1) == 1
+                builds.clear()
+                parts.clear()
+    assert complete > 100
+
+
+def test_reports_do_not_depend_on_the_order_of_the_cells(small_corpus):
+    # a strong or lex cell asked after the cells below it is seeded from
+    # their answers, and asked alone from the factor witnesses' boxast.
+    rows = [(g, h, k) for _, g in small_corpus for _, h in small_corpus for k in (1, 2, 3)]
+    clear_memos()
+    upward = [[equivalence_suite(*row[:2], star, row[2]) for star in STARS] for row in rows]
+    clear_memos()
+    downward = [[equivalence_suite(*row[:2], star, row[2]) for star in reversed(STARS)][::-1]
+                for row in rows]
+    lone = []
+    for row in rows:
+        cells = []
+        for star in STARS:
+            clear_memos()
+            cells.append(equivalence_suite(*row[:2], star, row[2]))
+        lone.append(cells)
+    assert upward == downward == lone
+
+
+@pytest.mark.parametrize("bad", ["gh", "hg"])
+def test_an_edge_rule_that_leaves_the_product_raises_in_every_star(
+    monkeypatch, named, bad, fresh_memos
+):
+    # in the product of two 3-paths, vertices 0 = (0, 0) and 8 = (2, 2)
+    # are adjacent in no star. Broken in gh, the rule breaks the seed of
+    # the first product query; broken in hg, only the hg pair sets.
+    real_parts = wellbehaved.boxast_parts
+
+    def leaky(p, form_g, form_h, orientation):
+        copies, fill = real_parts(p, form_g, form_h, orientation)
+        return copies, fill + [(0, 8)] if orientation == bad else fill
+
+    monkeypatch.setattr(wellbehaved, "boxast_parts", leaky)
+    p3 = named["p3"]
+    for order in (STARS, *([star] for star in STARS)):
+        clear_memos()
+        for star in order:
+            with pytest.raises(InvariantViolation):
+                equivalence_suite(p3, p3, star, 1)
 
 
 def test_all_max_pairs_equals_the_public_route(small_corpus):
