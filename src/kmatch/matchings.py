@@ -831,19 +831,17 @@ def max_k_matching(
         )
 
     def search(
-        order: list[int] | None, *probe, cap: int = _SEARCH_CAP, floor: int | None = None
+        order: list[int] | None, *probe, cap: int = _SEARCH_CAP, floor: int = -1
     ) -> _SearchOutcome:
         # a probe is (forced edges, target size); its leaf must be a
-        # k-matching of exactly the target size. A seeded search passes
-        # the seed's size as its floor.
+        # k-matching of exactly the target size, and its target sets the
+        # incumbent, so it ignores `floor`. A seeded search passes the
+        # seed's size as its floor.
         nonlocal spent
         cap = min(cap, budget - spent)
         if cap < 1:
             raise _OutOfBudget
-        if floor is None:
-            out = _search_maximum(g, k, cap, order, *probe)
-        else:
-            out = _search_maximum(g, k, cap, order, floor=floor)
+        out = _search_maximum(g, k, cap, order, *probe, floor=floor)
         # a capped search counts the node it stopped at; charge only the cap.
         spent += min(out.nodes, cap)
         if probe and out.best is not None:

@@ -30,24 +30,23 @@ The sweeps repeat factor queries, so the immutable oracle reports and
 enumerations live in a bounded memo of 1,024 entries (`cached_query`);
 the deciders build products per call, and an equal product graph finds
 the answers cached under it. The equivalence suite keeps its own
-bounded memo of 1,024 rows (`cached_row`): a row is the three boxast
-stars of one factor pair and k. It answers each of its cells once,
-asks each product's size-only query from the k-matching of the
-product below it (E(cartesian) within E(strong) within E(lex), on one
-vertex order), and shares the all-max-pairs sets, which depend only on
-the factors, among its cells.
+bounded memo of 1,024 rows (`cached_row`): a row is the finished
+reports of the three boxast stars of one factor pair and k, answered
+in one call. That call asks each product's size-only query from the
+maximum of the product below it (E(cartesian) within E(strong) within
+E(lex), on one vertex order), and builds the all-max-pairs sets,
+which depend only on the factors, once for the three cells. A call
+that raises leaves nothing in the memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Iterator
 
 from .constructions import (
     PRODUCT_KINDS,
-    FactorForm,
     boxast,
     boxast_parts,
     distinct_pairs,
@@ -64,7 +63,7 @@ from .matchings import (
     index_degrees,
     max_k_matching,
 )
-from .products import ProductGraph, product
+from .products import product
 
 
 @dataclass(frozen=True)
@@ -279,121 +278,97 @@ CONDITIONS = (
 )
 
 
-@dataclass
-class _PairSets:
-    """The boxast sets of a row's pairs of maximum factor k-matchings in
-    one orientation, built in pair order as far as some cell has asked:
-    the pairs not yet built, (size, uniform degree) of each built set,
-    and every index pair of the built sets."""
-
-    pending: Iterator[tuple[FactorForm, FactorForm]]
-    facts: list[tuple[int, int | None]] = field(default_factory=list)
-    union: set[tuple[int, int]] = field(default_factory=set)
-
-
-class _Row:
-    """The suite's three cells of one (g, h, k, budget); see `cached_row`.
-
-    The row builds each pair's boxast set once per orientation, for all
-    its cells, and checks it there for repeated pairs and degrees; each
-    cell checks the sets' pairs against its own product's edges and
-    their sizes against its own maximum (`all_max_pairs`)."""
-
-    def __init__(self, g: Graph, h: Graph, k: int, budget: int):
-        self.g, self.h, self.k, self.budget = g, h, k, budget
-        self.cells: dict[str, EquivalenceReport] = {}
-        # the size-only report of each star's product, once its cell asked
-        self.sizes: dict[str, OracleReport] = {}
-        self._sets: dict[str, _PairSets] = {}
-        # the factor witnesses' forms and their gh set, until the gh pair
-        # sets reach that pair
-        self._seed: tuple[tuple[FactorForm, FactorForm], list[tuple[int, int]]] | None = None
-
-    def size_query(
-        self, p: ProductGraph, members: set[tuple[int, int]], rg: OracleReport, rh: OracleReport
-    ) -> OracleReport:
-        """The size-only report of the cell's product p, whose edge pairs
-        are `members`, seeded from the witness of the largest product
-        below it whose cell is answered (their vertices share one index
-        order and their edges nest, so that witness is a k-matching of
-        p), else from the boxast of the factor witnesses, a k-matching of
-        every boxast star, checked against `members` like every set the
-        suite constructs."""
-        below = [star for star in _NESTED[: _NESTED.index(p.kind)] if star in self.sizes]
-        if below:
-            start = self.sizes[below[-1]].witness
-        else:
-            pair = factor_form(self.g, rg.witness), factor_form(self.h, rh.witness)
-            copies, fill = boxast_parts(p, *pair, "gh")
-            keys = copies + fill
-            require_members(members, keys)
-            self._seed = pair, keys
-            vs = p.graph.vertices
-            start = [(vs[a], vs[b]) for a, b in keys]
-        rp = max_k_matching(p.graph, self.k, budget=self.budget, witness=False, start=start)
-        self.sizes[p.kind] = rp
-        return rp
-
-    def all_max_pairs(
-        self, p: ProductGraph, members: set[tuple[int, int]], size: int, orientation: str
-    ) -> bool:
-        """Conditions 2 and 3 for the cell of p, whose edge pairs are
-        `members` and whose maximum is `size`: every pair's set in
-        `orientation` is a k-matching of that size. It stops at the first
-        set that is not, as a lone cell would, then checks every set the
-        row has built against `members`."""
-        held = all(
-            uniform in (0, self.k) and count == size
-            for count, uniform in self._pair_facts(p, orientation)
-        )
-        require_members(members, self._sets[orientation].union)
-        return held
-
-    def _pair_facts(self, p: ProductGraph, orientation: str) -> Iterator[tuple[int, int | None]]:
-        if not self._sets:
-            # each maximum factor k-matching in index form, once per row
-            forms = [
-                [factor_form(f, m) for m in _maximum_k_matchings(f, self.k)]
-                for f in (self.g, self.h)
-            ]
-            self._sets = {o: _PairSets(iproduct(*forms)) for o in ("gh", "hg")}
-        sets = self._sets[orientation]
-        i = 0
-        while i < len(sets.facts) or self._build_next(p, sets, orientation):
-            yield sets.facts[i]
-            i += 1
-
-    def _build_next(self, p: ProductGraph, sets: _PairSets, orientation: str) -> bool:
-        pair = next(sets.pending, None)
-        if pair is None:
-            return False
-        if orientation == "gh" and self._seed is not None and self._seed[0] == pair:
-            keys, self._seed = self._seed[1], None
-        else:
-            copies, fill = boxast_parts(p, *pair, orientation)
-            keys = copies + fill
-        sets.union |= distinct_pairs(keys)
-        _, uniform = index_degrees(p.graph.n, keys)
-        sets.facts.append((len(keys), uniform))
-        return True
-
-    def release(self) -> None:
-        """Drop the pair sets once every cell is answered."""
-        self._sets.clear()
-        self._seed = None
-
-
 # the boxast stars with nested edge sets: E(cartesian) within E(strong)
 # within E(lex), on one vertex index order
 _NESTED = ("cartesian", "strong", "lex")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def cached_row(g: Graph, h: Graph, k: int, budget: int) -> _Row:
-    """The suite's row of (g, h, k) under `budget`, whose cells
-    `equivalence_suite` fills on first use. Pass all four arguments
-    positionally, so that equal rows share one key."""
-    return _Row(g, h, k, budget)
+def cached_row(g: Graph, h: Graph, k: int, budget: int) -> dict[str, EquivalenceReport]:
+    """The suite's row of (g, h, k) under `budget`: the report of each
+    boxast star, as `equivalence_suite` defines it. Pass all four
+    arguments positionally, so that equal rows share one key.
+
+    Each product is built once. Their size-only queries run in nested
+    order, each starting from the maximum of the product below it; the
+    cartesian one starts from the boxast of the factor witnesses, a
+    k-matching of all three, checked against its edges like every set
+    the suite constructs. Then each orientation's pair sets are built
+    once for the three cells, in pair order, and checked there for
+    repeated pairs and degrees: the scan goes on while every set is a
+    k-matching of the first set's size and that size is the maximum of
+    some exhaustive cell. A cell's all-max-pairs condition holds when
+    every set passed and that common size is its maximum. The factor
+    witnesses' set is reused as its pair's gh set, and every exhaustive
+    cell checks all the sets built against its own product's edges."""
+    rg = cached_query(g, k, WITNESS, budget)
+    rh = cached_query(h, k, WITNESS, budget)
+    witnesses = factor_form(g, rg.witness), factor_form(h, rh.witness)
+    members, sizes = {}, {}
+    start = None
+    for star in _NESTED:
+        p = product(g, h, star)
+        members[star] = set(p.graph.pairs)
+        if start is None:
+            copies, fill = boxast_parts(p, *witnesses, "gh")
+            seed = copies + fill
+            require_members(members[star], seed)
+            vs = p.graph.vertices
+            start = [(vs[a], vs[b]) for a, b in seed]
+        sizes[star] = max_k_matching(p.graph, k, budget=budget, witness=False, start=start)
+        start = sizes[star].witness
+
+    exact = rg.exhaustive and rh.exhaustive
+    maxima = {star: rp.size for star, rp in sizes.items() if exact and rp.exhaustive}
+    shared = {}
+    if maxima:
+        # the size every pair's set shares, per orientation, when each is
+        # a k-matching of that size and it is some exhaustive cell's maximum;
+        # `boxast_parts` reads only the factor orders, so the last product
+        # built serves all three cells
+        forms = [[factor_form(f, m) for m in _maximum_k_matchings(f, k)] for f in (g, h)]
+        for orientation in ("gh", "hg"):
+            first, union = None, set()
+            for pair in iproduct(*forms):
+                if orientation == "gh" and pair == witnesses:
+                    keys = seed
+                else:
+                    copies, fill = boxast_parts(p, *pair, orientation)
+                    keys = copies + fill
+                union |= distinct_pairs(keys)
+                facts = len(keys), index_degrees(p.graph.n, keys)[1]
+                if first is None:
+                    first = facts
+                if facts != first or facts[1] not in (0, k) or facts[0] not in maxima.values():
+                    break
+            else:
+                shared[orientation] = first[0]
+            for star in maxima:
+                require_members(members[star], union)
+        us_g, us_h = achievable_unmatched(g, k), achievable_unmatched(h, k)
+
+    row = {}
+    for star, rp in sizes.items():
+        numbers = {
+            "left": {"n": g.n, "size": rg.size, "unmatched": rg.unmatched},
+            "right": {"n": h.n, "size": rh.size, "unmatched": rh.unmatched},
+            "product": {"n": p.graph.n, "size": rp.size, "unmatched": rp.unmatched},
+        }
+        if star not in maxima:
+            row[star] = EquivalenceReport(star, k, dict.fromkeys(CONDITIONS), None, numbers, False)
+            continue
+        conditions = dict(zip(CONDITIONS, (
+            any(k * (g.n * h.n - u_g * u_h) == 2 * rp.size for u_g in us_g for u_h in us_h),
+            shared.get("gh") == rp.size,
+            shared.get("hg") == rp.size,
+            rp.size == rg.size * h.n + rh.size * rg.unmatched,
+            rp.size == rh.size * g.n + rg.size * rh.unmatched,
+            2 * rp.size == k * (g.n * h.n - rg.unmatched * rh.unmatched),
+            rp.unmatched == rg.unmatched * rh.unmatched,
+        )))
+        agree = len(set(conditions.values())) == 1
+        row[star] = EquivalenceReport(star, k, conditions, agree, numbers, True)
+    return row
 
 
 def equivalence_suite(
@@ -415,51 +390,12 @@ def equivalence_suite(
     7. the unmatched-count identity.
 
     The report is the cell `star` of the row `cached_row(g, h, k,
-    budget)`, computed on the first call and shared after it. A row
-    builds each cell's product once and each pair's boxast set once per
-    orientation for its three cells (see `_Row`). Each cell's size-only
-    product query is seeded from the answered cell below it, else from
-    the factor witnesses' boxast (see `_Row.size_query`), so a lone
-    strong or lex cell asks nothing of the cells below it.
+    budget)`, which answers the cartesian, strong and lex cells in one
+    call: a lone cell answers its whole row, and the row's reports are
+    shared after it. The row builds each product once, asks each
+    product's size-only query from the maximum of the product below it,
+    and builds each pair's boxast set once per orientation for the
+    three cells (see `cached_row`).
     """
     _check_star(star, k, "boxast")
-    row = cached_row(g, h, k, budget)
-    cell = row.cells.get(star)
-    if cell is None:
-        cell = row.cells[star] = _suite_cell(row, star)
-        if len(row.cells) == len(_NESTED):
-            row.release()
-    return cell
-
-
-def _suite_cell(row: _Row, star: str) -> EquivalenceReport:
-    g, h, k, budget = row.g, row.h, row.k, row.budget
-    rg = cached_query(g, k, WITNESS, budget)
-    rh = cached_query(h, k, WITNESS, budget)
-    p = product(g, h, star)
-    members = set(p.graph.pairs)
-    rp = row.size_query(p, members, rg, rh)
-    exhaustive = rg.exhaustive and rh.exhaustive and rp.exhaustive
-    numbers = {
-        "left": {"n": g.n, "size": rg.size, "unmatched": rg.unmatched},
-        "right": {"n": h.n, "size": rh.size, "unmatched": rh.unmatched},
-        "product": {"n": p.graph.n, "size": rp.size, "unmatched": rp.unmatched},
-    }
-    if not exhaustive:
-        conditions = dict.fromkeys(CONDITIONS)
-        return EquivalenceReport(star, k, conditions, None, numbers, False)
-
-    us_g, us_h = achievable_unmatched(g, k), achievable_unmatched(h, k)
-    definition = any(k * (g.n * h.n - u_g * u_h) == 2 * rp.size for u_g in us_g for u_h in us_h)
-
-    conditions = dict(zip(CONDITIONS, (
-        definition,
-        row.all_max_pairs(p, members, rp.size, "gh"),
-        row.all_max_pairs(p, members, rp.size, "hg"),
-        rp.size == rg.size * h.n + rh.size * rg.unmatched,
-        rp.size == rh.size * g.n + rg.size * rh.unmatched,
-        2 * rp.size == k * (g.n * h.n - rg.unmatched * rh.unmatched),
-        rp.unmatched == rg.unmatched * rh.unmatched,
-    )))
-    agree = len(set(conditions.values())) == 1
-    return EquivalenceReport(star, k, conditions, agree, numbers, True)
+    return cached_row(g, h, k, budget)[star]

@@ -180,8 +180,8 @@ def test_restart_stage_is_exact_and_keeps_to_the_budget(monkeypatch, small_corpu
     restarts = []
     real_search = matchings._search_maximum
 
-    def search_spy(g, k, cap, order=None, forced=(), target=None):
-        out = real_search(g, k, cap, order, forced, target)
+    def search_spy(g, k, cap, order=None, forced=(), target=None, floor=-1):
+        out = real_search(g, k, cap, order, forced, target, floor=floor)
         if target is not None:  # a size-only query passes one to restarts only
             restarts.append(out)
         return out
@@ -287,8 +287,8 @@ def test_a_capped_search_charges_at_most_its_cap(monkeypatch):
     real_search = matchings._search_maximum
     probes = set()  # positions in `calls` of the searches with forced edges
 
-    def search_spy(g, k, cap, order=None, forced=(), target=None):
-        out = real_search(g, k, cap, order, forced, target)
+    def search_spy(g, k, cap, order=None, forced=(), target=None, floor=-1):
+        out = real_search(g, k, cap, order, forced, target, floor=floor)
         if forced:
             probes.add(len(calls))
         calls.append(("search", cap, out))
@@ -441,8 +441,8 @@ def spy_searches(monkeypatch):
     calls = []
     real = matchings._search_maximum
 
-    def spy(g, k, cap, order=None, forced=(), target=None):
-        out = real(g, k, cap, order, forced, target)
+    def spy(g, k, cap, order=None, forced=(), target=None, floor=-1):
+        out = real(g, k, cap, order, forced, target, floor=floor)
         calls.append((cap, order, list(forced), target, out))
         return out
 
@@ -501,8 +501,8 @@ def record_stages(monkeypatch):
     events = []
     real = matchings._search_maximum
 
-    def spy(g, k, cap, order=None, forced=(), target=None):
-        out = real(g, k, cap, order, forced, target)
+    def spy(g, k, cap, order=None, forced=(), target=None, floor=-1):
+        out = real(g, k, cap, order, forced, target, floor=floor)
         events.append(("search", list(forced), out, cap, order))
         return out
 

@@ -116,8 +116,8 @@ def test_solve_payloads_are_pinned(tmp_path, capsys):
 def test_escalated_witnesses_are_pinned(monkeypatch):
     calls = []
 
-    def spy(g, k, node_cap, order=None, forced=(), target=None):
-        out = _search_maximum(g, k, node_cap, order, forced, target)
+    def spy(g, k, node_cap, order=None, forced=(), target=None, floor=-1):
+        out = _search_maximum(g, k, node_cap, order, forced, target, floor=floor)
         calls.append(
             [k, node_cap, order, list(forced), target, out.best, out.best_size, out.nodes, out.settled]
         )
