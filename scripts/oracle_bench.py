@@ -64,8 +64,8 @@ def bench(budget: int, witness: bool, repeat: int) -> int:
     tally = {"relax": 0, "milp": 0, "lp_it": 0}
     run = _SizeProgram._run
 
-    def counted(program, fixed, integral):
-        answer = run(program, fixed, integral)
+    def counted(program, fixed, integral, start=None):
+        answer = run(program, fixed, integral, start)
         if integral:
             tally["milp"] += 1
         else:

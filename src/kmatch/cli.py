@@ -208,10 +208,13 @@ def _cmd_construct(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load(args.graph)
+    # the enumeration refuses too large a graph at the call, before the
+    # oracle runs, and walks lazily after it
+    members = enumerate_k_matchings(g, args.k) if args.enumerate else None
     report = max_k_matching(g, args.k, budget=args.budget)
     payload = {"oracle": asdict(report)}
-    if args.enumerate:
-        all_matchings = list(enumerate_k_matchings(g, args.k))
+    if members is not None:
+        all_matchings = list(members)
         payload["enumeration"] = {
             "count": len(all_matchings),
             "matchings": [list(m) for m in all_matchings],
@@ -233,15 +236,15 @@ def _cmd_whp(args) -> int:
     m_g = _load(args.mg, g)
     m_h = _load(args.mh, h)
     universe = allowed_edges(p, m_g, m_h)
+    members = enumerate_k_matchings(universe, args.k) if args.enumerate else None
     report = max_k_matching(universe, args.k, budget=args.budget)
     payload = {
         "product_kind": p.kind,
         "universe": {"size": universe.m, "edges": list(universe.edges)},
         "maximum": asdict(report),
     }
-    if args.enumerate:
-        count = sum(1 for _ in enumerate_k_matchings(universe, args.k))
-        payload["enumeration"] = {"count": count}
+    if members is not None:
+        payload["enumeration"] = {"count": sum(1 for _ in members)}
     return _print_report(payload, report.exhaustive, args.strict)
 
 

@@ -130,8 +130,9 @@ def factor_form(g: Graph, m) -> FactorForm:
 def index_form(g: Graph, m) -> tuple[DegreeProfile, FactorForm]:
     """The factor edge set m in canonical form with its degree profile, and
     in index form (`factor_form`)."""
-    keys, _ = form = factor_form(g, m)
-    return keyed_profile(g, keys, *index_degrees(g.n, keys)), form
+    keys = edge_keys(g, m, error=EdgeNotInFactor)
+    deg, uniform = index_degrees(g.n, keys)
+    return keyed_profile(g, keys, deg, uniform), (keys, [i for i, d in enumerate(deg) if d == 0])
 
 
 def _moving_left(keys_g: list[Index], columns, n_h: int) -> list[Index]:

@@ -255,7 +255,7 @@ class OracleReport:
     nodes: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SearchOutcome:
     best_size: int
     best: list[int] | None
@@ -473,10 +473,11 @@ def _search_maximum(
 # an infeasible instance is optimal. The relative gap is 0: at HiGHS's
 # default of 1e-4 a solve may stop one edge short of the optimum once that
 # exceeds 10,000 edges. Simplex strategy 1 is the dual simplex, which every
-# run uses except a root relaxation started at the search's best matching:
-# that one runs the primal simplex (strategy 4) from the matching's vertex,
-# a primal feasible basis (see `_SizeProgram._run`). Output is off: HiGHS
-# logs to stdout, which carries the CLI's JSON.
+# run uses except one given a `start`, the oracle's root relaxation at the
+# search's best matching: that one runs the primal simplex (strategy 4)
+# from the matching's vertex, a primal feasible basis (see
+# `_SizeProgram._run`). Output is off: HiGHS logs to stdout, which carries
+# the CLI's JSON.
 _HIGHS_OPTIONS = {"presolve": "off", "simplex_strategy": 1, "mip_rel_gap": 0, "output_flag": False}
 _PRIMAL_SIMPLEX = 4
 
@@ -521,9 +522,9 @@ class _SizeProgram:
     HiGHS binding that scipy ships, and kept. Each call states its fixings
     as bounds (see `_run`) and runs the solver again, so a relaxation
     starts the dual simplex from the previous call's basis. The one
-    exception is a relaxation after `start_at`, which starts the primal
-    simplex at the vertex of a given k-matching: the oracle starts its
-    root relaxation at the search's best matching, when it has one.
+    exception is a relaxation given a `start`, which starts the primal
+    simplex at the vertex of that k-matching: the oracle starts its root
+    relaxation at the search's best matching, when it has one.
     `solve` answers the integer program, switching integrality on for its
     own run only; `relax` answers the continuous relaxation, whose bound
     is exact whatever the solver's float error, see `relax`. Every
@@ -537,7 +538,6 @@ class _SizeProgram:
         self.m, self.n = g.m, g.n
         self.ends = g.pairs
         self._solver = None  # built on the first `_run`
-        self._start: Iterable[int] | None = None  # see `start_at`
 
     def _build(self):
         """A HiGHS solver holding the model: minimize minus the sum of
@@ -591,15 +591,8 @@ class _SizeProgram:
         basis.alien = False
         return basis
 
-    def start_at(self, chosen: Iterable[int]) -> None:
-        """Start the next run, the root relaxation, at the vertex of the
-        k-matching `chosen` (canonical edge indices) with the primal
-        simplex; see `_run`. Without fixings every column has the bounds
-        [0, 1], so `_basis` is primal feasible there."""
-        self._start = chosen
-
     def _run(
-        self, fixed: dict[int, int], integral: bool
+        self, fixed: dict[int, int], integral: bool, start: Iterable[int] | None = None
     ) -> tuple[float, frozenset[int], Sequence[float]] | None:
         """The one call into HiGHS: state `fixed` on the model and run it,
         with every column integer if `integral`. None when HiGHS calls the
@@ -609,10 +602,12 @@ class _SizeProgram:
 
         A kept edge is stated as the bounds [1, 1] on its column and a
         dropped one as [0, 0], in one call over every edge column. A run
-        after `start_at` sets the basis of that matching's vertex and runs
-        the primal simplex from it; every other run starts the dual simplex
-        from the last run's basis (from nothing on the first). A run with
-        fixings changes only bounds, so the last basis stays dual feasible.
+        given `start`, a k-matching as canonical edge indices, sets the
+        basis of its vertex (`_basis`, primal feasible while no edge is
+        fixed) and runs the primal simplex from it; every other run starts
+        the dual simplex from the last run's basis (from nothing on the
+        first). A run with fixings changes only bounds, so the last basis
+        stays dual feasible.
         The run itself happens inside `_stdout_to_devnull`.
         """
         import numpy as np
@@ -628,7 +623,6 @@ class _SizeProgram:
             else:
                 upper[j] = 0.0
         solver.changeColsBounds(self.m, np.arange(self.m, dtype=np.int32), lower, upper)
-        start, self._start = self._start, None
         if start is not None:
             status = solver.setBasis(self._basis(start))
             if status != highspy.HighsStatus.kOk:
@@ -684,8 +678,12 @@ class _SizeProgram:
             )
         return len(chosen), chosen
 
-    def relax(self, fixed: dict[int, int]) -> tuple[int, frozenset[int] | None]:
-        """The continuous relaxation of `solve(fixed)`, as (bound, point).
+    def relax(
+        self, fixed: dict[int, int], start: Iterable[int] | None = None
+    ) -> tuple[int, frozenset[int] | None]:
+        """The continuous relaxation of `solve(fixed)`, as (bound, point),
+        started at the vertex of the k-matching `start` if given (see
+        `_run`).
 
         `bound` is an upper bound on the size of every k-matching
         honoring `fixed`, exact by construction. For any multipliers lam
@@ -708,7 +706,7 @@ class _SizeProgram:
         wrong) and gives (m, None), the edge count being a bound that
         needs no solver.
         """
-        answer = self._run(fixed, integral=False)
+        answer = self._run(fixed, integral=False, start=start)
         if answer is None:
             return self.m, None
         _, chosen, duals = answer
@@ -849,33 +847,32 @@ def max_k_matching(
                 raise InvariantViolation(f"a search returned a leaf off the 0-or-{k} condition")
         return out
 
-    def optimize(method, fixed: dict[int, int]):
+    def optimize(method, *args):
         # `program.relax` or `program.solve`, for a flat charge.
         nonlocal spent
         if spent + _SOLVE_EFFORT > budget:
             raise _OutOfBudget
         spent += _SOLVE_EFFORT
-        return method(fixed)
+        return method(*args)
 
-    def maximum(sized: _SearchOutcome) -> tuple[int, Iterable[int]]:
-        # the size stages from a degree-ordered search on: the maximum size
-        # and one maximum matching.
+    def maximum(sized: _SearchOutcome, best: list[int] | None) -> tuple[int, list[int]]:
+        # the size stages from the degree-ordered search `sized` on, whose
+        # best matching is `best`: the maximum size and one maximum
+        # matching, as canonical indices, ascending.
         if sized.settled:
-            return sized.best_size, sized.best or ()
-        if sized.best is not None:
-            # the relaxation starts at the search's best matching, often
-            # close to the optimum (410 of 420 edges on cycle(21) cartesian
-            # path(20) at k = 2); without one it starts from nothing.
-            program.start_at(sized.best)
-        bound, point = optimize(program.relax, {})
+            return sized.best_size, best or []
+        # the relaxation starts at the best matching, often close to the
+        # optimum (410 of 420 edges on cycle(21) cartesian path(20) at
+        # k = 2); without one it starts from nothing.
+        bound, point = optimize(program.relax, {}, best)
         # for odd k the search's root bound also counts parity, which the
         # relaxation does not: C5 strong C5 at k = 3 has 37 against 36.
         bound = min(bound, sized.root_bound)
         if sized.best_size >= bound:
             # the best matching the search did reach meets the bound.
-            return bound, sized.best or ()
+            return bound, best
         if point is not None:
-            return bound, point
+            return bound, sorted(point)
         # restarts in rotated degree orders, each looking for a leaf of the
         # bound's size: the first one found is a maximum.
         for r in range(_RESTARTS):
@@ -888,36 +885,29 @@ def max_k_matching(
         solved = optimize(program.solve, {})
         if solved is None:
             raise InvariantViolation("the size program calls the empty matching infeasible")
-        return solved
+        return solved[0], sorted(solved[1])
 
-    if witness:
-        # a short first try in the canonical order, whose first maximum is
-        # the canonical witness. A leaf sits at depth m, so the cap grows
-        # with the edge count.
-        first = search(None, cap=_short_cap(g.m))
-    elif seed is None:
-        # a size-only call is free to search in the faster degree order.
-        first = search(_degree_order(g, degree))
-    else:
-        # only a leaf larger than the seed replaces it.
-        first = search(_degree_order(g, degree), floor=len(seed))
-        if first.best is None:
-            first.best = seed
-    if first.settled:
-        return report(first.best or (), True)
-    top = first  # the larger incumbent of the root searches
+    top: list[int] = []  # the larger incumbent of the root searches
     sol: frozenset[int] | None = None  # a maximum, once one is known
     try:
-        sized = first
         if witness:
-            # learn the size the way a size-only call does.
-            sized = search(_degree_order(g, degree))
-            if sized.best_size > top.best_size:
-                top = sized
-        optimum, found = maximum(sized)
-        sol = frozenset(found)
+            # a short first try in the canonical order, whose first maximum
+            # is the canonical witness. A leaf sits at depth m, so the cap
+            # grows with the edge count.
+            first = search(None, cap=_short_cap(g.m))
+            if first.settled:
+                return report(first.best or (), True)
+            top = first.best or []
+        # the degree-ordered search, where the size is learnt; only a leaf
+        # larger than the seed replaces it.
+        sized = search(_degree_order(g, degree), floor=-1 if seed is None else len(seed))
+        best = seed if sized.best is None else sized.best
+        if best is not None and len(best) > len(top):
+            top = best
+        optimum, found = maximum(sized, best)
         if optimum == 0 or not witness:
-            return report(sorted(sol), True)
+            return report(found, True)
+        sol = frozenset(found)
 
         # lexicographic recovery: walk the canonical order and keep an edge
         # iff some maximum matching agrees with every decision so far and
@@ -985,7 +975,7 @@ def max_k_matching(
     except _OutOfBudget:
         # the larger root incumbent, or a genuine maximum that is not the
         # canonical one.
-        return report((top.best or ()) if sol is None else sorted(sol), False)
+        return report(top if sol is None else sorted(sol), False)
 
 
 def enumerate_k_matchings(g: Graph, k: int) -> Iterator[tuple[Edge, ...]]:

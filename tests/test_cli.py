@@ -131,6 +131,30 @@ def test_solve_enumerate(capsys, files):
     assert [] in enum["matchings"]
 
 
+@pytest.mark.parametrize("command", ["solve", "whp"])
+def test_enumerate_refuses_a_large_graph_before_the_oracle_runs(
+    capsys, tmp_path, monkeypatch, files, command
+):
+    # complete(7) has 21 edges, one past the enumeration bound; the whp
+    # universe of complete(7) cartesian K2, with every left edge matched,
+    # has 49
+    k7 = tmp_path / "k7.txt"
+    k7.write_text("".join(f"{a} {b}\n" for a in range(7) for b in range(a + 1, 7)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(kmatch.cli, "max_k_matching", refuse)
+    argv = {
+        "solve": ["solve", "--graph", str(k7)],
+        "whp": ["whp", "--product", "cartesian", "--left", str(k7), "--right", files["k2"],
+                "--mg", str(k7), "--mh", files["m01"]],
+    }[command]
+    code, out, err = run_cli(capsys, [*argv, "--k", "1", "--enumerate"])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: enumeration supports at most 20 edges") and err.count("\n") == 1
+
+
 def test_solve_budget_strict_exit(capsys, files):
     code, out, _ = run_cli(
         capsys, ["solve", "--graph", files["p3"], "--k", "1", "--budget", "1", "--strict"]

@@ -242,8 +242,8 @@ def record_optimizer_calls(monkeypatch, calls=None):
     calls = [] if calls is None else calls
     for name in ("relax", "solve"):
 
-        def call(self, fixed, _name=name, _method=getattr(_SizeProgram, name)):
-            out = _method(self, fixed)
+        def call(self, fixed, *start, _name=name, _method=getattr(_SizeProgram, name)):
+            out = _method(self, fixed, *start)
             calls.append((_name, dict(fixed), out))
             return out
 
@@ -271,6 +271,41 @@ def test_budget_exhaustion_during_witness_recovery():
         assert rep.nodes <= budget, budget
         ok, _ = validate_k_matching(p, rep.witness, 3)
         assert ok and len(rep.witness) == rep.size == 18, budget
+
+
+def test_a_budget_spent_in_the_root_searches_reports_their_larger_incumbent():
+    # every four-vertex product whose short canonical first try is capped,
+    # as a witness query stopped right after that try, one node into the
+    # degree-ordered search, and right after that search. Each report
+    # degrades at exactly its budget, unless the whole query costs no
+    # more (a recovery that keeps every edge for free costs nothing), and
+    # the first carries the first try's best.
+    graphs = connected_graphs(4)
+    degraded = Counter()
+    for g in graphs:
+        for h in graphs:
+            for kind in KINDS:
+                p = product(g, h, kind).graph
+                degree, _ = index_degrees(p.n, p.pairs)
+                for k in (1, 2, 3):
+                    cap = matchings._short_cap(p.m)
+                    first = _search_maximum(p, k, cap)
+                    if first.settled:
+                        continue
+                    full = max_k_matching(p, k)
+                    sized = _search_maximum(p, k, _SEARCH_CAP, _degree_order(p, degree))
+                    budgets = (cap, cap + 1, cap + min(sized.nodes, _SEARCH_CAP))
+                    for stop, budget in enumerate(budgets):
+                        rep = max_k_matching(p, k, budget=budget)
+                        where = (g.edges, h.edges, kind, k, budget)
+                        if budget >= full.nodes:
+                            assert rep == full, where
+                            continue
+                        assert not rep.exhaustive and rep.nodes == budget, where
+                        if stop == 0:
+                            assert rep.witness == tuple(p.edges[j] for j in first.best or ()), where
+                        degraded[stop] += 1
+    assert min(degraded[0], degraded[1], degraded[2]) > 100, degraded
 
 
 def test_a_capped_search_charges_at_most_its_cap(monkeypatch):
@@ -340,14 +375,14 @@ def test_relaxation_stage_settles_escalations_exactly(monkeypatch, small_corpus)
     assert {"root point", "probe dropped", "probe kept", "integer program"} <= seen
 
 
-def lying_linprog(program, fixed, integral):
+def lying_linprog(program, fixed, integral, start=None):
     """A relaxation answer that claims an objective of 0 with all-zero
     duals and takes every edge column at 1, fixings or not."""
     assert not integral
     return 0.0, frozenset(range(program.m)), [0.0] * program.n
 
 
-def infeasible_linprog(program, fixed, integral):
+def infeasible_linprog(program, fixed, integral, start=None):
     # the solver claims the program is infeasible
     return None
 
@@ -357,7 +392,9 @@ def fake_relaxation(monkeypatch, fake):
     integer program (`integral` true) stays real."""
     real = _SizeProgram._run
     monkeypatch.setattr(
-        _SizeProgram, "_run", lambda self, fixed, integral: (real if integral else fake)(self, fixed, integral)
+        _SizeProgram,
+        "_run",
+        lambda self, fixed, integral, start=None: (real if integral else fake)(self, fixed, integral, start),
     )
 
 
@@ -859,7 +896,7 @@ from kmatch.matchings import _SizeProgram
 
 # both edges of path(3) taken, so the middle vertex gets degree 2; for the
 # relaxation, zero duals bound path(3) at its 2 edges, and the point has 2
-_SizeProgram._run = lambda self, fixed, integral: (2.0, frozenset({0, 1}), [0.0] * 3)
+_SizeProgram._run = lambda self, fixed, integral, start=None: (2.0, frozenset({0, 1}), [0.0] * 3)
 try:
     _SizeProgram(build_named("path", 3), 1).solve({})
 except InvariantViolation:
@@ -872,7 +909,7 @@ if _SizeProgram(build_named("path", 3), 1).relax({}) != (2, None):
 
 # edge 0 alone is a 1-matching of path(3), but it is fixed out; zero duals
 # bound the program at its one undecided edge, which the point meets
-_SizeProgram._run = lambda self, fixed, integral: (1.0, frozenset({0}), [0.0] * 3)
+_SizeProgram._run = lambda self, fixed, integral, start=None: (1.0, frozenset({0}), [0.0] * 3)
 try:
     _SizeProgram(build_named("path", 3), 1).solve({0: 0})
 except InvariantViolation:
@@ -920,10 +957,8 @@ class RefusesBasis(real):
 for solver, start in ((RefusesModel, None), (RefusesBasis, [0])):
     highspy._Highs = solver
     program = _SizeProgram(build_named("path", 3), 1)
-    if start is not None:
-        program.start_at(start)
     try:
-        program.relax({})
+        program.relax({}, start)
     except InvariantViolation:
         pass
     else:
@@ -1042,10 +1077,10 @@ def recovery_sequence(where, p, k, every, program, start=None, integer_probes=Tr
     optimum = max(len(m) for m in every)
     canonical = min(sorted(m) for m in every if len(m) == optimum)
 
-    def check(fixed, integral):
+    def check(fixed, integral, at=None):
         honoring = [m for m in every if all((j in m) == bool(v) for j, v in fixed.items())]
         best = max((len(m) for m in honoring), default=None)
-        bound, point = program.relax(fixed)
+        bound, point = program.relax(fixed, at)
         assert best is None or bound >= best, (where, k, start, fixed)
         if point is not None:
             assert point in honoring and len(point) == bound, (where, k, start, fixed)
@@ -1058,9 +1093,7 @@ def recovery_sequence(where, p, k, every, program, start=None, integer_probes=Tr
                 assert solved[0] == len(solved[1]) == best, (where, k, start, fixed)
         return point is not None, best is None
 
-    if start is not None:
-        program.start_at(start)
-    check({}, True)
+    check({}, True, start)
     fixed: dict[int, int] = {}
     points = infeasible = 0
     for j in range(p.m):
